@@ -17,7 +17,7 @@ individual deaths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,20 +128,7 @@ def build_predictions(reg: FederationRegistry, target: Dataset,
             present=np.ones((covered.shape[0], 1), dtype=np.uint8),
             death_ids=target.death_ids,
         )
-        sub_cfg = EnsembleConfig(
-            variant="plain",
-            tie_pi=cfg.tie_pi,
-            lambda_prior=cfg.lambda_prior,
-            pi_prior_conc=cfg.pi_prior_conc,
-            chains=cfg.chains,
-            iterations=cfg.iterations,
-            burn_in=cfg.burn_in,
-            thin=cfg.thin,
-            seed=cfg.seed,
-            mix_split_fraction=cfg.mix_split_fraction,
-            mh_step=cfg.mh_step,
-        )
-        post = fit_global(phi, None, sub_cfg, domain_ids=(s.domain_id,))
+        post = fit_global(phi, None, replace(cfg, variant="plain"), domain_ids=(s.domain_id,))
         a[:, covered, m] = classify(phi, post).probs
     return PredictionTensor(a=a, death_ids=target.death_ids)
 

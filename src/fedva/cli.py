@@ -31,7 +31,7 @@ from .data import (
 )
 from .ensemble import run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
-from .exchange import build_registry, import_summary, summary_bytes
+from .exchange import import_summary, make_registry, summary_bytes
 from .lcm import train_lcm
 from .lodo import ExperimentReport, MethodResult, run_lodo
 from .reports import (
@@ -100,14 +100,11 @@ def _registry_for_target(cfg: RunConfig, cl, sd, target_id: str):
         for f in os.listdir(cfg.summaries_dir)
         if f.endswith(".summary.json")
     )
-    keep = []
-    for p in paths:
-        s = import_summary(p, cl, sd)
-        if s.domain_id != target_id:
-            keep.append(p)
+    summaries = (import_summary(p, cl, sd) for p in paths)
+    keep = [s for s in summaries if s.domain_id != target_id]
     if not keep:
         raise ConfigError(f"no usable summary files in {cfg.summaries_dir}")
-    return build_registry(keep, cl, sd)
+    return make_registry(keep, cl, sd)
 
 
 def cmd_train(cfg: RunConfig, args) -> None:

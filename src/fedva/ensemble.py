@@ -11,10 +11,21 @@ pair, then pi and lambda have Dirichlet conditionals. Deaths with known
 labels contribute through a separate cause distribution pi_tilde (or the
 same pi when the labeled subset is a random sample, tie_pi).
 
+The sweep works in probability space. Each chain exponentiates the
+likelihoods once, shifted by every death's row maximum, so a sweep draws
+each death's (cause, domain) cell by one inverse-CDF lookup over the
+weights phi[i,c,m] * pi_c * lambda_cm (a labeled death draws its domain the
+same way over its known cause's row). Where a row's weights sum to zero or
+a subnormal, because exp() underflowed at a likelihood spread beyond ~745
+nats or under tiny Dirichlet concentrations, that row is drawn instead by
+a Gumbel argmax over the log-weights; both give the same distribution.
+
 lambda rows live on the subset of domains that cover the cause; weights of
-non-covering domains are exactly zero. The default lambda prior is a
-symmetric Dirichlet (fully conjugate); a logistic-normal prior over row
-log-weights is available via random-walk Metropolis-within-Gibbs.
+non-covering domains are exactly zero, and a cause that one domain covers
+keeps weight exactly 1 there. The default lambda prior is a symmetric
+Dirichlet (fully conjugate, all rows drawn in one batched call); a
+logistic-normal prior over row log-weights is available via random-walk
+Metropolis-within-Gibbs.
 """
 from __future__ import annotations
 
@@ -23,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from .data import Dataset
 from .errors import (
@@ -147,7 +158,6 @@ class GlobalPosterior:
     pi_draws: np.ndarray
     pi_tilde_draws: np.ndarray | None
     lambda_draws: np.ndarray
-    log_post: np.ndarray
     acceptance_rate: float | None
     config: EnsembleConfig
     domain_ids: tuple[str, ...]
@@ -218,115 +228,123 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
     return total
 
 
-def _log_dirichlet_pdf(x: np.ndarray, alpha: np.ndarray) -> float:
-    with np.errstate(divide="ignore"):
-        logx = np.log(x)
-    return float(
-        ((alpha - 1.0) * logx).sum() + gammaln(alpha.sum()) - gammaln(alpha).sum()
-    )
+def _exp_shifted(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w) with each row shifted so that its largest entry is 1."""
+    return np.exp(log_w - log_w.max(axis=1, keepdims=True))
 
 
-def _sample_lambda_row(rng, counts_m: np.ndarray, allowed: np.ndarray, conc: float):
-    """Dirichlet conditional on the allowed domains; zeros elsewhere."""
-    M = allowed.shape[0]
-    lam = np.zeros(M)
-    log_lam = np.full(M, -np.inf)
-    idx = np.flatnonzero(allowed)
-    vals, logs = log_dirichlet(rng, conc + counts_m[idx])
-    lam[idx] = vals
-    log_lam[idx] = logs
-    return lam, log_lam
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first cell whose cumulative weight exceeds u.
+
+    cum holds row-wise cumulative sums of non-negative weights with a
+    positive total in its last column; u lies in [0, total]. A point that
+    reaches the total is moved just below it, so a cell of zero weight, whose
+    cumulative value equals its predecessor's, is never returned.
+    """
+    u = np.minimum(u, np.nextafter(cum[:, -1], 0.0))
+    return np.count_nonzero(cum <= u[:, None], axis=1)
+
+
+def _draw_cells(rng, phi_exp, w, log_phi, log_w, buf) -> np.ndarray:
+    """One categorical draw per row over cells weighted phi_exp * w.
+
+    w and log_w broadcast against the (rows, cells) arrays phi_exp and
+    log_phi; buf is a work array of the same shape. A row whose weights sum
+    to 0 or a subnormal has lost its relative precision to underflow and is
+    drawn from log_phi + log_w instead.
+    """
+    np.multiply(phi_exp, w, out=buf)
+    np.cumsum(buf, axis=1, out=buf)
+    total = buf[:, -1]
+    cell = _inverse_cdf(buf, rng.random(total.shape[0]) * total)
+    low = np.flatnonzero(total < np.finfo(np.float64).tiny)
+    if low.size:
+        cell[low] = gumbel_argmax(
+            rng, log_phi[low] + np.broadcast_to(log_w, log_phi.shape)[low], axis=1
+        )
+    return cell
 
 
 def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, chain: int):
     """One MCMC chain; returns kept draws and acceptance bookkeeping."""
     n, C, M = phi.n, phi.C, phi.M
     n_L = 0 if labels is None else len(labels)
-    y_lab = None if labels is None else np.asarray(labels, dtype=np.int64)
+    n_u = n - n_L
+    y_lab = np.asarray(labels, dtype=np.int64) if n_L else np.zeros(0, dtype=np.int64)
     allowed = phi.present.astype(bool)
+    multi = allowed.sum(axis=1) > 1  # causes with a real weight choice
+    multi_allowed = allowed[multi]
     conc = cfg.lambda_prior.conc
     ln_prior = cfg.lambda_prior.kind == "logistic_normal"
     sigma = cfg.lambda_prior.sigma
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
 
-    log_phi_u = phi.log_phi[n_L:]
-    n_u = n - n_L
-    counts_lab = (
-        np.bincount(y_lab, minlength=C).astype(np.float64) if n_L else np.zeros(C)
-    )
-    lab_rows = np.arange(n_L)
+    # Unlabeled deaths range over all C*M cells; labeled ones over the M
+    # domains of their known cause.
+    log_phi_u = phi.log_phi[n_L:].reshape(n_u, C * M)
+    log_phi_l = phi.log_phi[np.arange(n_L), y_lab, :]
+    phi_u, phi_l = _exp_shifted(log_phi_u), _exp_shifted(log_phi_l)
+    buf_u, buf_l = np.empty_like(phi_u), np.empty_like(phi_l)
+    counts_lab = np.bincount(y_lab, minlength=C).astype(np.float64)
 
     pi, log_pi = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
     if cfg.tie_pi or n_L == 0:
-        pi_tilde, log_pi_tilde = pi, log_pi
+        pi_tilde = pi
     else:
-        pi_tilde, log_pi_tilde = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
+        pi_tilde, _ = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
 
-    lam = np.zeros((C, M))
-    log_lam = np.full((C, M), -np.inf)
+    lam = np.where(allowed & ~multi[:, None], 1.0, 0.0)
+    log_lam = np.where(lam == 1.0, 0.0, -np.inf)
     beta = np.zeros((C, M))
     if ln_prior:
-        for c in range(C):
+        for c in np.flatnonzero(multi):
             idx = np.flatnonzero(allowed[c])
             beta[c, idx] = rng.normal(0.0, sigma, size=idx.shape[0])
             log_lam[c, idx] = beta[c, idx] - logsumexp(beta[c, idx])
             lam[c, idx] = np.exp(log_lam[c, idx])
-    else:
-        for c in range(C):
-            lam[c], log_lam[c] = _sample_lambda_row(rng, np.zeros(M), allowed[c], conc)
+    elif multi.any():
+        lam[multi], log_lam[multi] = log_dirichlet(
+            rng, np.where(multi_allowed, conc, 0.0)
+        )
 
     step = np.full(C, cfg.mh_step)
     accept_win = np.zeros(C)
     window = 0
     accept_post = np.zeros(C)
     post_updates = 0
-    multi = allowed.sum(axis=1) > 1  # causes with a real weight choice
 
     keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
     pi_out = np.empty((keep, C))
     pi_tilde_out = np.empty((keep, C)) if (n_L and not cfg.tie_pi) else None
     lam_out = np.empty((keep, C, M))
-    logpost_out = np.empty(keep)
     kept = 0
 
     for it in range(cfg.iterations):
-        # (Y, H) | pi, lambda — joint draw via cause marginal then domain
+        # (Y, H) | pi, lambda — one joint draw per death over its cells
+        nm = np.zeros(C * M)
         if n_u:
-            with np.errstate(invalid="ignore"):
-                by_cause = logsumexp(log_phi_u + log_lam[None, :, :], axis=2)
-            y_u = gumbel_argmax(rng, by_cause + log_pi[None, :], axis=1)
-            h_u = gumbel_argmax(
-                rng, log_phi_u[np.arange(n_u), y_u, :] + log_lam[y_u, :], axis=1
-            )
-            counts_u = np.bincount(y_u, minlength=C).astype(np.float64)
-            nm = np.bincount(y_u * M + h_u, minlength=C * M).astype(np.float64)
-        else:
-            counts_u = np.zeros(C)
-            nm = np.zeros(C * M)
+            cell = _draw_cells(rng, phi_u, (pi[:, None] * lam).ravel(), log_phi_u,
+                               (log_pi[:, None] + log_lam).ravel(), buf_u)
+            nm += np.bincount(cell, minlength=C * M)
+        counts_u = nm.reshape(C, M).sum(axis=1)
         if n_L:
-            h_l = gumbel_argmax(
-                rng, phi.log_phi[lab_rows, y_lab, :] + log_lam[y_lab, :], axis=1
-            )
+            h_l = _draw_cells(rng, phi_l, lam[y_lab], log_phi_l, log_lam[y_lab], buf_l)
             nm += np.bincount(y_lab * M + h_l, minlength=C * M)
         nm = nm.reshape(C, M)
 
         # pi | Y (and pi_tilde when the labeled subset has its own CSMF)
         if cfg.tie_pi:
             pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u + counts_lab)
-            pi_tilde, log_pi_tilde = pi, log_pi
+            pi_tilde = pi
         else:
             pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u)
             if n_L:
-                pi_tilde, log_pi_tilde = log_dirichlet(rng, cfg.pi_prior_conc + counts_lab)
+                pi_tilde, _ = log_dirichlet(rng, cfg.pi_prior_conc + counts_lab)
 
-        # lambda | H
+        # lambda | H; rows of single-domain causes stay at 1
         if ln_prior:
             adapting = it < cfg.burn_in
-            for c in range(C):
-                if not multi[c]:
-                    idx = np.flatnonzero(allowed[c])
-                    lam[c, idx], log_lam[c, idx] = 1.0, 0.0
-                    continue
+            for c in np.flatnonzero(multi):
                 idx = np.flatnonzero(allowed[c])
                 b = beta[c, idx]
                 prop = b + step[c] * rng.normal(size=idx.shape[0])
@@ -354,33 +372,16 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
             elif not adapting and window == 1:
                 post_updates += 1
                 window = 0
-        else:
-            for c in range(C):
-                lam[c], log_lam[c] = _sample_lambda_row(rng, nm[c], allowed[c], conc)
+        elif multi.any():
+            lam[multi], log_lam[multi] = log_dirichlet(
+                rng, np.where(multi_allowed, conc + nm[multi], 0.0)
+            )
 
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             pi_out[kept] = pi
             if pi_tilde_out is not None:
                 pi_tilde_out[kept] = pi_tilde
             lam_out[kept] = lam
-            lp = marginal_loglik(
-                phi, pi, lam, labels=y_lab,
-                pi_tilde=None if cfg.tie_pi else pi_tilde,
-            )
-            lp += _log_dirichlet_pdf(pi, np.full(C, cfg.pi_prior_conc))
-            if n_L and not cfg.tie_pi:
-                lp += _log_dirichlet_pdf(pi_tilde, np.full(C, cfg.pi_prior_conc))
-            for c in range(C):
-                idx = np.flatnonzero(allowed[c])
-                if ln_prior:
-                    b = beta[c, idx]
-                    lp += float(
-                        -0.5 * (b @ b) / sigma**2
-                        - idx.shape[0] * (0.5 * np.log(2 * np.pi) + np.log(sigma))
-                    )
-                elif idx.shape[0] > 1:
-                    lp += _log_dirichlet_pdf(lam[c, idx], np.full(idx.shape[0], conc))
-            logpost_out[kept] = lp
             kept += 1
 
     acc = None
@@ -388,7 +389,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
         denom = max(post_updates, 1)
         rates = accept_post[multi] / denom
         acc = float(rates.mean()) if rates.size else 1.0
-    return pi_out, pi_tilde_out, lam_out, logpost_out, acc
+    return pi_out, pi_tilde_out, lam_out, acc
 
 
 def _chain_task(args):
@@ -452,8 +453,7 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
         np.concatenate([r[1] for r in results]) if results[0][1] is not None else None
     )
     lambda_draws = np.concatenate([r[2] for r in results])
-    log_post = np.concatenate([r[3] for r in results])
-    accs = [r[4] for r in results]
+    accs = [r[3] for r in results]
     acceptance = float(np.mean(accs)) if accs[0] is not None else None
 
     rhat = split_rhat(pi_by_chain)
@@ -468,7 +468,6 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
         pi_draws=pi_draws,
         pi_tilde_draws=pi_tilde_draws,
         lambda_draws=lambda_draws,
-        log_post=log_post,
         acceptance_rate=acceptance,
         config=cfg,
         domain_ids=tuple(domain_ids),

@@ -35,7 +35,12 @@ from .ensemble import (
     fit_global,
     run_variant,
 )
-from .errors import FedvaError, FingerprintMismatch, InsufficientLocalLabels
+from .errors import (
+    EmptyCauseForResample,
+    FedvaError,
+    FingerprintMismatch,
+    InsufficientLocalLabels,
+)
 from .exchange import make_registry
 from .lcm import BaseModelSummary, GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
@@ -163,9 +168,13 @@ def _run_cell(args):
     rows: list[MethodResult] = []
     skips: list[SkippedCell] = []
 
-    real: ScenarioRealization = make_scenario(
-        target, scenario_kind, seed, label_fraction=label_fraction
-    )
+    try:
+        real: ScenarioRealization = make_scenario(
+            target, scenario_kind, seed, label_fraction=label_fraction
+        )
+    except EmptyCauseForResample as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        return rows, [SkippedCell(target.domain_id, m, seed, reason) for m in methods]
     masked = real.dataset
     truth = real.truth
     random_sample = scenario_kind == "random_sample"
@@ -268,7 +277,8 @@ def _run_cell(args):
             order = np.concatenate([labeled_pos, unlabeled_pos])
             reordered = masked.subset(order)
             preds = build_predictions(reg, reordered, cell_cfg)
-            build_time = time.perf_counter() - started
+            # the shared prediction tensor is charged to the calib rows in equal parts
+            build_share = (time.perf_counter() - started) / len(calib_requested)
             lab_vec = masked.y[labeled_pos]
             for method in calib_requested:
                 m_started = time.perf_counter()
@@ -279,7 +289,7 @@ def _run_cell(args):
                     seed=derive_seed("lodo-calib", target.domain_id, seed),
                 )
                 result = fit_calibration(preds, lab_vec, ccfg, domain_ids=reg.domain_ids)
-                runtime = build_time + (time.perf_counter() - m_started)
+                runtime = build_share + (time.perf_counter() - m_started)
                 rows.append(MethodResult(
                     target_domain=target.domain_id,
                     method=method,

@@ -70,7 +70,9 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
 
     Works for arbitrarily small concentrations: shapes below 0.1 are sampled
     in log space (Gamma(a) = Gamma(a+1) * U^{1/a}), so log-values stay finite
-    even when the linear values underflow to zero.
+    even when the linear values underflow to zero. A concentration of exactly
+    0 marks a structurally absent component: its value is 0 and its log-value
+    -inf. Every row needs at least one positive concentration.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     small = alpha < 0.1
@@ -80,6 +82,7 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
     if np.any(small):
         u = 1.0 - rng.random(size=alpha.shape)  # strictly in (0, 1]
         log_g = np.where(small, log_g + np.log(u) / np.maximum(alpha, 1e-300), log_g)
+    log_g = np.where(alpha > 0, log_g, -np.inf)
     norm = _logsumexp_last(log_g)
     log_x = log_g - norm[..., None]
     return np.exp(log_x), log_x

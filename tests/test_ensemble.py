@@ -16,6 +16,8 @@ from fedva.ensemble import (
     classify,
     fit_global,
     marginal_loglik,
+    _draw_cells,
+    _inverse_cdf,
     run_variant,
     split_rhat,
 )
@@ -31,6 +33,8 @@ from fedva.errors import (
 )
 from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, train_lcm
+from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
+from oracles import fit_reference, log_posterior
 
 
 def phi_of(log_phi, present=None):
@@ -142,7 +146,7 @@ def test_fit_global_is_deterministic_and_worker_invariant():
     p2 = fit_global(phi, None, FAST, workers=2)
     assert np.array_equal(p1.pi_draws, p2.pi_draws)
     assert np.array_equal(p1.lambda_draws, p2.lambda_draws)
-    assert np.array_equal(p1.log_post, p2.log_post)
+    assert np.array_equal(log_posterior(phi, p1), log_posterior(phi, p2))
     p3 = fit_global(phi, None, EnsembleConfig(variant="plain", chains=2,
                                               iterations=400, burn_in=200, seed=3))
     assert not np.array_equal(p1.pi_draws, p3.pi_draws)
@@ -199,7 +203,6 @@ def test_classify_examples():
         pi_draws=np.array([[0.5, 0.5], [0.25, 0.75]]),
         pi_tilde_draws=None,
         lambda_draws=np.ones((2, 2, 1)),
-        log_post=np.zeros(2),
         acceptance_rate=None,
         config=FAST,
         domain_ids=("only",),
@@ -220,7 +223,6 @@ def test_classify_tie_breaks_to_lowest_index():
         pi_draws=np.full((1, 3), 1 / 3),
         pi_tilde_draws=None,
         lambda_draws=np.ones((1, 3, 1)),
-        log_post=np.zeros(1),
         acceptance_rate=None,
         config=FAST,
         domain_ids=("only",),
@@ -333,3 +335,155 @@ def test_run_variant_guards_small_label_sets():
         run_variant(reg, few, cfg, local_hyper=LcmHyper(K=1))
     with pytest.raises(InvalidHyper):
         EnsembleConfig(variant="nope").validate()
+
+
+def quadrature_instances():
+    """The ten (n<=50, C<=3, M<=2) tensors of acceptance test 03."""
+    out = []
+    rng = np.random.default_rng(12345)
+    for inst in range(6):
+        C = int(rng.integers(2, 4))
+        M = 1 if inst < 3 else 2
+        n = int(rng.integers(20, 51))
+        out.append((inst, phi_of(np.log(rng.uniform(0.02, 1.0, size=(n, C, M))))))
+    for seed in (101, 102, 103, 104):
+        r = np.random.default_rng(seed)
+        out.append((seed, phi_of(np.log(r.uniform(0.02, 1.0, size=(30, 3, 2))))))
+    return out
+
+
+def batch_se(draws, n_batches=40):
+    usable = (len(draws) // n_batches) * n_batches
+    batches = draws[:usable].reshape(n_batches, -1, *draws.shape[1:]).mean(axis=1)
+    return batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
+
+
+def test_kernel_matches_log_space_reference_within_monte_carlo_error():
+    """Posterior means of pi and lambda agree with the reference kernel, |z| < 4."""
+    worst = 0.0
+    for seed, phi in quadrature_instances():
+        cfg = EnsembleConfig(variant="plain", chains=2, iterations=2000, burn_in=400,
+                             seed=seed)
+        post = fit_global(phi, None, cfg)
+        ref_pi, ref_lam = fit_reference(phi, None, cfg)
+        for got, want in ((post.pi_draws, ref_pi), (post.lambda_draws, ref_lam)):
+            se = np.sqrt(batch_se(got) ** 2 + batch_se(want) ** 2)
+            diff = np.abs(got.mean(axis=0) - want.mean(axis=0))
+            fixed = se == 0  # M=1 weights are exactly 1 in both kernels
+            assert np.all(diff[fixed] == 0)
+            z = diff[~fixed] / se[~fixed]
+            worst = max(worst, float(z.max(initial=0.0)))
+    assert worst < 4.0, f"worst z-score {worst:.2f}"
+
+
+def assert_finite_simplex_draws(post, present):
+    allowed = np.asarray(present, dtype=bool)
+    assert np.all(np.isfinite(post.pi_draws)) and np.all(post.pi_draws >= 0)
+    assert np.allclose(post.pi_draws.sum(axis=1), 1.0, atol=1e-12)
+    lam = post.lambda_draws
+    assert np.all(np.isfinite(lam)) and np.all(lam >= 0)
+    assert np.all(lam[:, ~allowed] == 0.0)
+    assert np.allclose(lam.sum(axis=2), 1.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_extreme_spread_and_tiny_concentration_fall_back_to_log_space(monkeypatch):
+    """Spreads above 745 nats underflow exp(); those rows take the Gumbel path."""
+    from fedva import ensemble
+
+    calls = []
+
+    def counting(rng, logw, axis=-1):
+        calls.append(logw.shape[0])
+        return gumbel_argmax(rng, logw, axis=axis)
+
+    monkeypatch.setattr(ensemble, "gumbel_argmax", counting)
+    log_phi = np.zeros((40, 3, 2))
+    log_phi[:20, 1:, :] = -800.0
+    log_phi[20:, :2, :] = -1600.0
+    log_phi[:, :, 1] -= 760.0
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=100, seed=0,
+                         tie_pi=False, pi_prior_conc=1e-3,
+                         lambda_prior=LambdaPrior(conc=1e-3))
+    labels = np.array([0, 0, 0, 2, 2])
+    post = fit_global(phi_of(log_phi), labels, cfg)
+    assert calls, "the log-space fallback never ran"
+    assert_finite_simplex_draws(post, np.ones((3, 2)))
+    assert np.all(np.isfinite(post.pi_tilde_draws))
+    assert np.allclose(post.pi_tilde_draws.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tie_pi", [True, False])
+def test_every_death_labeled(tie_pi):
+    rng = np.random.default_rng(3)
+    phi = phi_of(np.log(rng.uniform(0.05, 1.0, size=(12, 3, 2))))
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 0, 1, 2, 2, 2])
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=200, burn_in=100,
+                         seed=0, tie_pi=tie_pi)
+    post = fit_global(phi, labels, cfg)
+    assert_finite_simplex_draws(post, np.ones((3, 2)))
+    assert (post.pi_tilde_draws is None) == tie_pi
+
+
+def test_single_model_draws_no_lambda(monkeypatch):
+    """M=1: lambda is exactly 1 and every Dirichlet draw is a pi draw."""
+    from fedva import ensemble
+
+    shapes = []
+
+    def recording(rng, alpha):
+        shapes.append(np.shape(alpha))
+        return log_dirichlet(rng, alpha)
+
+    monkeypatch.setattr(ensemble, "log_dirichlet", recording)
+    phi = bernoulli_phi(7, 3)
+    post = fit_global(phi, np.array([0, 1]), FAST)
+    assert shapes and all(s == (2,) for s in shapes)
+    assert np.all(post.lambda_draws == 1.0)
+    assert_finite_simplex_draws(post, np.ones((2, 1)))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_cause_covered_by_one_domain_keeps_weight_one():
+    rng = np.random.default_rng(4)
+    present = np.array([[1, 1], [1, 0], [0, 1]], dtype=np.uint8)
+    log_phi = np.log(rng.uniform(0.05, 1.0, size=(30, 3, 2)))
+    log_phi[:, present == 0] = -np.inf
+    phi = phi_of(log_phi, present)
+    for prior in (LambdaPrior(), LambdaPrior(kind="logistic_normal")):
+        cfg = EnsembleConfig(variant="partial", chains=2, iterations=200, burn_in=100,
+                             seed=0, lambda_prior=prior)
+        post = fit_global(phi, np.array([1, 2, 1]), cfg)
+        assert_finite_simplex_draws(post, present)
+        assert np.all(post.lambda_draws[:, 1] == [1.0, 0.0])
+        assert np.all(post.lambda_draws[:, 2] == [0.0, 1.0])
+        assert np.unique(post.lambda_draws[:, 0, 0]).size > 1
+
+
+def test_inverse_cdf_never_picks_a_zero_weight_cell():
+    w = np.array([
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 3.0],
+        [0.1, 0.0, 0.2, 0.0],
+    ])
+    cum = np.cumsum(w, axis=1)
+    total = cum[:, -1]
+    assert _inverse_cdf(cum, total).tolist() == [1, 1, 3, 2]  # u rounded up to the total
+    assert _inverse_cdf(cum, np.zeros(4)).tolist() == [0, 1, 3, 0]
+    u = np.nextafter(total, 0.0)
+    assert _inverse_cdf(cum, u).tolist() == [1, 1, 3, 2]
+
+
+def test_cell_draw_frequencies_match_weights_on_both_paths():
+    """Linear weights and underflowed (log-space fallback) weights give the same law."""
+    n = 20000
+    log_phi = np.log(np.tile([0.5, 1.0, 0.25], (n, 1)))
+    phi_exp = np.exp(log_phi)
+    want = np.array([0.5, 3.0, 0.25]) / 3.75
+    for log_w in (np.log([1.0, 3.0, 1.0]), np.log([1.0, 3.0, 1.0]) - 800.0):
+        cells = _draw_cells(derive_rng("cell-draw"), phi_exp, np.exp(log_w), log_phi, log_w,
+                            np.empty_like(phi_exp))
+        freq = np.bincount(cells, minlength=3) / n
+        se = np.sqrt(want * (1 - want) / n)
+        assert np.all(np.abs(freq - want) < 4 * se), freq

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from conftest import CL3, SD4, make_dataset
 from fedva.calibration import CalibConfig
 from fedva.data import CauseList, Dataset
 from fedva.ensemble import EnsembleConfig
-from fedva.errors import FedvaError, FingerprintMismatch
+from fedva import lodo
+from fedva.errors import EmptyCauseForResample, FedvaError, FingerprintMismatch
 from fedva.lcm import GibbsConfig, LcmHyper
 from fedva.lodo import KNOWN_METHODS, run_lodo
+from fedva.scenarios import make_scenario
 
 THETA = np.array([
     [0.9, 0.8, 0.1, 0.2],
@@ -28,6 +32,14 @@ def toy_domains(n_dom=3, n_per=45, seed=0, causes=(0, 1, 2)):
         x = (rng.random((n_per, 4)) < THETA[y]).astype(np.uint8)
         out.append(make_dataset(f"dom{d}", x, y))
     return out
+
+
+def narrow_domain():
+    """45 deaths of causes 0 and 1 only; cause 2 has no exemplar."""
+    rng = np.random.default_rng(9)
+    y = np.asarray([(0, 1)[i % 2] for i in range(45)], dtype=np.int32)
+    x = (rng.random((45, 4)) < THETA[y]).astype(np.uint8)
+    return make_dataset("narrow", x, y)
 
 
 def run_small(methods, scenario="random_sample", seeds=(0,), domains=None,
@@ -111,10 +123,7 @@ def test_insufficient_labels_become_skips_not_crashes():
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_uncovered_cause_skips_the_fold():
     doms = toy_domains(2)  # both cover all causes
-    rng = np.random.default_rng(9)
-    y = np.asarray([(0, 1)[i % 2] for i in range(45)], dtype=np.int32)
-    x = (rng.random((45, 4)) < THETA[y]).astype(np.uint8)
-    narrow = make_dataset("narrow", x, y)  # never saw cause 2
+    narrow = narrow_domain()
     rep = run_small(["bfl-plain"], domains=[doms[0], narrow], seeds=(0, 1))
     # fold with target=doms[0] trains only on "narrow" -> cause 2 uncovered
     starred = [s for s in rep.skipped if s.method == "*"]
@@ -122,6 +131,29 @@ def test_uncovered_cause_skips_the_fold():
     assert len(starred) == 2  # one per seed
     assert all("registry incomplete" in s.reason for s in starred)
     assert {r.target_domain for r in rep.rows} == {"narrow"}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_unresamplable_target_skips_its_cells_not_the_run():
+    narrow = narrow_domain()
+    with pytest.raises(EmptyCauseForResample):
+        make_scenario(narrow, "mild_shift", 0)
+    methods = ["bfl-plain", "local-avg", "calib-50"]
+    rep = run_small(methods, scenario="mild_shift", domains=toy_domains(2) + [narrow])
+    skipped = [s for s in rep.skipped if s.target_domain == "narrow"]
+    assert [s.method for s in skipped] == methods
+    assert all(s.seed == 0 and "EmptyCauseForResample" in s.reason for s in skipped)
+    assert {r.target_domain for r in rep.rows} == {"dom0", "dom1"}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_calibration_rows_share_the_prediction_time(monkeypatch):
+    # Each clock read advances one unit. Per cell: predictions take one unit,
+    # split over the two calib rows, and each fit takes one unit of its own.
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(lodo, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    rep = run_small(["calib-0.5", "calib-50"], domains=toy_domains(2))
+    assert [r.runtime_s for r in rep.rows] == [1.5] * 4
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -81,6 +81,16 @@ def test_log_dirichlet_tiny_shapes_stay_finite():
         assert abs(x.sum() - 1.0) < 1e-12
 
 
+def test_log_dirichlet_zero_concentration_is_an_absent_component():
+    rng = derive_rng("ld-zero")
+    alpha = np.array([[0.0, 2.0, 1e-3], [1.0, 0.0, 0.0]])
+    x, logx = log_dirichlet(rng, alpha)
+    assert np.all(x[alpha == 0] == 0.0) and np.all(logx[alpha == 0] == -np.inf)
+    assert np.all(np.isfinite(logx[alpha > 0]))
+    assert np.allclose(x.sum(axis=1), 1.0, atol=1e-12)
+    assert x[1].tolist() == [1.0, 0.0, 0.0]
+
+
 def test_log_dirichlet_log_is_consistent_with_value():
     rng = derive_rng("ld-consist")
     x, logx = log_dirichlet(rng, np.array([0.5, 1.5, 2.0]))
