@@ -8,12 +8,14 @@ with a per-cause shared base rate). Training is fully supervised: every
 record must carry a cause label.
 
 Only posterior means of (nu, theta) plus cause presence flags leave this
-module; the training-domain cause distribution pi_m is sampled as part of
-the chain but never exported.
+module. The training-domain cause distribution pi_m is not sampled: the
+deaths' causes are all observed, so nothing in the chain depends on it, and
+`LcmHyper.pi_prior` is kept only as part of the configuration and the
+summary format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -34,6 +36,9 @@ from . import TOOL_VERSION
 
 # Beta draws are clipped into the open interval so log/log1p stay finite.
 _THETA_EPS = 1e-12
+
+# Rows per block in cond_loglik_matrix; bounds its scratch memory at any n.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -80,19 +85,6 @@ class GibbsConfig:
             raise InvalidHyper(f"thin must be a positive integer, got {self.thin!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise InvalidHyper(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-
-
-@dataclass
-class LcmState:
-    """Mutable sampler state. z is aligned with the canonical record order."""
-
-    pi_m: np.ndarray
-    nu: np.ndarray
-    theta: np.ndarray
-    z: np.ndarray
-    delta: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    omega: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -178,21 +170,132 @@ def _canonical_order(dataset: Dataset) -> np.ndarray:
     return np.argsort(np.asarray(dataset.death_ids, dtype=object), kind="stable")
 
 
-def _stick_breaking(rng: np.random.Generator, counts: np.ndarray, alpha_sb: float) -> np.ndarray:
-    """One draw of mixture weights from the truncated stick conditionals."""
-    K = counts.shape[0]
-    if K == 1:
-        return np.ones(1)
-    tail = counts[::-1].cumsum()[::-1] - counts  # tail[k] = sum_{l>k} counts[l]
-    v = np.empty(K)
-    v[: K - 1] = rng.beta(1.0 + counts[: K - 1], alpha_sb + tail[: K - 1])
-    v[K - 1] = 1.0  # truncation: last stick takes the remainder
-    nu = np.empty(K)
-    rest = 1.0
-    for k in range(K):
-        nu[k] = v[k] * rest
-        rest *= 1.0 - v[k]
-    return nu
+def _cause_layout(y: np.ndarray, trained: np.ndarray):
+    """Records of the trained causes, grouped into contiguous row ranges.
+
+    Returns the record indices in cause order (stable, so canonical order
+    holds within each cause), each record's position in `trained`, and the
+    T + 1 row offsets of the groups.
+    """
+    keep = np.flatnonzero(np.isin(y, trained))
+    grouped = keep[np.argsort(y[keep], kind="stable")]
+    rec_cause = np.searchsorted(trained, y[grouped])
+    bounds = np.searchsorted(rec_cause, np.arange(trained.shape[0] + 1))
+    return grouped, rec_cause, bounds
+
+
+def _indicators(x: np.ndarray) -> np.ndarray:
+    """(n, 2p) float indicators, Yes columns then No columns.
+
+    Missing cells sit in neither half.
+    """
+    p = x.shape[1]
+    obs = np.empty((x.shape[0], 2 * p))
+    np.equal(x, SymptomValue.YES, out=obs[:, :p])
+    np.equal(x, SymptomValue.NO, out=obs[:, p:])
+    return obs
+
+
+def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.ndarray,
+                 bounds: np.ndarray, p: int, hyper: LcmHyper, cfg: GibbsConfig):
+    """Posterior means (nu (T, K), theta (T, K, p)) of the T sampled causes.
+
+    obs[t] holds the `_indicators` of the records of cause t, which are rows
+    bounds[t]:bounds[t+1] of the `_cause_layout` order. One array per cause
+    reuses freed heap memory the way small arrays do, where one (n, 2p)
+    block would take fresh pages and raise the peak resident size.
+
+    Every iteration draws all causes at once, in this order: stick breaks
+    (T, K-1) when K > 1; theta (T, K, p), or on the sparse path the
+    inclusion uniforms, slab (T, K, p), base rate (T, p) and inclusion rate
+    (T,); then one Gumbel draw over all records for the latent classes when
+    K > 1. With K = 1 every class is 0.
+    """
+    n, T, K = rec_cause.shape[0], len(obs), hyper.K
+    a_th, b_th = hyper.theta_prior
+    oa, ob = hyper.spike_omega_prior
+    ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+    # cnt[t, k] holds the Yes then No counts of class k of cause t; on the
+    # plain path plus the prior, so that its halves are theta's Beta shapes.
+    # Once theta is drawn it holds [log theta, log(1 - theta)] until the
+    # classes are redrawn and it is recounted.
+    cnt = np.empty((T, K, 2 * p))
+    shift = 0.0 if hyper.sparse else np.repeat([a_th, b_th], p)
+    zoh = np.ones((n, K)) if K == 1 else np.zeros((n, K))
+    rows = np.arange(n)
+
+    def class_counts():
+        for t, (s, e) in enumerate(ranges):
+            np.matmul(zoh[s:e].T, obs[t], out=cnt[t])
+        np.add(cnt, shift, out=cnt)
+
+    if K > 1:
+        z = rng.integers(0, K, size=n)
+        zoh[rows, z] = 1.0
+        logw = np.empty((n, K))
+    class_counts()
+
+    nu = np.ones((T, K))
+    if hyper.sparse:
+        yes_k, no_k = cnt[..., :p], cnt[..., p:]
+        slab = np.full((T, K, p), 0.5)
+        mu = np.full((T, p), 0.5)
+        omega = np.full(T, 0.5)
+
+    sum_nu = np.zeros((T, K))
+    sum_theta = np.zeros((T, K, p))
+    kept = 0
+
+    for it in range(cfg.iterations):
+        if K > 1:
+            counts = np.bincount(rec_cause * K + z, minlength=T * K).reshape(T, K)
+            tail = counts[:, ::-1].cumsum(axis=1)[:, ::-1] - counts  # sum over l > k
+            v = rng.beta(1.0 + counts[:, :-1], hyper.alpha_sb + tail[:, :-1])
+            rest = np.cumprod(1.0 - v, axis=1)
+            nu[:, 0] = v[:, 0]
+            nu[:, 1:-1] = v[:, 1:] * rest[:, :-1]
+            nu[:, -1] = rest[:, -1]  # truncation: last stick takes the remainder
+
+        if hyper.sparse:
+            logit = (
+                (np.log(omega) - np.log1p(-omega))[:, None, None]
+                + yes_k * (np.log(slab) - np.log(mu)[:, None, :])
+                + no_k * (np.log1p(-slab) - np.log1p(-mu)[:, None, :])
+            )
+            delta = rng.random((T, K, p)) < expit(logit)
+            slab = np.clip(rng.beta(a_th + delta * yes_k, b_th + delta * no_k),
+                           _THETA_EPS, 1.0 - _THETA_EPS)
+            off = ~delta
+            mu = np.clip(rng.beta(a_th + (off * yes_k).sum(axis=1),
+                                  b_th + (off * no_k).sum(axis=1)),
+                         _THETA_EPS, 1.0 - _THETA_EPS)
+            d_sum = delta.sum(axis=(1, 2))
+            omega = np.clip(rng.beta(oa + d_sum, ob + K * p - d_sum),
+                            _THETA_EPS, 1.0 - _THETA_EPS)
+            theta = np.where(delta, slab, mu[:, None, :])
+        else:
+            theta = rng.beta(cnt[..., :p], cnt[..., p:])
+            np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
+
+        if K > 1:
+            np.log(theta, out=cnt[..., :p])
+            np.log1p(-theta, out=cnt[..., p:])
+            for t, (s, e) in enumerate(ranges):
+                np.matmul(obs[t], cnt[t].T, out=logw[s:e])
+            with np.errstate(divide="ignore"):
+                logw += np.log(nu)[rec_cause]
+            z = gumbel_argmax(rng, logw)
+            zoh.fill(0.0)
+            zoh[rows, z] = 1.0
+            class_counts()
+
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+            sum_nu += nu
+            sum_theta += theta
+            kept += 1
+
+    return sum_nu / kept, sum_theta / kept
 
 
 def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
@@ -201,7 +304,8 @@ def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
 
     Records are sorted by death_id before sampling, so input order cannot
     change the output. present[c] = 1 iff the domain holds at least
-    min_count deaths of cause c; parameters of absent causes are NaN.
+    min_count deaths of cause c; only those causes are sampled, and the
+    parameters of all others are NaN.
     """
     hyper.validate()
     cfg.validate()
@@ -212,108 +316,25 @@ def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
     if np.any(labeled.y == UNLABELED):
         raise NotFullyLabeled(f"domain {labeled.domain_id!r} has unlabeled records")
 
-    order = _canonical_order(labeled)
-    x = labeled.x[order]
-    y = labeled.y[order]
     C = len(labeled.cause_list)
-    K, p, n = hyper.K, labeled.p, labeled.n
-    a_th, b_th = hyper.theta_prior
+    K, p = hyper.K, labeled.p
     n_by_cause = cause_counts(labeled)
-    trained = [c for c in range(C) if n_by_cause[c] > 0]
+    trained = np.flatnonzero(n_by_cause >= min_count)
 
+    order = _canonical_order(labeled)
+    grouped, rec_cause, bounds = _cause_layout(labeled.y[order], trained)
+    x = labeled.x[order[grouped]]
+    obs = [_indicators(x[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    del x
     rng = derive_rng("lcm-train", labeled.domain_id, cfg.seed)
-
-    # Per-cause observation indicators; Missing cells sit in neither matrix.
-    rows = {c: np.flatnonzero(y == c) for c in trained}
-    yes = {c: (x[rows[c]] == SymptomValue.YES).astype(np.float64) for c in trained}
-    no = {c: (x[rows[c]] == SymptomValue.NO).astype(np.float64) for c in trained}
-
-    state = LcmState(
-        pi_m=np.full(C, 1.0 / C),
-        nu=np.full((C, K), np.nan),
-        theta=np.full((C, K, p), np.nan),
-        z=np.zeros(n, dtype=np.int64),
-    )
-    if hyper.sparse:
-        state.delta = np.zeros((C, K, p), dtype=np.int8)
-        state.mu = np.full((C, p), np.nan)
-        state.omega = np.full(C, np.nan)
-    slab = {c: np.full((K, p), 0.5) for c in trained} if hyper.sparse else None
-    for c in trained:
-        state.z[rows[c]] = rng.integers(0, K, size=rows[c].shape[0])
-        if hyper.sparse:
-            state.mu[c] = 0.5
-            state.omega[c] = 0.5
-
-    sum_nu = np.zeros((C, K))
-    sum_theta = np.zeros((C, K, p))
-    kept = 0
-
-    oa, ob = hyper.spike_omega_prior
-    for it in range(cfg.iterations):
-        for c in trained:
-            z_c = state.z[rows[c]]
-            n_c = rows[c].shape[0]
-            zoh = np.zeros((n_c, K))
-            zoh[np.arange(n_c), z_c] = 1.0
-            counts_k = zoh.sum(axis=0)
-            yes_k = zoh.T @ yes[c]  # (K, p) observed-Yes counts per class
-            no_k = zoh.T @ no[c]
-
-            state.nu[c] = _stick_breaking(rng, counts_k, hyper.alpha_sb)
-
-            if hyper.sparse:
-                th_slab = slab[c]
-                mu_c = state.mu[c]
-                om = state.omega[c]
-                logit = (
-                    np.log(om) - np.log1p(-om)
-                    + yes_k * (np.log(th_slab) - np.log(mu_c))
-                    + no_k * (np.log1p(-th_slab) - np.log1p(-mu_c))
-                )
-                delta = (rng.random((K, p)) < expit(logit)).astype(np.int8)
-                state.delta[c] = delta
-                th_slab = rng.beta(a_th + delta * yes_k, b_th + delta * no_k)
-                slab[c] = np.clip(th_slab, _THETA_EPS, 1.0 - _THETA_EPS)
-                off = 1.0 - delta
-                mu_c = rng.beta(
-                    a_th + (off * yes_k).sum(axis=0), b_th + (off * no_k).sum(axis=0)
-                )
-                state.mu[c] = np.clip(mu_c, _THETA_EPS, 1.0 - _THETA_EPS)
-                d_sum = float(delta.sum())
-                om = rng.beta(oa + d_sum, ob + K * p - d_sum)
-                state.omega[c] = min(max(om, _THETA_EPS), 1.0 - _THETA_EPS)
-                theta_c = delta * slab[c] + off * state.mu[c][None, :]
-            else:
-                theta_c = rng.beta(a_th + yes_k, b_th + no_k)
-            state.theta[c] = np.clip(theta_c, _THETA_EPS, 1.0 - _THETA_EPS)
-
-            with np.errstate(divide="ignore"):
-                logw = (
-                    yes[c] @ np.log(state.theta[c]).T
-                    + no[c] @ np.log1p(-state.theta[c]).T
-                    + np.log(state.nu[c])
-                )
-            state.z[rows[c]] = gumbel_argmax(rng, logw)
-
-        state.pi_m = rng.dirichlet(hyper.pi_prior + n_by_cause.astype(np.float64))
-
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            for c in trained:
-                sum_nu[c] += state.nu[c]
-                sum_theta[c] += state.theta[c]
-            kept += 1
+    mean_nu, mean_theta = _gibbs_means(rng, obs, rec_cause, bounds, p, hyper, cfg)
 
     nu_bar = np.full((C, K), np.nan)
     theta_bar = np.full((C, K, p), np.nan)
     present = np.zeros(C, dtype=np.uint8)
-    for c in trained:
-        if n_by_cause[c] < min_count:
-            continue
-        present[c] = 1
-        nu_c = sum_nu[c] / kept
-        nu_bar[c] = nu_c / nu_c.sum()
-        theta_bar[c] = np.clip(sum_theta[c] / kept, _THETA_EPS, 1.0 - _THETA_EPS)
+    present[trained] = 1
+    nu_bar[trained] = mean_nu / mean_nu.sum(axis=1, keepdims=True)
+    theta_bar[trained] = np.clip(mean_theta, _THETA_EPS, 1.0 - _THETA_EPS)
 
     summary = BaseModelSummary(
         domain_id=labeled.domain_id,
@@ -357,24 +378,29 @@ def cond_loglik(s: BaseModelSummary, x: np.ndarray, c: int) -> float:
 
 
 def cond_loglik_matrix(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:
-    """Batch form: (n, C) of log p(x_i | Y=c), -inf at absent causes."""
+    """Batch form: (n, C) of log p(x_i | Y=c), -inf at absent causes.
+
+    Rows go through in blocks of _ROW_BLOCK, each block with one product
+    against the log-profiles of every covered (cause, class) pair.
+    """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != s.p:
         raise DimensionMismatch(f"expected (n, {s.p}) symptom matrix, got shape {x.shape}")
-    n = x.shape[0]
-    yes = (x == SymptomValue.YES).astype(np.float64)
-    no = (x == SymptomValue.NO).astype(np.float64)
-    all_missing = ~(yes.any(axis=1) | no.any(axis=1))
+    n, p, K = x.shape[0], s.p, s.K
+    covered = np.flatnonzero(s.present)
+    th = s.theta_bar[covered]
+    # (2p, covered * K): Yes rows then No rows, one column per (cause, class).
+    weights = np.concatenate([np.log(th), np.log1p(-th)], axis=2).reshape(-1, 2 * p).T
+    with np.errstate(divide="ignore"):  # nu components may be exactly 0
+        log_nu = np.log(s.nu_bar[covered]).reshape(-1)
     out = np.full((n, s.C), -np.inf)
-    for c in range(s.C):
-        if not s.present[c]:
-            continue
-        th = s.theta_bar[c]
-        with np.errstate(divide="ignore"):  # nu components may be exactly 0
-            log_nu = np.log(s.nu_bar[c])
-        logw = yes @ np.log(th).T + no @ np.log1p(-th).T + log_nu
-        out[:, c] = logsumexp(logw, axis=1)
-        out[all_missing, c] = 0.0
+    for start in range(0, n, _ROW_BLOCK):
+        obs = _indicators(x[start : start + _ROW_BLOCK])
+        logw = (obs @ weights + log_nu).reshape(obs.shape[0], covered.shape[0], K)
+        top = logw.max(axis=2)
+        block = top + np.log(np.exp(logw - top[..., None]).sum(axis=2))
+        block[~obs.any(axis=1)] = 0.0  # all Missing: log 1, exactly
+        out[start : start + obs.shape[0], covered] = block
     return out
 
 

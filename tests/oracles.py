@@ -5,15 +5,34 @@ logsumexp over domains gives each death's cause marginal, Gumbel draws pick
 the cause and then the domain, and every cause's lambda row is its own
 Dirichlet draw. `fedva.ensemble` samples the same posterior in probability
 space, so the two agree in distribution, not draw for draw.
+
+`train_lcm_reference` is the per-cause latent class kernel: each Gibbs
+iteration loops over the causes with their own stick, theta and Gumbel
+draws, then draws a within-domain CSMF that nothing reads. `fedva.lcm`
+draws every cause at once, so the two agree in distribution only.
+`cond_loglik_matrix_reference` is the per-cause form of the batched
+likelihood, one scipy `logsumexp` per cause.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from fedva.calibration import _log_dir_pdf_unnorm as log_dirichlet_pdf
+from fedva.data import UNLABELED, Dataset, SymptomValue, cause_counts
 from fedva.ensemble import EnsembleConfig, GlobalPosterior, PhiTensor, marginal_loglik
+from fedva.errors import EmptyDataset, InvalidHyper, NotFullyLabeled
+from fedva.lcm import (
+    _THETA_EPS,
+    BaseModelSummary,
+    GibbsConfig,
+    LcmHyper,
+    Provenance,
+    _canonical_order,
+)
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
+
+from fedva import TOOL_VERSION
 
 
 def _sample_lambda_row(rng, counts_m: np.ndarray, allowed: np.ndarray, conc: float):
@@ -182,4 +201,169 @@ def log_posterior(phi: PhiTensor, post: GlobalPosterior,
                 lp += log_dirichlet_pdf(np.log(row),
                                         np.full(row.shape[0], cfg.lambda_prior.conc))
             out[d] = lp
+    return out
+
+
+def _stick_breaking(rng: np.random.Generator, counts: np.ndarray, alpha_sb: float) -> np.ndarray:
+    """One draw of mixture weights from the truncated stick conditionals."""
+    K = counts.shape[0]
+    if K == 1:
+        return np.ones(1)
+    tail = counts[::-1].cumsum()[::-1] - counts  # tail[k] = sum_{l>k} counts[l]
+    v = np.empty(K)
+    v[: K - 1] = rng.beta(1.0 + counts[: K - 1], alpha_sb + tail[: K - 1])
+    v[K - 1] = 1.0  # truncation: last stick takes the remainder
+    nu = np.empty(K)
+    rest = 1.0
+    for k in range(K):
+        nu[k] = v[k] * rest
+        rest *= 1.0 - v[k]
+    return nu
+
+
+def train_lcm_reference(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
+                        min_count: int = 1) -> BaseModelSummary:
+    """The per-cause Gibbs kernel, same stream key as `fedva.lcm.train_lcm`."""
+    hyper.validate()
+    cfg.validate()
+    if min_count < 1:
+        raise InvalidHyper(f"min_count must be >= 1, got {min_count!r}")
+    if labeled.n == 0:
+        raise EmptyDataset(f"domain {labeled.domain_id!r} has no records")
+    if np.any(labeled.y == UNLABELED):
+        raise NotFullyLabeled(f"domain {labeled.domain_id!r} has unlabeled records")
+
+    order = _canonical_order(labeled)
+    x = labeled.x[order]
+    y = labeled.y[order]
+    C = len(labeled.cause_list)
+    K, p, n = hyper.K, labeled.p, labeled.n
+    a_th, b_th = hyper.theta_prior
+    n_by_cause = cause_counts(labeled)
+    trained = [c for c in range(C) if n_by_cause[c] > 0]
+
+    rng = derive_rng("lcm-train", labeled.domain_id, cfg.seed)
+
+    rows = {c: np.flatnonzero(y == c) for c in trained}
+    yes = {c: (x[rows[c]] == SymptomValue.YES).astype(np.float64) for c in trained}
+    no = {c: (x[rows[c]] == SymptomValue.NO).astype(np.float64) for c in trained}
+
+    nu = np.full((C, K), np.nan)
+    theta = np.full((C, K, p), np.nan)
+    z = np.zeros(n, dtype=np.int64)
+    if hyper.sparse:
+        mu = np.full((C, p), np.nan)
+        omega = np.full(C, np.nan)
+    slab = {c: np.full((K, p), 0.5) for c in trained} if hyper.sparse else None
+    for c in trained:
+        z[rows[c]] = rng.integers(0, K, size=rows[c].shape[0])
+        if hyper.sparse:
+            mu[c] = 0.5
+            omega[c] = 0.5
+
+    sum_nu = np.zeros((C, K))
+    sum_theta = np.zeros((C, K, p))
+    kept = 0
+
+    oa, ob = hyper.spike_omega_prior
+    for it in range(cfg.iterations):
+        for c in trained:
+            z_c = z[rows[c]]
+            n_c = rows[c].shape[0]
+            zoh = np.zeros((n_c, K))
+            zoh[np.arange(n_c), z_c] = 1.0
+            counts_k = zoh.sum(axis=0)
+            yes_k = zoh.T @ yes[c]
+            no_k = zoh.T @ no[c]
+
+            nu[c] = _stick_breaking(rng, counts_k, hyper.alpha_sb)
+
+            if hyper.sparse:
+                th_slab = slab[c]
+                mu_c = mu[c]
+                om = omega[c]
+                logit = (
+                    np.log(om) - np.log1p(-om)
+                    + yes_k * (np.log(th_slab) - np.log(mu_c))
+                    + no_k * (np.log1p(-th_slab) - np.log1p(-mu_c))
+                )
+                delta = (rng.random((K, p)) < expit(logit)).astype(np.int8)
+                th_slab = rng.beta(a_th + delta * yes_k, b_th + delta * no_k)
+                slab[c] = np.clip(th_slab, _THETA_EPS, 1.0 - _THETA_EPS)
+                off = 1.0 - delta
+                mu_c = rng.beta(
+                    a_th + (off * yes_k).sum(axis=0), b_th + (off * no_k).sum(axis=0)
+                )
+                mu[c] = np.clip(mu_c, _THETA_EPS, 1.0 - _THETA_EPS)
+                d_sum = float(delta.sum())
+                om = rng.beta(oa + d_sum, ob + K * p - d_sum)
+                omega[c] = min(max(om, _THETA_EPS), 1.0 - _THETA_EPS)
+                theta_c = delta * slab[c] + off * mu[c][None, :]
+            else:
+                theta_c = rng.beta(a_th + yes_k, b_th + no_k)
+            theta[c] = np.clip(theta_c, _THETA_EPS, 1.0 - _THETA_EPS)
+
+            with np.errstate(divide="ignore"):
+                logw = (
+                    yes[c] @ np.log(theta[c]).T
+                    + no[c] @ np.log1p(-theta[c]).T
+                    + np.log(nu[c])
+                )
+            z[rows[c]] = gumbel_argmax(rng, logw)
+
+        rng.dirichlet(hyper.pi_prior + n_by_cause.astype(np.float64))  # pi_m, unread
+
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+            for c in trained:
+                sum_nu[c] += nu[c]
+                sum_theta[c] += theta[c]
+            kept += 1
+
+    nu_bar = np.full((C, K), np.nan)
+    theta_bar = np.full((C, K, p), np.nan)
+    present = np.zeros(C, dtype=np.uint8)
+    for c in trained:
+        if n_by_cause[c] < min_count:
+            continue
+        present[c] = 1
+        nu_c = sum_nu[c] / kept
+        nu_bar[c] = nu_c / nu_c.sum()
+        theta_bar[c] = np.clip(sum_theta[c] / kept, _THETA_EPS, 1.0 - _THETA_EPS)
+
+    summary = BaseModelSummary(
+        domain_id=labeled.domain_id,
+        nu_bar=nu_bar,
+        theta_bar=theta_bar,
+        present=present,
+        n_by_cause=n_by_cause,
+        cause_list_fingerprint=labeled.cause_list.fingerprint,
+        dict_fingerprint=labeled.symptom_dict.fingerprint,
+        hyper=hyper,
+        provenance=Provenance(
+            tool_version=TOOL_VERSION,
+            seed=cfg.seed,
+            iterations=cfg.iterations,
+            burn_in=cfg.burn_in,
+        ),
+    )
+    summary.validate()
+    return summary
+
+
+def cond_loglik_matrix_reference(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:
+    """(n, C) of log p(x_i | Y=c), one logsumexp per covered cause."""
+    x = np.asarray(x)
+    yes = (x == SymptomValue.YES).astype(np.float64)
+    no = (x == SymptomValue.NO).astype(np.float64)
+    all_missing = ~(yes.any(axis=1) | no.any(axis=1))
+    out = np.full((x.shape[0], s.C), -np.inf)
+    for c in range(s.C):
+        if not s.present[c]:
+            continue
+        th = s.theta_bar[c]
+        with np.errstate(divide="ignore"):
+            log_nu = np.log(s.nu_bar[c])
+        logw = yes @ np.log(th).T + no @ np.log1p(-th).T + log_nu
+        out[:, c] = logsumexp(logw, axis=1)
+        out[all_missing, c] = 0.0
     return out

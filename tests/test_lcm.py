@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset
-from fedva.data import SymptomValue
+from fedva import lcm
+from fedva.data import CauseList, Dataset, SymptomDictionary, SymptomValue
 from fedva.errors import (
     AbsentCause,
     DimensionMismatch,
@@ -21,6 +25,7 @@ from fedva.lcm import (
     enumerate_mass,
     train_lcm,
 )
+from oracles import cond_loglik_matrix_reference, train_lcm_reference
 
 MISSING = int(SymptomValue.MISSING)
 
@@ -208,3 +213,200 @@ def test_gibbs_config_validation():
         GibbsConfig(iterations=10, burn_in=10, thin=1, seed=0).validate()
     with pytest.raises(InvalidHyper):
         GibbsConfig(iterations=10, burn_in=2, thin=0, seed=0).validate()
+
+
+def grouped_dataset(sizes, p, seed, missing=0.1):
+    """Deaths of len(sizes) causes, each cause a mix of two symptom profiles."""
+    rng = np.random.default_rng(seed)
+    C = len(sizes)
+    profiles = rng.uniform(0.05, 0.95, size=(C, 2, p))
+    y = np.repeat(np.arange(C), sizes).astype(np.int32)
+    cls = rng.integers(0, 2, size=y.shape[0])
+    x = (rng.random((y.shape[0], p)) < profiles[y, cls]).astype(np.uint8)
+    x[rng.random(x.shape) < missing] = MISSING
+    return Dataset("grp", tuple(f"d{i:05d}" for i in range(y.shape[0])), x, y,
+                   CauseList(tuple(f"c{i}" for i in range(C))),
+                   SymptomDictionary(tuple(f"s{j}" for j in range(p))))
+
+
+def beta_posterior(ds, a=1.0, b=1.0):
+    """Exact K=1 posterior mean and sd of every (cause, symptom) cell."""
+    C = len(ds.cause_list)
+    yes = np.stack([np.sum(ds.x[ds.y == c] == SymptomValue.YES, axis=0) for c in range(C)])
+    no = np.stack([np.sum(ds.x[ds.y == c] == SymptomValue.NO, axis=0) for c in range(C)])
+    a, b = a + yes, b + no
+    return a / (a + b), np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+
+
+def test_kernel_matches_reference_at_k1():
+    """theta_bar of both kernels: each a mean of iid conjugate draws.
+
+    The kernels key the same stream, so each gets its own seed.
+    """
+    ds = grouped_dataset((40, 25, 12), p=6, seed=11)
+    cfg = GibbsConfig(iterations=3000, burn_in=500, thin=1, seed=4)
+    new = train_lcm(ds, LcmHyper(K=1), cfg).theta_bar[:, 0]
+    ref = train_lcm_reference(ds, LcmHyper(K=1), replace(cfg, seed=5)).theta_bar[:, 0]
+    _, sd = beta_posterior(ds)
+    se = sd * np.sqrt(2.0 / (cfg.iterations - cfg.burn_in))
+    assert np.max(np.abs(new - ref) / se) < 4.0
+
+
+def invariants(s):
+    """Per-cause summaries that relabelling the latent classes leaves alone.
+
+    Symptom rates sum_k nu_k theta_kj, pairwise rates
+    sum_k nu_k theta_kj theta_kl (j < l), and sum_k nu_k^2.
+    """
+    nu, th = s.nu_bar, s.theta_bar
+    j, l = np.triu_indices(th.shape[2], k=1)
+    return np.concatenate([
+        np.einsum("ck,ckj->cj", nu, th),
+        np.einsum("ck,ckj->cj", nu, th[:, :, j] * th[:, :, l]),
+        (nu**2).sum(axis=1, keepdims=True),
+    ], axis=1)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kernel_matches_reference_relabel_invariants(sparse):
+    """Symptom rates and the other `invariants` agree in distribution.
+
+    Both kernels run the same Markov chain from the same initial law, so the
+    state after a fixed number of iterations has one distribution. Each run
+    keeps only its last draw; 200 runs per kernel, on seeds of their own,
+    give independent samples. Cause sizes differ by 50x.
+    """
+    ds = grouped_dataset((100, 30, 2), p=5, seed=5)
+    hyper = LcmHyper(K=3, sparse=sparse)
+    runs = 200
+
+    def draws(train, first_seed):
+        return np.array([
+            invariants(train(ds, hyper, GibbsConfig(iterations=30, burn_in=29, thin=1, seed=seed)))
+            for seed in range(first_seed, first_seed + runs)
+        ])
+
+    new, ref = draws(train_lcm, 0), draws(train_lcm_reference, runs)
+    se = np.sqrt((new.var(axis=0, ddof=1) + ref.var(axis=0, ddof=1)) / runs)
+    z = np.abs(new.mean(axis=0) - ref.mean(axis=0)) / se
+    assert np.max(z) < 4.0, f"worst z {np.max(z):.2f}"
+
+
+def test_one_death_cause_and_50x_sizes_match_conjugate_posterior():
+    """Row ranges line up with causes however unequal their sizes are."""
+    ds = grouped_dataset((150, 3, 1), p=4, seed=2, missing=0.2)
+    cfg = GibbsConfig(iterations=2500, burn_in=500, thin=1, seed=0)
+    s = train_lcm(ds, LcmHyper(K=1), cfg)
+    mean, sd = beta_posterior(ds)
+    z = np.abs(s.theta_bar[:, 0] - mean) / (sd / np.sqrt(cfg.iterations - cfg.burn_in))
+    assert np.max(z) < 4.0
+    assert s.present.tolist() == [1, 1, 1] and s.n_by_cause.tolist() == [150, 3, 1]
+    for sparse in (False, True):
+        s3 = train_lcm(ds, LcmHyper(K=3, sparse=sparse), GibbsConfig(iterations=40, burn_in=20))
+        assert s3.present.tolist() == [1, 1, 1]
+        assert np.allclose(s3.nu_bar.sum(axis=1), 1.0)
+
+
+def test_all_missing_record_adds_no_evidence():
+    ds = grouped_dataset((12, 8), p=5, seed=3)
+    x = np.vstack([ds.x, np.full((1, 5), MISSING, dtype=np.uint8)])
+    y = np.append(ds.y, 1).astype(np.int32)
+    padded = Dataset(ds.domain_id, ds.death_ids + ("d99999",), x, y,
+                     ds.cause_list, ds.symptom_dict)
+    cfg = GibbsConfig(iterations=50, burn_in=20, thin=1, seed=1)
+    # K=1 draws depend on the data only through the counts: bit-identical.
+    base = train_lcm(ds, LcmHyper(K=1), cfg)
+    more = train_lcm(padded, LcmHyper(K=1), cfg)
+    assert np.array_equal(base.theta_bar, more.theta_bar)
+    assert more.n_by_cause.tolist() == [12, 9]
+    s = train_lcm(padded, LcmHyper(K=2), cfg)
+    assert np.all(np.isfinite(s.theta_bar)) and np.allclose(s.nu_bar.sum(axis=1), 1.0)
+
+
+def test_min_count_leaves_the_thin_cause_unsampled():
+    """A cause below min_count is absent and draws nothing from the stream."""
+    ds = grouped_dataset((15, 1, 10), p=4, seed=8)
+    cfg = GibbsConfig(iterations=40, burn_in=20, thin=1, seed=2)
+    thin = train_lcm(ds, LcmHyper(K=2), cfg, min_count=2)
+    dropped = train_lcm(ds.subset(np.flatnonzero(ds.y != 1)), LcmHyper(K=2), cfg)
+    assert thin.present.tolist() == [1, 0, 1]
+    assert thin.n_by_cause.tolist() == [15, 1, 10]
+    assert np.array_equal(thin.nu_bar, dropped.nu_bar, equal_nan=True)
+    assert np.array_equal(thin.theta_bar, dropped.theta_bar, equal_nan=True)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_k1_never_draws_a_latent_class(monkeypatch, labeled_ds, sparse):
+    def boom(*args, **kwargs):
+        raise AssertionError("K=1 drew a latent class")
+
+    monkeypatch.setattr(lcm, "gumbel_argmax", boom)
+    s = train_lcm(labeled_ds, LcmHyper(K=1, sparse=sparse),
+                  GibbsConfig(iterations=20, burn_in=10, thin=1, seed=0))
+    assert np.array_equal(s.nu_bar, np.ones((3, 1)))
+
+
+def test_cond_loglik_matrix_matches_per_cause_form():
+    rng = np.random.default_rng(21)
+    C, K, p = 5, 3, 9
+    nu = rng.dirichlet(np.ones(K), size=C)
+    nu[2] = [0.5, 0.0, 0.5]  # a component of exactly 0
+    nu[3] = [0.2, 0.3, 0.4999999]  # sums to 1 within the summary's 1e-6 only
+    theta = rng.uniform(0.02, 0.98, size=(C, K, p))
+    present = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    nu[present == 0] = np.nan
+    theta[present == 0] = np.nan
+    s = BaseModelSummary(
+        domain_id="mix", nu_bar=nu, theta_bar=theta, present=present,
+        n_by_cause=np.array([4, 0, 3, 2, 0]),
+        cause_list_fingerprint="c", dict_fingerprint="d", hyper=LcmHyper(K=K),
+        provenance=Provenance(tool_version="t", seed=0, iterations=2, burn_in=1),
+    )
+    for n in (0, 1, 255, 256, 600):  # 600 is no multiple of the row block
+        x = rng.integers(0, 3, size=(n, p)).astype(np.uint8)
+        x[::7] = MISSING
+        got = cond_loglik_matrix(s, x)
+        want = cond_loglik_matrix_reference(s, x)
+        assert got.shape == (n, C)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        assert np.all(got[:, present == 0] == -np.inf)
+        assert np.all(got[::7][:, present == 1] == 0.0)
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-12)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes allocated at the peak of fn(*args), above what was live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_memory_stays_within_the_indicator_budget():
+    """Peaks are bounded by the two (n, p) float64 indicator matrices.
+
+    Training may hold those indicators plus small per-cause state: at most
+    1.5x their size. Padding each cause to the largest one (the causes here
+    differ by 50x) would take about 7x. Scoring goes through fixed row
+    blocks, so it stays under half their size; converting all rows at once
+    would take the full size.
+    """
+    n, p = 3000, 40
+    sizes = (2650,) + (50,) * 7
+    ds = grouped_dataset(sizes, p=p, seed=6)
+    indicators = 2 * n * p * 8
+    s = train_lcm(ds, LcmHyper(K=3), GibbsConfig(iterations=3, burn_in=1, thin=1, seed=0))
+    train_peak = traced_peak(
+        train_lcm, ds, LcmHyper(K=3), GibbsConfig(iterations=3, burn_in=1, thin=1, seed=0)
+    )
+    assert train_peak < 1.5 * indicators, f"train_lcm peak {train_peak / indicators:.2f}x"
+    score_peak = traced_peak(cond_loglik_matrix, s, ds.x)
+    assert score_peak < 0.5 * indicators, f"cond_loglik_matrix peak {score_peak / indicators:.2f}x"
