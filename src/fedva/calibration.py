@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper, InvalidLa
 from .exchange import FederationRegistry
 from .ensemble import EnsembleConfig, PhiTensor, classify, fit_global
 from .lcm import cond_loglik_matrix
-from .utils import derive_rng, gumbel_argmax, log_dirichlet
+from .utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,6 @@ def build_predictions(reg: FederationRegistry, target: Dataset,
     return PredictionTensor(a=a, death_ids=target.death_ids)
 
 
-def _log_gamma_pdf(g: float, shape: float, rate: float) -> float:
-    return (shape - 1.0) * np.log(g) - rate * g
-
-
-def _log_dir_pdf_unnorm(logx: np.ndarray, alpha: np.ndarray) -> float:
-    from scipy.special import gammaln
-
-    return float(((alpha - 1.0) * logx).sum() + gammaln(alpha.sum()) - gammaln(alpha).sum())
-
-
 def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
                     cfg: CalibConfig,
                     domain_ids: tuple[str, ...] = ()) -> CalibrationResult:
@@ -151,6 +141,10 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     The first len(labels) deaths are labeled; their (true cause, predicted
     cause) pairs are the only evidence the confusion matrices see. Unlabeled
     deaths carry latent true causes that inform pi alone.
+
+    Given the confusion rows, each gamma[m, c] depends on its own row only,
+    and given gamma the rows are independent, so every iteration updates all
+    (model, cause) pairs at once: one Metropolis step and one Dirichlet draw.
     """
     cfg.validate()
     if a.n == 0:
@@ -173,23 +167,28 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     rng_cut = derive_rng("calibration-cut", cfg.seed)
 
     # Labeled confusion counts are fixed for the whole run (no feedback).
+    models = np.arange(M)
     counts = np.zeros((M, C, C))
     if n_L:
-        for m in range(M):
-            np.add.at(counts[m], (y_lab, top[:n_L, m]), 1.0)
+        np.add.at(counts, (models, y_lab[:, None], top[:n_L]), 1.0)
 
     eye_eps = np.eye(C) + cfg.epsilon  # row c of the prior is gamma * eye_eps[c]
-    gamma = np.full((M, C), cfg.alpha / cfg.beta_rate)
-    log_conf = np.empty((M, C, C))
-    conf = np.empty((M, C, C))
-    for m in range(M):
-        for c in range(C):
-            conf[m, c], log_conf[m, c] = log_dirichlet(
-                rng_cut, gamma[m, c] * eye_eps[c] + counts[m, c]
-            )
+
+    def log_target(log_g, log_conf):
+        """log p(log gamma | confusion row) up to a constant, per (m, c)."""
+        g = np.exp(log_g)
+        return (
+            (cfg.alpha - 1.0) * log_g - cfg.beta_rate * g  # Gamma prior
+            + log_dirichlet_pdf(log_conf, g[..., None] * eye_eps + counts)
+            + log_g  # Jacobian of the log-scale walk
+        )
+
+    log_g = np.full((M, C), np.log(cfg.alpha / cfg.beta_rate))
+    _, log_conf = log_dirichlet(rng_cut, np.exp(log_g)[..., None] * eye_eps + counts)
 
     top_u = top[n_L:]
     n_u = n - n_L
+    logw = np.empty((n_u, C))
     keep = cfg.iterations - cfg.burn_in
     pi_out = np.empty((keep, C))
     conf_sum = np.zeros((M, C, C))
@@ -199,36 +198,19 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
 
     for it in range(cfg.iterations):
         # gamma | confusion rows: random-walk Metropolis on log gamma
-        for m in range(M):
-            for c in range(C):
-                g = gamma[m, c]
-                g_new = float(np.exp(np.log(g) + 0.3 * rng_cut.normal()))
-                cur = (
-                    _log_gamma_pdf(g, cfg.alpha, cfg.beta_rate)
-                    + _log_dir_pdf_unnorm(log_conf[m, c], g * eye_eps[c] + counts[m, c])
-                    + np.log(g)  # Jacobian of the log-scale walk
-                )
-                new = (
-                    _log_gamma_pdf(g_new, cfg.alpha, cfg.beta_rate)
-                    + _log_dir_pdf_unnorm(log_conf[m, c], g_new * eye_eps[c] + counts[m, c])
-                    + np.log(g_new)
-                )
-                if np.log(rng_cut.random()) < new - cur:
-                    gamma[m, c] = g_new
+        prop = log_g + 0.3 * rng_cut.normal(size=(M, C))
+        cur, new = log_target(np.stack([log_g, prop]), log_conf)
+        log_g = np.where(np.log(rng_cut.random(size=(M, C))) < new - cur, prop, log_g)
+        gamma = np.exp(log_g)
 
         # confusion rows | gamma (labeled counts only)
-        for m in range(M):
-            for c in range(C):
-                conf[m, c], log_conf[m, c] = log_dirichlet(
-                    rng_cut, gamma[m, c] * eye_eps[c] + counts[m, c]
-                )
+        conf, log_conf = log_dirichlet(rng_cut, gamma[..., None] * eye_eps + counts)
 
         # latent true causes of unlabeled deaths | confusion, pi:
         # weight of cause c is log pi_c + sum_m log conf[m, c, top_u[i, m]]
         if n_u:
-            logw = log_pi[None, :].repeat(n_u, axis=0)
-            for m in range(M):
-                logw = logw + log_conf[m][:, top_u[:, m]].T
+            np.sum(log_conf[models, :, top_u], axis=1, out=logw)
+            logw += log_pi
             t_u = gumbel_argmax(rng, logw, axis=1)
             latent_counts = np.bincount(t_u, minlength=C).astype(np.float64)
         else:

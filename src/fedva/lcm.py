@@ -320,6 +320,8 @@ def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
     K, p = hyper.K, labeled.p
     n_by_cause = cause_counts(labeled)
     trained = np.flatnonzero(n_by_cause >= min_count)
+    if trained.size == 0:
+        raise InvalidSummary("summary has no present cause")
 
     order = _canonical_order(labeled)
     grouped, rec_cause, bounds = _cause_layout(labeled.y[order], trained)

@@ -11,6 +11,7 @@ import os
 import tempfile
 
 import numpy as np
+from scipy.special import gammaln
 
 __all__ = [
     "sha256_hex",
@@ -19,6 +20,7 @@ __all__ = [
     "derive_seed",
     "gumbel_argmax",
     "log_dirichlet",
+    "log_dirichlet_pdf",
     "is_simplex",
     "largest_remainder_counts",
     "round_half_up",
@@ -86,6 +88,21 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
     norm = _logsumexp_last(log_g)
     log_x = log_g - norm[..., None]
     return np.exp(log_x), log_x
+
+
+def log_dirichlet_pdf(logx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Normalized log density of Dirichlet(alpha) at exp(logx), along the last axis.
+
+    Taking log-values keeps the density finite where linear values underflow
+    to 0 (see `log_dirichlet`). The two arguments broadcast against each
+    other; every concentration must be positive.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return (
+        ((alpha - 1.0) * logx).sum(axis=-1)
+        + gammaln(alpha.sum(axis=-1))
+        - gammaln(alpha).sum(axis=-1)
+    )
 
 
 def _logsumexp_last(a: np.ndarray) -> np.ndarray:

@@ -26,6 +26,13 @@ def make_dataset(domain_id, x, y, cl=CL3, sd=SD4, ids=None):
                    cause_list=cl, symptom_dict=sd)
 
 
+def batch_se(draws, n_batches=40):
+    """Monte Carlo standard error of the mean of correlated draws, by batch means."""
+    usable = (len(draws) // n_batches) * n_batches
+    batches = draws[:usable].reshape(n_batches, -1, *draws.shape[1:]).mean(axis=1)
+    return batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
+
+
 @pytest.fixture(scope="session")
 def labeled_ds():
     """30 fully labeled deaths with cause-dependent symptom patterns."""

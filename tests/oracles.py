@@ -12,13 +12,18 @@ draws, then draws a within-domain CSMF that nothing reads. `fedva.lcm`
 draws every cause at once, so the two agree in distribution only.
 `cond_loglik_matrix_reference` is the per-cause form of the batched
 likelihood, one scipy `logsumexp` per cause.
+
+`fit_calibration_reference` is the per-(model, cause) calibration kernel:
+each iteration makes one scalar Metropolis step on every gamma and one
+Dirichlet draw per confusion row. `fedva.calibration` updates all pairs at
+once, so the two agree in distribution only.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from fedva.calibration import _log_dir_pdf_unnorm as log_dirichlet_pdf
+from fedva.calibration import CalibConfig, CalibrationResult, PredictionTensor
 from fedva.data import UNLABELED, Dataset, SymptomValue, cause_counts
 from fedva.ensemble import EnsembleConfig, GlobalPosterior, PhiTensor, marginal_loglik
 from fedva.errors import EmptyDataset, InvalidHyper, NotFullyLabeled
@@ -30,7 +35,7 @@ from fedva.lcm import (
     Provenance,
     _canonical_order,
 )
-from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
+from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf
 
 from fedva import TOOL_VERSION
 
@@ -367,3 +372,91 @@ def cond_loglik_matrix_reference(s: BaseModelSummary, x: np.ndarray) -> np.ndarr
         out[:, c] = logsumexp(logw, axis=1)
         out[all_missing, c] = 0.0
     return out
+
+
+def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
+                              cfg: CalibConfig):
+    """The per-(model, cause) kernel, same stream keys as `fit_calibration`.
+
+    Returns the result and the kept gamma (D, M, C) and confusion
+    (D, M, C, C) draws. Takes valid inputs only.
+    """
+    n, C, M = a.n, a.C, a.M
+    n_L = 0 if labels is None else len(labels)
+    y_lab = None if labels is None else np.asarray(labels, dtype=np.int64)
+    top = a.top()
+    rng = derive_rng("calibration", cfg.seed)
+    rng_cut = derive_rng("calibration-cut", cfg.seed)
+
+    counts = np.zeros((M, C, C))
+    if n_L:
+        for m in range(M):
+            np.add.at(counts[m], (y_lab, top[:n_L, m]), 1.0)
+
+    def log_target(g, log_row, counts_row, eye_row):
+        return (
+            (cfg.alpha - 1.0) * np.log(g) - cfg.beta_rate * g
+            + log_dirichlet_pdf(log_row, g * eye_row + counts_row)
+            + np.log(g)  # Jacobian of the log-scale walk
+        )
+
+    eye_eps = np.eye(C) + cfg.epsilon
+    gamma = np.full((M, C), cfg.alpha / cfg.beta_rate)
+    log_conf = np.empty((M, C, C))
+    conf = np.empty((M, C, C))
+    for m in range(M):
+        for c in range(C):
+            conf[m, c], log_conf[m, c] = log_dirichlet(
+                rng_cut, gamma[m, c] * eye_eps[c] + counts[m, c]
+            )
+
+    top_u = top[n_L:]
+    n_u = n - n_L
+    keep = cfg.iterations - cfg.burn_in
+    pi_out = np.empty((keep, C))
+    gamma_out = np.empty((keep, M, C))
+    conf_out = np.empty((keep, M, C, C))
+    pi, log_pi = log_dirichlet(rng, np.ones(C))
+    kept = 0
+
+    for it in range(cfg.iterations):
+        for m in range(M):
+            for c in range(C):
+                g = gamma[m, c]
+                g_new = float(np.exp(np.log(g) + 0.3 * rng_cut.normal()))
+                cur = log_target(g, log_conf[m, c], counts[m, c], eye_eps[c])
+                new = log_target(g_new, log_conf[m, c], counts[m, c], eye_eps[c])
+                if np.log(rng_cut.random()) < new - cur:
+                    gamma[m, c] = g_new
+
+        for m in range(M):
+            for c in range(C):
+                conf[m, c], log_conf[m, c] = log_dirichlet(
+                    rng_cut, gamma[m, c] * eye_eps[c] + counts[m, c]
+                )
+
+        if n_u:
+            logw = log_pi[None, :].repeat(n_u, axis=0)
+            for m in range(M):
+                logw = logw + log_conf[m][:, top_u[:, m]].T
+            t_u = gumbel_argmax(rng, logw, axis=1)
+            latent_counts = np.bincount(t_u, minlength=C).astype(np.float64)
+        else:
+            latent_counts = np.zeros(C)
+
+        pi, log_pi = log_dirichlet(rng, 1.0 + latent_counts)
+
+        if it >= cfg.burn_in:
+            pi_out[kept] = pi
+            gamma_out[kept] = gamma
+            conf_out[kept] = conf
+            kept += 1
+
+    result = CalibrationResult(
+        pi_draws=pi_out,
+        confusion_mean=conf_out.mean(axis=0),
+        gamma_mean=gamma_out.mean(axis=0),
+        config=cfg,
+        domain_ids=(),
+    )
+    return result, gamma_out, conf_out

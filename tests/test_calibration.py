@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import CL3, SD4, make_dataset
+from conftest import CL3, SD4, batch_se, make_dataset
+from fedva import calibration
 from fedva.calibration import (
     CalibConfig,
     PredictionTensor,
@@ -18,6 +21,8 @@ from fedva.errors import (
 )
 from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from fedva.utils import log_dirichlet
+from oracles import fit_calibration_reference
 
 
 def hard_tensor(tops, C, M=1):
@@ -166,6 +171,124 @@ def test_determinism_and_guards():
         fit_calibration(t, np.zeros(51, dtype=np.int64), small)
     with pytest.raises(InvalidLabels):
         fit_calibration(t, np.array([3]), small)
+
+
+def record_confusion_draws(monkeypatch):
+    """(alpha, values) of every confusion draw `fit_calibration` makes."""
+    calls = []
+
+    def spy(rng, alpha):
+        out = log_dirichlet(rng, alpha)
+        if np.ndim(alpha) == 3:  # all (model, cause) rows at once; pi draws are 1-d
+            calls.append((alpha, out[0]))
+        return out
+
+    monkeypatch.setattr(calibration, "log_dirichlet", spy)
+    return calls
+
+
+@pytest.mark.parametrize("C, M, n, n_L", [
+    (10, 1, 120, 40),
+    (4, 2, 60, 60),     # n_L = n: no unlabeled deaths
+    (4, 2, 60, None),   # no labels at all
+    (2, 1, 40, 10),
+    (5, 3, 80, 20),
+])
+def test_tiny_prior_concentrations_keep_draws_finite_simplices(monkeypatch, C, M, n, n_L):
+    """epsilon 1e-6 and beta_rate 50 put gamma * epsilon near 1e-7."""
+    rng = np.random.default_rng([C, M, n])
+    y = rng.choice(C, size=n)
+    tops = np.where(rng.random((n, M)) < 0.7, y[:, None], rng.choice(C, size=(n, M)))
+    labels = None if n_L is None else y[:n_L]
+    calls = record_confusion_draws(monkeypatch)
+    cfg = CalibConfig(epsilon=1e-6, beta_rate=50.0, iterations=300, burn_in=150, seed=0)
+    res = fit_calibration(hard_tensor(tops, C=C, M=M), labels, cfg)
+    assert len(calls) == cfg.iterations + 1
+    assert all(alpha.min() < 0.1 for alpha, _ in calls)  # log-space Gamma path
+    assert res.pi_draws.shape == (cfg.iterations - cfg.burn_in, C)
+    for rows in (res.pi_draws, res.confusion_mean):
+        assert np.all(np.isfinite(rows)) and np.all(rows >= 0)
+        assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
+    assert np.all(np.isfinite(res.gamma_mean)) and np.all(res.gamma_mean > 0)
+
+
+def misrouting(C):
+    """Acceptance test 10's classifier: even causes mostly land on the next one."""
+    R = np.full((C, C), 0.15 / (C - 2))
+    for c in range(C):
+        if c % 2 == 0:
+            R[c, c] = 0.05
+            R[c, (c + 1) % C] = 0.80
+        else:
+            R[c, c] = 0.55
+            R[c, (c + 2) % C] = 0.30
+        R[c] /= R[c].sum()
+    return R
+
+
+def routed_tensor(R, pi, n_L, n_U, seed):
+    """Top predictions of models with confusion matrices R (M, C, C).
+
+    The first n_L deaths are labeled with uniform causes, the rest follow pi.
+    """
+    rng = np.random.default_rng(seed)
+    C = R.shape[1]
+    y = np.concatenate([rng.choice(C, size=n_L), rng.choice(C, size=n_U, p=pi)])
+    u = rng.random((y.shape[0], R.shape[0], 1))
+    tops = np.minimum((u > np.cumsum(R[:, y], axis=2).transpose(1, 0, 2)).sum(axis=2), C - 1)
+    return hard_tensor(tops, C=C, M=R.shape[0]), y[:n_L]
+
+
+def calibration_cases():
+    """Test 10's classifier at both rates (fewer deaths, so pi mixes within the
+    run) and three models at the lodo-small shape (C=10, 600 deaths, 120 labeled)."""
+    rng = np.random.default_rng(1000)
+    mis = routed_tensor(misrouting(10)[None], rng.dirichlet(np.ones(10)), 100, 200, seed=0)
+    R3 = 0.6 * np.eye(10) + 0.4 * rng.dirichlet(np.ones(10), size=(3, 10))
+    three = routed_tensor(R3, rng.dirichlet(np.ones(10)), 120, 480, seed=1)
+    return [
+        pytest.param(*mis, CalibConfig(beta_rate=0.5, iterations=4000, burn_in=400),
+                     id="misrouting-rate-0.5"),
+        pytest.param(*mis, CalibConfig(beta_rate=50.0, iterations=4000, burn_in=400),
+                     id="misrouting-rate-50"),
+        pytest.param(*three, CalibConfig(iterations=4000, burn_in=400), id="three-models"),
+    ]
+
+
+@pytest.mark.parametrize("tensor, labels, cfg", calibration_cases())
+def test_kernel_matches_per_pair_reference_within_monte_carlo_error(
+        monkeypatch, tensor, labels, cfg):
+    """pi, gamma and confusion means agree with the per-(model, cause) kernel.
+
+    |z| < 4 with batch-means standard errors; each kernel on its own seed.
+    The kept gamma and confusion draws of `fit_calibration` come from the
+    arguments of its confusion draws: row sums of alpha are gamma (1 + C eps)
+    plus the labeled count of the row's cause. Those gammas must average to
+    `gamma_mean` exactly, as each row is drawn at the gamma its iteration
+    keeps; drawing at the gamma before the Metropolis step moves the
+    posterior too little for the z-scores to see.
+    """
+    calls = record_confusion_draws(monkeypatch)
+    res = fit_calibration(tensor, labels, replace(cfg, seed=0))
+    ref, ref_gamma, ref_conf = fit_calibration_reference(tensor, labels, replace(cfg, seed=1))
+
+    kept = calls[1 + cfg.burn_in:]  # the first draw precedes the first iteration
+    n_c = np.bincount(labels, minlength=tensor.C)
+    gamma = np.array([(alpha.sum(axis=-1) - n_c) / (1.0 + tensor.C * cfg.epsilon)
+                      for alpha, _ in kept])
+    conf = np.array([values for _, values in kept])
+    assert np.allclose(conf.mean(axis=0), res.confusion_mean, rtol=0, atol=1e-12)
+    assert np.allclose(gamma.mean(axis=0), res.gamma_mean, rtol=1e-9, atol=0)
+
+    worst = {}
+    for what, got, want, got_draws, want_draws in (
+        ("pi", res.pi_mean(), ref.pi_mean(), res.pi_draws, ref.pi_draws),
+        ("gamma", res.gamma_mean, ref.gamma_mean, gamma, ref_gamma),
+        ("confusion", res.confusion_mean, ref.confusion_mean, conf, ref_conf),
+    ):
+        se = np.sqrt(batch_se(got_draws) ** 2 + batch_se(want_draws) ** 2)
+        worst[what] = float(np.max(np.abs(got - want) / se))
+    assert max(worst.values()) < 4.0, f"worst z {worst}"
 
 
 def single_model_registry(seed=0, causes=(0, 1, 2)):

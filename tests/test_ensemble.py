@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CL3, SD4, make_dataset
+from conftest import CL3, SD4, batch_se, make_dataset
 from fedva.data import UNLABELED
 from fedva.ensemble import (
     Classification,
@@ -350,12 +350,6 @@ def quadrature_instances():
         r = np.random.default_rng(seed)
         out.append((seed, phi_of(np.log(r.uniform(0.02, 1.0, size=(30, 3, 2))))))
     return out
-
-
-def batch_se(draws, n_batches=40):
-    usable = (len(draws) // n_batches) * n_batches
-    batches = draws[:usable].reshape(n_batches, -1, *draws.shape[1:]).mean(axis=1)
-    return batches.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
 def test_kernel_matches_log_space_reference_within_monte_carlo_error():

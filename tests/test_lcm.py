@@ -12,6 +12,7 @@ from fedva.errors import (
     DimensionMismatch,
     EmptyDataset,
     InvalidHyper,
+    InvalidSummary,
     NotFullyLabeled,
     TooManySymptoms,
 )
@@ -333,6 +334,18 @@ def test_min_count_leaves_the_thin_cause_unsampled():
     assert thin.n_by_cause.tolist() == [15, 1, 10]
     assert np.array_equal(thin.nu_bar, dropped.nu_bar, equal_nan=True)
     assert np.array_equal(thin.theta_bar, dropped.theta_bar, equal_nan=True)
+
+
+def test_no_cause_at_min_count_fails_before_sampling(monkeypatch):
+    """With every cause below min_count, training raises before any iteration."""
+    def boom(*args, **kwargs):
+        raise AssertionError("sampled a summary with no present cause")
+
+    monkeypatch.setattr(lcm, "_gibbs_means", boom)
+    ds = grouped_dataset((1, 1), p=4, seed=3)
+    cfg = GibbsConfig(iterations=4000, burn_in=2000, thin=1, seed=0)
+    with pytest.raises(InvalidSummary, match="^summary has no present cause$"):
+        train_lcm(ds, LcmHyper(K=5), cfg, min_count=2)
 
 
 @pytest.mark.parametrize("sparse", [False, True])

@@ -16,6 +16,7 @@ from fedva.utils import (
     is_simplex,
     largest_remainder_counts,
     log_dirichlet,
+    log_dirichlet_pdf,
     round_half_up,
     sha256_hex,
 )
@@ -95,6 +96,19 @@ def test_log_dirichlet_log_is_consistent_with_value():
     rng = derive_rng("ld-consist")
     x, logx = log_dirichlet(rng, np.array([0.5, 1.5, 2.0]))
     assert np.allclose(np.exp(logx), x, rtol=1e-10)
+
+
+def test_log_dirichlet_pdf_matches_scipy_and_broadcasts():
+    from scipy.stats import dirichlet
+
+    x = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    alphas = np.array([[[0.5, 1.5, 2.0]], [[3.0, 1.0, 1e-3]]])  # (2, 1, 3) against (2, 3)
+    got = log_dirichlet_pdf(np.log(x), alphas)
+    assert got.shape == (2, 2)
+    want = [[dirichlet.logpdf(row, a[0]) for row in x] for a in alphas]
+    assert np.allclose(got, want, rtol=1e-12)
+    # finite where the linear value underflows to 0
+    assert np.isfinite(log_dirichlet_pdf(np.array([-1e8, 0.0]), np.array([1e-7, 1.0])))
 
 
 def test_is_simplex():
