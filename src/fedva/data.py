@@ -252,14 +252,6 @@ def write_dataset(dataset: Dataset, path) -> None:
     atomic_write_text(path, dataset_csv_text(dataset))
 
 
-def partition_by_label(dataset: Dataset) -> tuple[Dataset, Dataset]:
-    """Split into (labeled, unlabeled), preserving relative order in each part."""
-    mask = dataset.labeled_mask
-    labeled = dataset.subset(np.flatnonzero(mask))
-    unlabeled = dataset.subset(np.flatnonzero(~mask))
-    return labeled, unlabeled
-
-
 def cause_counts(dataset: Dataset) -> np.ndarray:
     """Per-cause labeled record counts; unlabeled records contribute nothing."""
     y = dataset.y[dataset.labeled_mask]

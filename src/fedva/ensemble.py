@@ -30,8 +30,8 @@ Metropolis-within-Gibbs.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -49,8 +49,15 @@ from .errors import (
     NotASimplex,
 )
 from .exchange import FederationRegistry
-from .lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
-from .utils import derive_rng, derive_seed, gumbel_argmax, log_dirichlet, round_half_up
+from .lcm import BaseModelSummary, GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from .utils import (
+    derive_rng,
+    derive_seed,
+    gumbel_argmax,
+    log_dirichlet,
+    parallel_map,
+    round_half_up,
+)
 
 VARIANTS = ("plain", "partial", "domain", "mix")
 
@@ -392,10 +399,6 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     return pi_out, pi_tilde_out, lam_out, acc
 
 
-def _chain_task(args):
-    return _run_chain(*args)
-
-
 def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
     """Split-chain potential scale reduction per coordinate.
 
@@ -440,12 +443,8 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
         if len(y) == 0:
             labels = None
 
-    tasks = [(phi, labels, cfg, chain) for chain in range(cfg.chains)]
-    if workers > 1 and cfg.chains > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.chains)) as pool:
-            results = list(pool.map(_chain_task, tasks))
-    else:
-        results = [_run_chain(*t) for t in tasks]
+    results = parallel_map(partial(_run_chain, phi, labels, cfg), range(cfg.chains),
+                           workers=workers)
 
     pi_by_chain = np.stack([r[0] for r in results])
     pi_draws = np.concatenate([r[0] for r in results])
@@ -491,6 +490,29 @@ def classify(phi: PhiTensor, post: GlobalPosterior) -> Classification:
     probs /= post.D
     top = np.argmax(probs, axis=1).astype(np.int64)  # argmax takes the lowest index on ties
     return Classification(probs=probs, top=top, death_ids=phi.death_ids)
+
+
+def fit_single_model(summary: BaseModelSummary, target: Dataset,
+                     cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One summary applied alone: the plain variant over the causes it covers.
+
+    Returns the posterior-mean CSMF (C,) and the cause probabilities of every
+    target death (n, C), both 0 at causes the summary does not cover. Target
+    labels are not read.
+    """
+    C = len(target.cause_list)
+    covered = np.flatnonzero(summary.present)
+    phi = PhiTensor(
+        log_phi=cond_loglik_matrix(summary, target.x)[:, covered, None],
+        present=np.ones((covered.shape[0], 1), dtype=np.uint8),
+        death_ids=target.death_ids,
+    )
+    post = fit_global(phi, None, replace(cfg, variant="plain"), domain_ids=(summary.domain_id,))
+    pi = np.zeros(C)
+    pi[covered] = post.pi_mean()
+    probs = np.zeros((target.n, C))
+    probs[:, covered] = classify(phi, post).probs
+    return pi, probs
 
 
 def adjust_csmf(pi_hat: np.ndarray, n0: int, heldout_counts: np.ndarray) -> np.ndarray:

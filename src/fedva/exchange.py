@@ -213,12 +213,3 @@ def make_registry(summaries, cause_list: CauseList, symptom_dict: SymptomDiction
         cause_list_fingerprint=cause_list.fingerprint,
         dict_fingerprint=symptom_dict.fingerprint,
     )
-
-
-def build_registry(paths, cause_list: CauseList, symptom_dict: SymptomDictionary) -> FederationRegistry:
-    """Import every path (caller order fixes mixture-weight indices)."""
-    paths = list(paths)
-    if not paths:
-        raise EmptyRegistry("no summary paths given")
-    summaries = [import_summary(p, cause_list, symptom_dict) for p in paths]
-    return make_registry(summaries, cause_list, symptom_dict)

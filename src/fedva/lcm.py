@@ -18,17 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .data import UNLABELED, Dataset, SymptomValue, cause_counts
 from .errors import (
-    AbsentCause,
     DimensionMismatch,
     EmptyDataset,
     InvalidHyper,
     InvalidSummary,
     NotFullyLabeled,
-    TooManySymptoms,
 )
 from .utils import derive_rng, gumbel_argmax
 
@@ -100,7 +98,7 @@ class BaseModelSummary:
     """Posterior-mean conditional likelihood of one domain, per cause.
 
     Rows for absent causes (present[c] = 0) hold NaN and must never be read;
-    cond_loglik refuses them.
+    cond_loglik_matrix scores those causes -inf without reading them.
     """
 
     domain_id: str
@@ -358,27 +356,6 @@ def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
     return summary
 
 
-def cond_loglik(s: BaseModelSummary, x: np.ndarray, c: int) -> float:
-    """log p(x | Y=c) under the exported posterior means.
-
-    Missing cells contribute nothing; a fully Missing vector scores log 1 = 0.
-    """
-    x = np.asarray(x)
-    if x.shape != (s.p,):
-        raise DimensionMismatch(f"expected symptom vector of length {s.p}, got shape {x.shape}")
-    if not 0 <= c < s.C or not s.present[c]:
-        raise AbsentCause(f"cause {c} is not covered by domain {s.domain_id!r}")
-    yes = x == SymptomValue.YES
-    no = x == SymptomValue.NO
-    if not yes.any() and not no.any():
-        return 0.0
-    th = s.theta_bar[c]
-    log_terms = np.log(th[:, yes]).sum(axis=1) + np.log1p(-th[:, no]).sum(axis=1)
-    with np.errstate(divide="ignore"):  # nu components may be exactly 0
-        log_nu = np.log(s.nu_bar[c])
-    return float(logsumexp(log_terms + log_nu))
-
-
 def cond_loglik_matrix(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:
     """Batch form: (n, C) of log p(x_i | Y=c), -inf at absent causes.
 
@@ -404,19 +381,3 @@ def cond_loglik_matrix(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:
         block[~obs.any(axis=1)] = 0.0  # all Missing: log 1, exactly
         out[start : start + obs.shape[0], covered] = block
     return out
-
-
-def enumerate_mass(s: BaseModelSummary, c: int, chunk: int = 1 << 14) -> float:
-    """Sum exp(cond_loglik) over all 2^p fully observed vectors (test oracle)."""
-    if s.p > 20:
-        raise TooManySymptoms(f"enumeration over 2^{s.p} vectors refused (p must be <= 20)")
-    if not 0 <= c < s.C or not s.present[c]:
-        raise AbsentCause(f"cause {c} is not covered by domain {s.domain_id!r}")
-    p = s.p
-    total = 0.0
-    codes = np.arange(2**p, dtype=np.int64)
-    for start in range(0, codes.shape[0], chunk):
-        block = codes[start : start + chunk]
-        bits = ((block[:, None] >> np.arange(p)) & 1).astype(np.uint8)
-        total += float(np.exp(cond_loglik_matrix(s, bits)[:, c]).sum())
-    return total

@@ -20,21 +20,16 @@ baseline under weak and strong shrinkage).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .calibration import CalibConfig, build_predictions, fit_calibration
-from .data import UNLABELED, Dataset
-from .ensemble import (
-    EnsembleConfig,
-    PhiTensor,
-    adjust_csmf,
-    classify,
-    fit_global,
-    run_variant,
-)
+from .data import UNLABELED
+from .ensemble import EnsembleConfig, adjust_csmf, fit_single_model, run_variant
+# unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
+from .ensemble import fit_global  # noqa: F401
 from .errors import (
     EmptyCauseForResample,
     FedvaError,
@@ -42,13 +37,15 @@ from .errors import (
     InsufficientLocalLabels,
 )
 from .exchange import make_registry
-from .lcm import BaseModelSummary, GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from .lcm import GibbsConfig, LcmHyper, train_lcm
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from .scenarios import ScenarioRealization, make_scenario
-from .utils import derive_seed
+from .utils import derive_seed, parallel_map
 
 BFL_METHODS = ("bfl-plain", "bfl-partial", "bfl-domain", "bfl-mix")
 KNOWN_METHODS = BFL_METHODS + ("local-self", "local-avg", "calib-0.5", "calib-50")
+RESULT_COLUMNS = ("target_domain", "method", "seed", "scenario",
+                  "csmf_acc", "top_acc", "balanced_acc", "runtime_s")
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class ExperimentReport:
         def fmt(v):
             return "" if v is None else repr(float(v))
 
-        lines = ["target_domain,method,seed,scenario,csmf_acc,top_acc,balanced_acc,runtime_s"]
+        lines = [",".join(RESULT_COLUMNS)]
         for r in self.rows:
             lines.append(
                 f"{r.target_domain},{r.method},{r.seed},{r.scenario},"
@@ -134,25 +131,6 @@ class ExperimentReport:
         return "\n".join(out)
 
 
-def _single_model_fit(summary: BaseModelSummary, data: Dataset, cfg: EnsembleConfig):
-    """Single-model pipeline restricted to the causes the model covers."""
-    C = len(data.cause_list)
-    covered = np.flatnonzero(summary.present)
-    log_phi = cond_loglik_matrix(summary, data.x)[:, covered]
-    phi = PhiTensor(
-        log_phi=log_phi[:, :, None],
-        present=np.ones((covered.shape[0], 1), dtype=np.uint8),
-        death_ids=data.death_ids,
-    )
-    post = fit_global(phi, None, cfg, domain_ids=(summary.domain_id,))
-    cls = classify(phi, post)
-    pi = np.zeros(C)
-    pi[covered] = post.pi_mean()
-    probs = np.zeros((data.n, C))
-    probs[:, covered] = cls.probs
-    return pi, probs
-
-
 def _score(pred_top: np.ndarray, truth_y: np.ndarray, C: int):
     return (
         top_cause_accuracy(pred_top, truth_y),
@@ -181,6 +159,7 @@ def _run_cell(args):
     csmf_true = truth.full_csmf if random_sample else truth.unlabeled_csmf
     unlabeled_pos = np.flatnonzero(masked.y == UNLABELED)
     labeled_pos = np.flatnonzero(masked.y != UNLABELED)
+    unlabeled = masked.subset(unlabeled_pos)  # what the single-model fits score
     labeled_counts = np.bincount(
         masked.y[labeled_pos], minlength=C
     ).astype(np.int64) if labeled_pos.size else np.zeros(C, dtype=np.int64)
@@ -232,8 +211,7 @@ def _run_cell(args):
                     lcm_hyper,
                     replace(lcm_cfg, seed=derive_seed("lodo-self", target.domain_id, seed)),
                 )
-                unl = masked.subset(unlabeled_pos)
-                pi, probs = _single_model_fit(local, unl, replace(cell_cfg, variant="plain"))
+                pi, probs = fit_single_model(local, unlabeled, cell_cfg)
                 finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
             elif method in ("calib-0.5", "calib-50"):
                 pass  # handled together below to share the prediction tensor
@@ -248,8 +226,7 @@ def _run_cell(args):
         for s in summaries:
             started = time.perf_counter()
             try:
-                unl = masked.subset(unlabeled_pos)
-                pi, probs = _single_model_fit(s, unl, replace(cell_cfg, variant="plain"))
+                pi, probs = fit_single_model(s, unlabeled, cell_cfg)
                 finish(f"local-one:{s.domain_id}", adjusted(pi), np.argmax(probs, axis=1), started)
                 parts.append(rows[-1])
             except FedvaError as exc:
@@ -274,12 +251,9 @@ def _run_cell(args):
     if calib_requested:
         started = time.perf_counter()
         try:
-            order = np.concatenate([labeled_pos, unlabeled_pos])
-            reordered = masked.subset(order)
-            preds = build_predictions(reg, reordered, cell_cfg)
+            preds = build_predictions(reg, masked, cell_cfg)
             # the shared prediction tensor is charged to the calib rows in equal parts
             build_share = (time.perf_counter() - started) / len(calib_requested)
-            lab_vec = masked.y[labeled_pos]
             for method in calib_requested:
                 m_started = time.perf_counter()
                 rate = 0.5 if method == "calib-0.5" else 50.0
@@ -288,18 +262,9 @@ def _run_cell(args):
                     beta_rate=rate,
                     seed=derive_seed("lodo-calib", target.domain_id, seed),
                 )
-                result = fit_calibration(preds, lab_vec, ccfg, domain_ids=reg.domain_ids)
-                runtime = build_share + (time.perf_counter() - m_started)
-                rows.append(MethodResult(
-                    target_domain=target.domain_id,
-                    method=method,
-                    seed=seed,
-                    scenario=scenario_kind,
-                    csmf_acc=csmf_accuracy(adjusted(result.pi_mean()), csmf_true),
-                    top_acc=None,
-                    balanced_acc=None,
-                    runtime_s=runtime,
-                ))
+                result = fit_calibration(preds, masked.y[labeled_pos], ccfg,
+                                         domain_ids=reg.domain_ids)
+                finish(method, adjusted(result.pi_mean()), None, m_started - build_share)
         except FedvaError as exc:
             for method in calib_requested:
                 skips.append(SkippedCell(target.domain_id, method, seed,
@@ -345,13 +310,10 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
 
     # One summary per domain, reused across folds (training data never
     # depends on the fold); train_lcm already keys its stream by domain_id.
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(
-                _train_task, [(d, lcm_hyper, lcm_cfg, min_count) for d in domains]
-            ))
-    else:
-        summaries = [train_lcm(d, lcm_hyper, lcm_cfg, min_count=min_count) for d in domains]
+    summaries = parallel_map(
+        partial(train_lcm, hyper=lcm_hyper, cfg=lcm_cfg, min_count=min_count), domains,
+        workers=workers,
+    )
     by_id = {d.domain_id: s for d, s in zip(domains, summaries)}
 
     tasks = []
@@ -371,11 +333,7 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
             tasks.append((target, train_sums, methods, scenario_kind, seed,
                           label_fraction, ens_cfg, calib_cfg, lcm_hyper, lcm_cfg))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, tasks))
-    else:
-        results = [_run_cell(t) for t in tasks]
+    results = parallel_map(_run_cell, tasks, workers=workers)
 
     rows: list[MethodResult] = []
     for cell_rows, cell_skips in results:
@@ -388,8 +346,3 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
         methods=tuple(methods),
         seeds=tuple(seeds),
     )
-
-
-def _train_task(args):
-    d, hyper, cfg, min_count = args
-    return train_lcm(d, hyper, cfg, min_count=min_count)

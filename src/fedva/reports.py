@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import CalibrationResult
+from .calibration import CalibrationResult, gamma_prior_mean
 from .data import CauseList
 from .ensemble import Classification, GlobalPosterior
 
@@ -76,8 +76,7 @@ def calibration_text(result: CalibrationResult, cause_list: CauseList) -> str:
         "only; it does not assign causes to individual deaths.",
         "",
         f"shrinkage: gamma ~ Gamma(shape={result.config.alpha}, "
-        f"rate={result.config.beta_rate}) (prior mean "
-        f"{result.config.alpha / result.config.beta_rate})",
+        f"rate={result.config.beta_rate}) (prior mean {gamma_prior_mean(result.config)})",
         "",
     ]
     mean = result.pi_mean()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,6 +27,7 @@ __all__ = [
     "round_half_up",
     "atomic_write_bytes",
     "atomic_write_text",
+    "parallel_map",
 ]
 
 
@@ -154,3 +156,17 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def parallel_map(fn, *iterables, workers: int = 1) -> list:
+    """list(map(fn, *iterables)) over at most `workers` processes.
+
+    Results come back in input order, so they do not depend on the worker
+    count. With more than one process, fn and its arguments must pickle.
+    """
+    columns = [list(it) for it in iterables]
+    processes = min(workers, *map(len, columns))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            return list(pool.map(fn, *columns))
+    return list(map(fn, *columns))

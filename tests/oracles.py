@@ -17,6 +17,9 @@ likelihood, one scipy `logsumexp` per cause.
 each iteration makes one scalar Metropolis step on every gamma and one
 Dirichlet draw per confusion row. `fedva.calibration` updates all pairs at
 once, so the two agree in distribution only.
+
+`enumerate_mass` sums a summary's likelihood over every fully observed
+symptom vector; it must equal 1 for each covered cause.
 """
 from __future__ import annotations
 
@@ -26,7 +29,13 @@ from scipy.special import expit, logsumexp
 from fedva.calibration import CalibConfig, CalibrationResult, PredictionTensor
 from fedva.data import UNLABELED, Dataset, SymptomValue, cause_counts
 from fedva.ensemble import EnsembleConfig, GlobalPosterior, PhiTensor, marginal_loglik
-from fedva.errors import EmptyDataset, InvalidHyper, NotFullyLabeled
+from fedva.errors import (
+    AbsentCause,
+    EmptyDataset,
+    InvalidHyper,
+    NotFullyLabeled,
+    TooManySymptoms,
+)
 from fedva.lcm import (
     _THETA_EPS,
     BaseModelSummary,
@@ -34,6 +43,7 @@ from fedva.lcm import (
     LcmHyper,
     Provenance,
     _canonical_order,
+    cond_loglik_matrix,
 )
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf
 
@@ -460,3 +470,19 @@ def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
         domain_ids=(),
     )
     return result, gamma_out, conf_out
+
+
+def enumerate_mass(s: BaseModelSummary, c: int, chunk: int = 1 << 14) -> float:
+    """Sum exp(log p(x | Y=c)) over all 2^p fully observed vectors."""
+    if s.p > 20:
+        raise TooManySymptoms(f"enumeration over 2^{s.p} vectors refused (p must be <= 20)")
+    if not 0 <= c < s.C or not s.present[c]:
+        raise AbsentCause(f"cause {c} is not covered by domain {s.domain_id!r}")
+    p = s.p
+    total = 0.0
+    codes = np.arange(2**p, dtype=np.int64)
+    for start in range(0, codes.shape[0], chunk):
+        block = codes[start : start + chunk]
+        bits = ((block[:, None] >> np.arange(p)) & 1).astype(np.uint8)
+        total += float(np.exp(cond_loglik_matrix(s, bits)[:, c]).sum())
+    return total

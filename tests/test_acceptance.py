@@ -33,7 +33,7 @@ from fedva.ensemble import (
     run_variant,
 )
 from fedva.exchange import make_registry
-from fedva.lcm import GibbsConfig, LcmHyper, enumerate_mass, train_lcm
+from fedva.lcm import GibbsConfig, LcmHyper, train_lcm
 from fedva.lodo import run_lodo
 from fedva.metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from fedva.scenarios import make_scenario
@@ -41,6 +41,7 @@ from fedva.simulate import GeneratorSpec, simulate
 from fedva.utils import largest_remainder_counts, round_half_up
 
 from conftest import CL3, SD4, make_dataset
+from oracles import enumerate_mass
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 

@@ -12,6 +12,7 @@ from fedva.calibration import (
     fit_calibration,
     gamma_prior_mean,
 )
+from fedva.data import UNLABELED
 from fedva.ensemble import EnsembleConfig, PhiTensor, classify, fit_global
 from fedva.errors import (
     DimensionMismatch,
@@ -328,6 +329,21 @@ def test_build_predictions_absent_cause_gets_zero():
     tensor = build_predictions(reg, target, cfg)
     assert np.all(tensor.a[:, 2, 0] == 0.0)
     assert np.allclose(tensor.a.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_build_predictions_puts_labeled_deaths_first():
+    reg, target = single_model_registry()
+    labeled = [1, 4, 5, 9, 17]
+    y = np.full(target.n, UNLABELED, dtype=np.int32)
+    y[labeled] = target.y[labeled]
+    mixed = make_dataset("target", target.x, y, ids=target.death_ids)
+    cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=0)
+    tensor = build_predictions(reg, mixed, cfg)
+    order = labeled + [i for i in range(target.n) if i not in labeled]
+    assert tensor.death_ids == tuple(target.death_ids[i] for i in order)
+    # already in that order: the rows are the same fit
+    again = build_predictions(reg, mixed.subset(order), cfg)
+    assert again.death_ids == tensor.death_ids and np.array_equal(again.a, tensor.a)
 
 
 def test_build_predictions_empty_target():

@@ -12,7 +12,6 @@ from fedva.data import (
     load_cause_list,
     load_dataset,
     load_symptom_dictionary,
-    partition_by_label,
     write_dataset,
 )
 from fedva.errors import (
@@ -139,7 +138,4 @@ def test_subset_and_without_labels(labeled_ds):
 
 def test_partition_and_counts():
     ds = make_dataset("d", [[0, 0, 0, 0]] * 4, [1, UNLABELED, 0, 1])
-    lab, unlab = partition_by_label(ds)
-    assert lab.death_ids == ("d-0000", "d-0002", "d-0003")
-    assert unlab.death_ids == ("d-0001",)
     assert cause_counts(ds).tolist() == [1, 2, 0]

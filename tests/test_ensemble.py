@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fedva.ensemble import (
     build_phi,
     classify,
     fit_global,
+    fit_single_model,
     marginal_loglik,
     _draw_cells,
     _inverse_cdf,
@@ -32,7 +34,7 @@ from fedva.errors import (
     NotASimplex,
 )
 from fedva.exchange import make_registry
-from fedva.lcm import GibbsConfig, LcmHyper, train_lcm
+from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
 from oracles import fit_reference, log_posterior
 
@@ -275,6 +277,28 @@ def test_build_phi_requires_coverage():
     with pytest.raises(IncompleteRegistry) as ei:
         build_phi(reg2, target)
     assert "trauma" in str(ei.value) or "2" in str(ei.value)
+
+
+def test_fit_single_model_covers_only_the_summary_causes():
+    _, target = federation()  # fully labeled: the fit must not read the labels
+    rng = np.random.default_rng(1)
+    y = np.repeat([0, 1], 10).astype(np.int32)  # cause 2 never trained
+    ds = make_dataset("partial_dom", rng.integers(0, 2, (20, 4)).astype(np.uint8), y)
+    s = train_lcm(ds, LcmHyper(K=2), GibbsConfig(iterations=40, burn_in=20, thin=1, seed=0))
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=600, burn_in=300, seed=4)
+    pi, probs = fit_single_model(s, target, cfg)
+    assert pi.shape == (3,) and probs.shape == (60, 3)
+    assert pi[2] == 0.0 and np.all(probs[:, 2] == 0.0)
+    assert abs(pi.sum() - 1.0) < 1e-12
+    assert np.all(probs >= 0.0) and np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    phi = PhiTensor(
+        log_phi=cond_loglik_matrix(s, target.x)[:, :2, None],
+        present=np.ones((2, 1), dtype=np.uint8),
+        death_ids=target.death_ids,
+    )
+    post = fit_global(phi, None, replace(cfg, variant="plain"), domain_ids=("partial_dom",))
+    assert np.array_equal(pi[:2], post.pi_mean())
+    assert np.array_equal(probs[:, :2], classify(phi, post).probs)
 
 
 def test_run_variant_plain_equals_fit_global():

@@ -15,7 +15,6 @@ from fedva.errors import (
 )
 from fedva.exchange import (
     FORMAT_VERSION,
-    build_registry,
     export_summary,
     import_summary,
     make_registry,
@@ -145,14 +144,3 @@ def test_registry_validation_and_coverage():
         make_registry([a, a], CL3, SD4)
     with pytest.raises(EmptyRegistry):
         make_registry([], CL3, SD4)
-
-
-def test_build_registry_keeps_path_order(tmp_path):
-    names = ["beta", "alpha", "gamma"]
-    paths = []
-    for i, name in enumerate(names):
-        p = tmp_path / f"{name}.summary.json"
-        export_summary(trained(name, seed=i), p)
-        paths.append(p)
-    reg = build_registry(paths, CL3, SD4)
-    assert reg.domain_ids == ("beta", "alpha", "gamma")
