@@ -176,11 +176,22 @@ def load_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,
                  domain_id: str | None = None) -> Dataset:
     """Parse one domain's CSV against the shared cause list and dictionary.
 
-    Raises UnknownSymptomColumn if the header does not match the dictionary
-    order exactly, UnknownCause / DuplicateDeathId / MalformedCell per cell.
+    A leading UTF-8 byte-order mark, CRLF line ends and blank lines at the
+    end of the file are accepted. Raises UnknownSymptomColumn if the header
+    does not match the dictionary order exactly, UnknownCause /
+    DuplicateDeathId / MalformedCell per cell, and MalformedCell for a blank
+    line before the last record or for bytes that are not UTF-8.
     """
+    try:
+        return _parse_dataset(path, cause_list, symptom_dict, domain_id)
+    except UnicodeDecodeError as exc:
+        raise MalformedCell(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,
+                   domain_id: str | None) -> Dataset:
     p = len(symptom_dict)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -195,7 +206,13 @@ def load_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,
         rows: list[list[int]] = []
         labels: list[int] = []
         seen: set[str] = set()
+        blank = None  # line number of the first blank line in a trailing run
         for lineno, row in enumerate(reader, start=2):
+            if not row:
+                blank = blank or lineno
+                continue
+            if blank is not None:
+                raise MalformedCell(f"{path}:{blank}: blank line before the last record")
             if len(row) != p + 2:
                 raise MalformedCell(f"{path}:{lineno}: expected {p + 2} cells, got {len(row)}")
             death_id = row[0].strip()

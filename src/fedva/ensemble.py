@@ -15,10 +15,19 @@ The sweep works in probability space. Each chain exponentiates the
 likelihoods once, shifted by every death's row maximum, so a sweep draws
 each death's (cause, domain) cell by one inverse-CDF lookup over the
 weights phi[i,c,m] * pi_c * lambda_cm (a labeled death draws its domain the
-same way over its known cause's row). Where a row's weights sum to zero or
-a subnormal, because exp() underflowed at a likelihood spread beyond ~745
-nats or under tiny Dirichlet concentrations, that row is drawn instead by
+same way over its known cause's row). The exponentiated likelihoods are
+stored cell-major, (cells, deaths), so the running sums take one vectorized
+add per cell across all deaths. Where a death's weights sum to zero or a
+subnormal, because exp() underflowed at a likelihood spread beyond ~745
+nats or under tiny Dirichlet concentrations, that death is drawn instead by
 a Gumbel argmax over the log-weights; both give the same distribution.
+
+Classification averages each draw's cause posterior over the pooled draws.
+With E the (n, C*M) exp-shifted likelihoods and W the (D, C*M) weights
+pi_c * lambda_cm of every draw, the probability of cause c is
+(1/D) sum_m E * ((1 / (E W^T)) W) at the cells (c, m): two matrix products,
+run over blocks of deaths and draws. A (death, draw) pair whose denominator
+underflows is computed in log space instead, as in the sweep.
 
 lambda rows live on the subset of domains that cover the cause; weights of
 non-covering domains are exactly zero, and a cause that one domain covers
@@ -60,6 +69,7 @@ from .utils import (
 )
 
 VARIANTS = ("plain", "partial", "domain", "mix")
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -236,39 +246,46 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
 
 
 def _exp_shifted(log_w: np.ndarray) -> np.ndarray:
-    """exp(log_w) with each row shifted so that its largest entry is 1."""
-    return np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    """exp(log_w) of a (deaths, cells) array, returned cell-major.
+
+    Each death is shifted so that its largest entry is 1.
+    """
+    out = np.subtract(log_w.T, log_w.max(axis=1), order="C")
+    return np.exp(out, out=out)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first cell whose cumulative weight exceeds u.
+    """Per death, the index of the first cell whose cumulative weight exceeds u.
 
-    cum holds row-wise cumulative sums of non-negative weights with a
-    positive total in its last column; u lies in [0, total]. A point that
+    cum holds cell-major (cells, deaths) running sums of non-negative weights
+    with a positive total in its last row; u lies in [0, total]. A point that
     reaches the total is moved just below it, so a cell of zero weight, whose
     cumulative value equals its predecessor's, is never returned.
     """
-    u = np.minimum(u, np.nextafter(cum[:, -1], 0.0))
-    return np.count_nonzero(cum <= u[:, None], axis=1)
+    u = np.minimum(u, np.nextafter(cum[-1], 0.0))
+    return (cum <= u).sum(axis=0)
 
 
 def _draw_cells(rng, phi_exp, w, log_phi, log_w, buf) -> np.ndarray:
-    """One categorical draw per row over cells weighted phi_exp * w.
+    """One categorical draw per death over cells weighted phi_exp * w.
 
-    w and log_w broadcast against the (rows, cells) arrays phi_exp and
-    log_phi; buf is a work array of the same shape. A row whose weights sum
-    to 0 or a subnormal has lost its relative precision to underflow and is
-    drawn from log_phi + log_w instead.
+    phi_exp and log_phi are cell-major (cells, deaths) arrays, w broadcasts
+    against them and buf is a work array of their shape. The running sums
+    are built one cell row at a time, the same left fold as a cumsum over
+    each death's cells. A death whose weights sum to 0 or a subnormal has
+    lost its relative precision to underflow and is drawn from
+    log_phi + log_w() instead; log_w is called only then.
     """
     np.multiply(phi_exp, w, out=buf)
-    np.cumsum(buf, axis=1, out=buf)
-    total = buf[:, -1]
+    rows = list(buf)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
+    total = buf[-1]
     cell = _inverse_cdf(buf, rng.random(total.shape[0]) * total)
-    low = np.flatnonzero(total < np.finfo(np.float64).tiny)
+    low = np.flatnonzero(total < _TINY)
     if low.size:
-        cell[low] = gumbel_argmax(
-            rng, log_phi[low] + np.broadcast_to(log_w, log_phi.shape)[low], axis=1
-        )
+        log_w_low = np.broadcast_to(log_w(), log_phi.shape)[:, low]
+        cell[low] = gumbel_argmax(rng, (log_phi[:, low] + log_w_low).T, axis=1)
     return cell
 
 
@@ -280,6 +297,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     y_lab = np.asarray(labels, dtype=np.int64) if n_L else np.zeros(0, dtype=np.int64)
     allowed = phi.present.astype(bool)
     multi = allowed.sum(axis=1) > 1  # causes with a real weight choice
+    any_multi = bool(multi.any())
     multi_allowed = allowed[multi]
     conc = cfg.lambda_prior.conc
     ln_prior = cfg.lambda_prior.kind == "logistic_normal"
@@ -287,10 +305,12 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
 
     # Unlabeled deaths range over all C*M cells; labeled ones over the M
-    # domains of their known cause.
+    # domains of their known cause. All four arrays are cell-major; the
+    # log-likelihoods are transposed views, read only by the fallback.
     log_phi_u = phi.log_phi[n_L:].reshape(n_u, C * M)
     log_phi_l = phi.log_phi[np.arange(n_L), y_lab, :]
     phi_u, phi_l = _exp_shifted(log_phi_u), _exp_shifted(log_phi_l)
+    log_phi_u, log_phi_l = log_phi_u.T, log_phi_l.T
     buf_u, buf_l = np.empty_like(phi_u), np.empty_like(phi_l)
     counts_lab = np.bincount(y_lab, minlength=C).astype(np.float64)
 
@@ -309,7 +329,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
             beta[c, idx] = rng.normal(0.0, sigma, size=idx.shape[0])
             log_lam[c, idx] = beta[c, idx] - logsumexp(beta[c, idx])
             lam[c, idx] = np.exp(log_lam[c, idx])
-    elif multi.any():
+    elif any_multi:
         lam[multi], log_lam[multi] = log_dirichlet(
             rng, np.where(multi_allowed, conc, 0.0)
         )
@@ -330,12 +350,13 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
         # (Y, H) | pi, lambda — one joint draw per death over its cells
         nm = np.zeros(C * M)
         if n_u:
-            cell = _draw_cells(rng, phi_u, (pi[:, None] * lam).ravel(), log_phi_u,
-                               (log_pi[:, None] + log_lam).ravel(), buf_u)
+            cell = _draw_cells(rng, phi_u, (pi[:, None] * lam).reshape(C * M, 1), log_phi_u,
+                               lambda: (log_pi[:, None] + log_lam).reshape(C * M, 1), buf_u)
             nm += np.bincount(cell, minlength=C * M)
         counts_u = nm.reshape(C, M).sum(axis=1)
         if n_L:
-            h_l = _draw_cells(rng, phi_l, lam[y_lab], log_phi_l, log_lam[y_lab], buf_l)
+            h_l = _draw_cells(rng, phi_l, lam.T[:, y_lab], log_phi_l,
+                              lambda: log_lam.T[:, y_lab], buf_l)
             nm += np.bincount(y_lab * M + h_l, minlength=C * M)
         nm = nm.reshape(C, M)
 
@@ -379,7 +400,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
             elif not adapting and window == 1:
                 post_updates += 1
                 window = 0
-        elif multi.any():
+        elif any_multi:
             lam[multi], log_lam[multi] = log_dirichlet(
                 rng, np.where(multi_allowed, conc + nm[multi], 0.0)
             )
@@ -474,22 +495,58 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
     )
 
 
+_BLOCK = 256  # deaths and draws per classify block
+# Denominators below this (0 and every subnormal among them) take the log-space
+# path; above it 1/den times a weight <= 1, summed over up to 2**100 draws,
+# stays finite.
+_DEN_FLOOR = 2.0 ** -900
+
+
 def classify(phi: PhiTensor, post: GlobalPosterior) -> Classification:
-    """Posterior-predictive cause probabilities, averaged over pooled draws."""
+    """Posterior-predictive cause probabilities, averaged over pooled draws.
+
+    With E the (n, C*M) exp-shifted likelihoods and W_d = pi_d * lambda_d
+    flattened, probs = (1/D) sum_m E * ((1 / (E W^T)) W), computed over
+    blocks of deaths and, within each, blocks of draws. A (death, draw) pair
+    whose denominator is below _DEN_FLOOR, 0 and subnormals included, is
+    computed in log space instead.
+    """
     if post.pi_draws.shape[1] != phi.C or post.lambda_draws.shape[2] != phi.M:
         raise DimensionMismatch("posterior draws disagree with phi dimensions")
-    n, C = phi.n, phi.C
+    n, C, M = phi.n, phi.C, phi.M
     # One max-subtraction per death keeps exp() in range; exp(-inf) = 0 drops
     # absent (c,m) cells from the sums.
-    shift = phi.log_phi.max(axis=(1, 2), keepdims=True)
-    phi_exp = np.exp(phi.log_phi - shift)
+    log_phi = phi.log_phi.reshape(n, C * M)
+    phi_exp = log_phi - log_phi.max(axis=1, keepdims=True)
+    np.exp(phi_exp, out=phi_exp)
     probs = np.zeros((n, C))
-    for d in range(post.D):
-        num = np.einsum("icm,cm->ic", phi_exp, post.lambda_draws[d]) * post.pi_draws[d]
-        probs += num / num.sum(axis=1, keepdims=True)
+    for i0 in range(0, n, _BLOCK):
+        e = phi_exp[i0:i0 + _BLOCK]
+        acc = np.zeros_like(e)
+        for d0 in range(0, post.D, _BLOCK):
+            pi = post.pi_draws[d0:d0 + _BLOCK]
+            lam = post.lambda_draws[d0:d0 + _BLOCK]
+            w = (pi[:, :, None] * lam).reshape(pi.shape[0], C * M)
+            den = e @ w.T
+            low = den < _DEN_FLOOR
+            acc += np.divide(1.0, den, out=np.zeros_like(den), where=~low) @ w
+            for j in np.flatnonzero(low.any(axis=0)):
+                rows = np.flatnonzero(low[:, j])
+                probs[i0 + rows] += _classify_log_space(
+                    log_phi[i0 + rows], pi[j], lam[j])
+        probs[i0:i0 + _BLOCK] += (e * acc).reshape(-1, C, M).sum(axis=2)
     probs /= post.D
     top = np.argmax(probs, axis=1).astype(np.int64)  # argmax takes the lowest index on ties
     return Classification(probs=probs, top=top, death_ids=phi.death_ids)
+
+
+def _classify_log_space(log_phi: np.ndarray, pi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Cause probabilities of (rows, C*M) deaths under one draw, from log weights."""
+    with np.errstate(divide="ignore"):
+        log_w = log_phi + (np.log(pi)[:, None] + np.log(lam)).ravel()
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True)).reshape(log_w.shape[0], *lam.shape)
+    num = w.sum(axis=2)
+    return num / num.sum(axis=1, keepdims=True)
 
 
 def fit_single_model(summary: BaseModelSummary, target: Dataset,

@@ -38,7 +38,11 @@ class InvalidHyper(FedvaError):
 
 
 class AbsentCause(FedvaError):
-    """A conditional likelihood was requested for a cause the model never saw."""
+    """A conditional likelihood was requested for a cause the model never saw.
+
+    Nothing in the package raises it; the test oracle
+    `tests/oracles.py:enumerate_mass` does.
+    """
 
 
 class DimensionMismatch(FedvaError):
@@ -46,7 +50,11 @@ class DimensionMismatch(FedvaError):
 
 
 class TooManySymptoms(FedvaError):
-    """Exhaustive enumeration was requested for p too large (2^p blowup)."""
+    """Exhaustive enumeration was requested for p too large (2^p blowup).
+
+    Nothing in the package raises it; the test oracle
+    `tests/oracles.py:enumerate_mass` does.
+    """
 
 
 # --- summary exchange ---

@@ -72,13 +72,20 @@ def gumbel_argmax(rng: np.random.Generator, logw: np.ndarray, axis: int = -1) ->
 def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dirichlet draw returned as (values, log-values) along the last axis.
 
-    Works for arbitrarily small concentrations: shapes below 0.1 are sampled
-    in log space (Gamma(a) = Gamma(a+1) * U^{1/a}), so log-values stay finite
-    even when the linear values underflow to zero. A concentration of exactly
-    0 marks a structurally absent component: its value is 0 and its log-value
-    -inf. Every row needs at least one positive concentration.
+    When every concentration is at least 0.1, the gamma draws are normalized
+    and then logged. Otherwise the draw works for arbitrarily small
+    concentrations: shapes below 0.1 are sampled in log space
+    (Gamma(a) = Gamma(a+1) * U^{1/a}), so log-values stay finite even when
+    the linear values underflow to zero. A concentration of exactly 0 marks a
+    structurally absent component: its value is 0 and its log-value -inf.
+    Every row needs at least one positive concentration. Both paths make the
+    same generator calls, so they differ only in rounding.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.min() >= 0.1:
+        g = np.maximum(rng.standard_gamma(alpha), np.finfo(np.float64).tiny)
+        x = g / g.sum(axis=-1, keepdims=True)
+        return x, np.log(x)
     small = alpha < 0.1
     boosted = np.where(small, alpha + 1.0, alpha)
     g = rng.gamma(shape=boosted)

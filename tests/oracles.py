@@ -18,6 +18,19 @@ each iteration makes one scalar Metropolis step on every gamma and one
 Dirichlet draw per confusion row. `fedva.calibration` updates all pairs at
 once, so the two agree in distribution only.
 
+`draw_cells_reference` is the row-major form of the sweep's cell draw: a
+row-wise cumsum, then an inverse-CDF count per row. `fedva.ensemble` builds
+the same left-fold sums cell-major, so the two return identical cells from
+identically seeded generators. `classify_reference` is the per-draw loop
+of posterior-predictive classification, one einsum per pooled draw;
+`fedva.ensemble.classify` computes the same average as blocked matrix
+products, so the two agree to rounding.
+
+`log_dirichlet_reference` is the log-space Dirichlet draw that
+`fedva.utils.log_dirichlet` keeps for concentrations below 0.1; at or above
+0.1 the package takes a linear path with the same generator calls, so the
+two agree to rounding.
+
 `enumerate_mass` sums a summary's likelihood over every fully observed
 symptom vector; it must equal 1 for each covered cause.
 """
@@ -217,6 +230,45 @@ def log_posterior(phi: PhiTensor, post: GlobalPosterior,
                                         np.full(row.shape[0], cfg.lambda_prior.conc))
             out[d] = lp
     return out
+
+
+def log_dirichlet_reference(rng, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(values, log-values) of a Dirichlet draw, normalized in log space."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    small = alpha < 0.1
+    g = rng.gamma(shape=np.where(small, alpha + 1.0, alpha))
+    log_g = np.log(np.maximum(g, np.finfo(np.float64).tiny))
+    if np.any(small):
+        u = 1.0 - rng.random(size=alpha.shape)
+        log_g = np.where(small, log_g + np.log(u) / np.maximum(alpha, 1e-300), log_g)
+    log_g = np.where(alpha > 0, log_g, -np.inf)
+    log_x = log_g - logsumexp(log_g, axis=-1, keepdims=True)
+    return np.exp(log_x), log_x
+
+
+def draw_cells_reference(rng, phi_exp, w, log_phi, log_w) -> np.ndarray:
+    """Row-major cell draw: phi_exp, log_phi are (rows, cells); w, log_w broadcast."""
+    cum = np.cumsum(phi_exp * w, axis=1)
+    total = cum[:, -1]
+    u = np.minimum(rng.random(total.shape[0]) * total, np.nextafter(total, 0.0))
+    cell = np.count_nonzero(cum <= u[:, None], axis=1)
+    low = np.flatnonzero(total < np.finfo(np.float64).tiny)
+    if low.size:
+        cell[low] = gumbel_argmax(
+            rng, log_phi[low] + np.broadcast_to(log_w, log_phi.shape)[low], axis=1
+        )
+    return cell
+
+
+def classify_reference(phi: PhiTensor, post: GlobalPosterior) -> np.ndarray:
+    """Posterior-predictive cause probabilities (n, C), one einsum per draw."""
+    shift = phi.log_phi.max(axis=(1, 2), keepdims=True)
+    phi_exp = np.exp(phi.log_phi - shift)
+    probs = np.zeros((phi.n, phi.C))
+    for d in range(post.D):
+        num = np.einsum("icm,cm->ic", phi_exp, post.lambda_draws[d]) * post.pi_draws[d]
+        probs += num / num.sum(axis=1, keepdims=True)
+    return probs / post.D
 
 
 def _stick_breaking(rng: np.random.Generator, counts: np.ndarray, alpha_sb: float) -> np.ndarray:

@@ -255,6 +255,33 @@ def test_runtime_failures_exit_2(ws, tmp_path):
     assert run_cli("ensemble", "--config", p2) == 2
 
 
+def _with_target(ws, tmp_path, name, data: bytes):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(data)
+    cfg = dict(ws["cfg_dict"])
+    cfg["paths"] = dict(cfg["paths"], datasets=dict(cfg["paths"]["datasets"], target=str(path)))
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    return cfg_path
+
+
+def test_target_csv_with_bom_crlf_and_trailing_blank_line(ws, tmp_path):
+    text = (ws["root"] / "target_partial.csv").read_text()
+    variant = ("\ufeff" + text.replace("\n", "\r\n") + "\r\n").encode("utf-8")
+    plain = _with_target(ws, tmp_path, "plain", text.encode("utf-8"))
+    dressed = _with_target(ws, tmp_path, "dressed", variant)
+    assert run_cli("classify", "--config", plain, "--out", tmp_path / "a") == 0
+    assert run_cli("classify", "--config", dressed, "--out", tmp_path / "b") == 0
+    assert read(tmp_path / "a" / "classify_deaths.csv") == read(tmp_path / "b" / "classify_deaths.csv")
+    lines = text.split("\n")
+    for name, data in (
+        ("interior_blank", "\n".join(lines[:3] + [""] + lines[3:]).encode("utf-8")),
+        ("not_utf8", text.encode("utf-8").replace(b"\n", b"\n\xff", 1)),
+    ):
+        assert run_cli("classify", "--config", _with_target(ws, tmp_path, name, data),
+                       "--out", tmp_path / name) == 2
+
+
 def test_module_entry_point(ws, tmp_path):
     out = tmp_path / "m_out"
     cfg = tmp_path / "m.yaml"

@@ -66,6 +66,46 @@ def test_load_dataset_parses_values_and_labels(tmp_path, cl3, sd4):
     assert ds.labeled_mask.tolist() == [True, False, True]
 
 
+def _write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff" + CSV_OK,                                  # UTF-8 byte-order mark
+    CSV_OK + "\n",                                      # trailing blank line
+    CSV_OK + "\n\n\n",
+    CSV_OK.replace("\n", "\r\n"),                       # CRLF
+    CSV_OK.replace("\n", "\r\n") + "\r\n",              # CRLF, trailing blank line
+    "\ufeff" + CSV_OK.replace("\n", "\r\n") + "\r\n\r\n",
+    CSV_OK.rstrip("\n"),                                # no final line end
+])
+def test_load_dataset_accepts_bom_crlf_and_trailing_blank_lines(tmp_path, cl3, sd4, text):
+    ds = load_dataset(_write(tmp_path / "d.csv", text), cl3, sd4, domain_id="dom")
+    want = load_dataset(_write(tmp_path / "plain.csv", CSV_OK), cl3, sd4, domain_id="dom")
+    assert ds.death_ids == want.death_ids
+    assert np.array_equal(ds.x, want.x) and np.array_equal(ds.y, want.y)
+
+
+@pytest.mark.parametrize("text,where", [
+    (CSV_OK.replace("d2,", "\nd2,"), ":3"),                 # blank line between records
+    (CSV_OK.replace("\n", "\r\n").replace("d2,", "\r\nd2,"), ":3"),
+    (CSV_OK + "   \n", ":5"),                                # whitespace is not blank
+    (CSV_OK + "\n\ufeff\n", ":5"),                          # a second BOM is a cell
+])
+def test_load_dataset_still_rejects_stray_lines(tmp_path, cl3, sd4, text, where):
+    with pytest.raises(MalformedCell) as ei:
+        load_dataset(_write(tmp_path / "d.csv", text), cl3, sd4)
+    assert where in str(ei.value)
+
+
+def test_load_dataset_rejects_text_that_is_not_utf8(tmp_path, cl3, sd4):
+    p = tmp_path / "d.csv"
+    p.write_bytes(CSV_OK.encode("utf-8").replace(b"d2", b"d\xff2"))
+    with pytest.raises(MalformedCell, match="not UTF-8"):
+        load_dataset(p, cl3, sd4)
+
+
 def test_load_dataset_header_must_match_exactly(tmp_path, cl3, sd4):
     p = tmp_path / "d.csv"
     p.write_text("death_id,cause,cough,fever,injury,chest_pain\nd1,cardio,Y,N,N,Y\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from fedva.errors import (
 from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
-from oracles import fit_reference, log_posterior
+from oracles import classify_reference, draw_cells_reference, fit_reference, log_posterior
 
 
 def phi_of(log_phi, present=None):
@@ -485,8 +486,8 @@ def test_inverse_cdf_never_picks_a_zero_weight_cell():
         [0.0, 0.0, 0.0, 3.0],
         [0.1, 0.0, 0.2, 0.0],
     ])
-    cum = np.cumsum(w, axis=1)
-    total = cum[:, -1]
+    cum = np.cumsum(w, axis=1).T  # cell-major
+    total = cum[-1]
     assert _inverse_cdf(cum, total).tolist() == [1, 1, 3, 2]  # u rounded up to the total
     assert _inverse_cdf(cum, np.zeros(4)).tolist() == [0, 1, 3, 0]
     u = np.nextafter(total, 0.0)
@@ -500,8 +501,110 @@ def test_cell_draw_frequencies_match_weights_on_both_paths():
     phi_exp = np.exp(log_phi)
     want = np.array([0.5, 3.0, 0.25]) / 3.75
     for log_w in (np.log([1.0, 3.0, 1.0]), np.log([1.0, 3.0, 1.0]) - 800.0):
-        cells = _draw_cells(derive_rng("cell-draw"), phi_exp, np.exp(log_w), log_phi, log_w,
-                            np.empty_like(phi_exp))
+        cells = _draw_cells(derive_rng("cell-draw"), phi_exp.T, np.exp(log_w)[:, None],
+                            log_phi.T, lambda: log_w[:, None], np.empty_like(phi_exp.T))
         freq = np.bincount(cells, minlength=3) / n
         se = np.sqrt(want * (1 - want) / n)
         assert np.all(np.abs(freq - want) < 4 * se), freq
+
+
+def _cell_draw_cases():
+    """Row-major (log_phi, log_w) pairs, with 1-D and 2-D (labeled) weights.
+
+    In every second row the first cell holds all likelihood and the others
+    sit 900 nats lower, so a fallback case starves that cell of weight.
+    """
+    rng = np.random.default_rng(7)
+    log_phi = np.log(rng.uniform(0.01, 1.0, size=(300, 12)))
+    log_phi[:, 5] = -np.inf  # an absent cell
+    log_phi[::2, 1:] -= 900.0
+    log_w = np.log(rng.dirichlet(np.ones(12)))
+    starved = log_w.copy()
+    starved[0] = -800.0
+    log_phi2 = np.log(rng.uniform(0.01, 1.0, size=(300, 4)))
+    log_phi2[::2, 1:] -= 900.0
+    log_w2 = np.log(rng.dirichlet(np.ones(4), size=300))  # one row per labeled death
+    starved2 = log_w2.copy()
+    starved2[::4, 0] = -800.0
+    return {
+        "linear": (log_phi, log_w),
+        "fallback": (log_phi, starved),
+        "labeled": (log_phi2, log_w2),
+        "labeled-fallback": (log_phi2, starved2),
+    }
+
+
+@pytest.mark.parametrize("case", ["linear", "fallback", "labeled", "labeled-fallback"])
+def test_cell_major_draw_is_identical_to_row_major_reference(case):
+    log_phi, log_w = _cell_draw_cases()[case]
+    log_phi_shifted = log_phi - log_phi.max(axis=1, keepdims=True)
+    phi_exp = np.exp(log_phi_shifted)
+    w = np.exp(log_w)
+    want_rng, got_rng = derive_rng("cell-major", case), derive_rng("cell-major", case)
+    want = draw_cells_reference(want_rng, phi_exp, w, log_phi_shifted, log_w)
+    log_w_cm = log_w.T if log_w.ndim == 2 else log_w[:, None]
+    got = _draw_cells(got_rng, phi_exp.T.copy(), w.T if w.ndim == 2 else w[:, None],
+                      log_phi_shifted.T.copy(), lambda: log_w_cm, np.empty_like(phi_exp.T))
+    assert np.array_equal(got, want)
+    assert want_rng.bit_generator.state == got_rng.bit_generator.state
+    underflowed = (phi_exp * w).sum(axis=1) < np.finfo(np.float64).tiny
+    assert underflowed.any() == case.endswith("fallback")
+
+
+def test_cell_draw_builds_log_weights_only_for_underflowed_rows():
+    phi_exp = np.ones((3, 5))
+
+    def fail():
+        raise AssertionError("log weights built without an underflowed row")
+
+    _draw_cells(derive_rng("lazy"), phi_exp, np.full((3, 1), 1 / 3), np.zeros((3, 5)), fail,
+                np.empty_like(phi_exp))
+
+
+def _posterior(pi, lam):
+    pi = np.asarray(pi, dtype=np.float64)
+    return GlobalPosterior(pi_draws=pi, pi_tilde_draws=None, lambda_draws=np.asarray(lam),
+                           acceptance_rate=None, config=FAST,
+                           domain_ids=tuple(f"m{j}" for j in range(np.shape(lam)[2])),
+                           rhat_pi=np.ones(pi.shape[1]))
+
+
+def test_classify_matches_per_draw_reference():
+    rng = np.random.default_rng(11)
+    # Several death and draw blocks, absent (c, m) cells and one-domain causes.
+    present = np.ones((5, 3), dtype=np.uint8)
+    present[1, 2] = present[3, 0] = 0
+    present[4, :2] = 0
+    log_phi = np.log(rng.uniform(1e-4, 1.0, size=(600, 5, 3)))
+    log_phi[:, present == 0] = -np.inf
+    lam = rng.dirichlet(np.ones(3), size=(700, 5)) * present
+    lam /= lam.sum(axis=2, keepdims=True)
+    post = _posterior(rng.dirichlet(np.ones(5), size=700), lam)
+    phi = phi_of(log_phi, present)
+    got = classify(phi, post)
+    assert np.abs(got.probs - classify_reference(phi, post)).max() < 1e-12
+    assert np.array_equal(got.top, np.argmax(got.probs, axis=1))
+    # A fit with labeled deaths (n_L > 0) classifies every death, labeled ones too.
+    reg, target = federation()
+    phi = build_phi(reg, target)
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=100, seed=5)
+    post = fit_global(phi, target.y[:20], cfg, domain_ids=reg.domain_ids)
+    assert np.abs(classify(phi, post).probs - classify_reference(phi, post)).max() < 1e-12
+
+
+def test_classify_underflowed_draw_is_computed_in_log_space():
+    """A zero pi at a death's best cell, every other cell > 745 nats lower."""
+    log_phi = np.array([[[0.0], [-800.0], [-900.0]],
+                        [[-1.0], [-2.0], [-3.0]]])
+    pi = [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.6, 0.2, 0.2]]
+    post = _posterior(pi, np.ones((3, 3, 1)))
+    phi = phi_of(log_phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = classify(phi, post)
+    assert np.all(np.isfinite(cls.probs)) and np.all(cls.probs >= 0)
+    assert np.allclose(cls.probs.sum(axis=1), 1.0, atol=1e-12)
+    # Draws 1 and 2 put (all but e^-100 of) death 0 on cause 1, draw 3 on cause 0.
+    assert cls.probs[0] == pytest.approx([1 / 3, 2 / 3, 0.0], abs=1e-12)
+    assert cls.top[0] == 1
+    assert np.abs(cls.probs[1] - classify_reference(phi_of(log_phi[1:]), post)[0]).max() < 1e-12

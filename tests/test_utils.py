@@ -20,6 +20,7 @@ from fedva.utils import (
     round_half_up,
     sha256_hex,
 )
+from oracles import log_dirichlet_reference
 
 
 def test_sha256_hex_matches_hashlib():
@@ -96,6 +97,35 @@ def test_log_dirichlet_log_is_consistent_with_value():
     rng = derive_rng("ld-consist")
     x, logx = log_dirichlet(rng, np.array([0.5, 1.5, 2.0]))
     assert np.allclose(np.exp(logx), x, rtol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [
+    [0.1, 0.1, 0.1],                 # at the boundary: the linear path
+    [0.1, 2.5, 40.0, 1e4],
+    [[1.0, 3.0], [0.2, 0.1]],        # batched rows, all at or above 0.1
+    [0.0999999, 1.0, 2.0],           # just below: the log-space path
+    [1e-3, 0.5, 7.0],
+    [[0.0, 2.0, 3.0], [1.0, 1.0, 1.0]],  # a masked component keeps the old path
+])
+def test_log_dirichlet_matches_log_space_draw_across_the_boundary(alpha):
+    for seed in range(20):
+        rng, ref_rng = derive_rng("ld-boundary", seed), derive_rng("ld-boundary", seed)
+        x, logx = log_dirichlet(rng, np.array(alpha))
+        want_x, want_logx = log_dirichlet_reference(ref_rng, np.array(alpha))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.abs(x - want_x).max() < 1e-15
+        finite = np.isfinite(want_logx)
+        assert np.array_equal(np.isfinite(logx), finite)
+        assert np.allclose(logx[finite], want_logx[finite], rtol=1e-14, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=8),
+       st.integers(min_value=0, max_value=2**32))
+def test_log_dirichlet_log_values_are_finite_for_positive_concentrations(alpha, seed):
+    x, logx = log_dirichlet(derive_rng("ld-finite", seed), np.array(alpha))
+    assert np.all(np.isfinite(logx))
+    assert np.all(x >= 0) and abs(x.sum() - 1.0) < 1e-12
 
 
 def test_log_dirichlet_pdf_matches_scipy_and_broadcasts():
