@@ -38,7 +38,11 @@ class SymptomValue(enum.IntEnum):
 
 
 _CELL_TO_CODE = {"Y": SymptomValue.YES, "N": SymptomValue.NO, ".": SymptomValue.MISSING}
-_CODE_TO_CELL = {int(v): k for k, v in _CELL_TO_CODE.items()}
+_CELLS = frozenset(_CELL_TO_CODE)
+_CHAR_TO_CODE = np.zeros(256, dtype=np.uint8)  # byte of a valid cell -> its code
+_CHAR_TO_CODE[[ord(cell) for cell in _CELL_TO_CODE]] = list(_CELL_TO_CODE.values())
+_CODE_TO_CHAR = bytes.maketrans(  # code byte -> its cell character
+    bytes(map(int, _CELL_TO_CODE.values())), "".join(_CELL_TO_CODE).encode("ascii"))
 
 
 def _check_identifiers(ids: tuple[str, ...], what: str, minimum: int) -> None:
@@ -203,7 +207,7 @@ def _parse_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,
                 f"{path}: header does not match the symptom dictionary order"
             )
         death_ids: list[str] = []
-        rows: list[list[int]] = []
+        rows: list[str] = []  # each row's p cells as one string of Y, N and .
         labels: list[int] = []
         seen: set[str] = set()
         blank = None  # line number of the first blank line in a trailing run
@@ -229,18 +233,14 @@ def _parse_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,
                     labels.append(cause_list.index(cause_cell))
                 except UnknownCause:
                     raise UnknownCause(f"{path}:{lineno}: unknown cause {cause_cell!r}") from None
-            cells = []
-            for j, cell in enumerate(row[2:]):
-                code = _CELL_TO_CODE.get(cell.strip())
-                if code is None:
-                    raise MalformedCell(
-                        f"{path}:{lineno}: column {symptom_dict.symptoms[j]!r} has "
-                        f"value {cell!r}, expected Y, N or ."
-                    )
-                cells.append(int(code))
+            cells = row[2:]
+            if not _CELLS.issuperset(cells):
+                cells = [_checked_cell(path, lineno, symptom_dict.symptoms[j], cell)
+                         for j, cell in enumerate(cells)]
             death_ids.append(death_id)
-            rows.append(cells)
-    x = np.asarray(rows, dtype=np.uint8).reshape(len(rows), p)
+            rows.append("".join(cells))
+    codes = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    x = _CHAR_TO_CODE[codes].reshape(len(rows), p)
     y = np.asarray(labels, dtype=np.int32)
     return Dataset(
         domain_id=domain_id if domain_id is not None else str(path),
@@ -252,16 +252,27 @@ def _parse_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,
     )
 
 
+def _checked_cell(path, lineno: int, symptom: str, cell: str) -> str:
+    """One cell stripped of padding, or MalformedCell naming its line and column."""
+    stripped = cell.strip()
+    if stripped not in _CELLS:
+        raise MalformedCell(
+            f"{path}:{lineno}: column {symptom!r} has value {cell!r}, expected Y, N or ."
+        )
+    return stripped
+
+
 def dataset_csv_text(dataset: Dataset) -> str:
     """Inverse of load_dataset: cell-exact, order-exact round trip."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["death_id", "cause", *dataset.symptom_dict.symptoms])
-    for i, death_id in enumerate(dataset.death_ids):
-        label = dataset.y[i]
-        cause_cell = "" if label == UNLABELED else dataset.cause_list.causes[label]
-        cells = [_CODE_TO_CELL[int(v)] for v in dataset.x[i]]
-        writer.writerow([death_id, cause_cell, *cells])
+    cells = dataset.x.tobytes().translate(_CODE_TO_CHAR).decode("ascii")
+    p = dataset.p
+    causes = dataset.cause_list.causes
+    for i, (death_id, label) in enumerate(zip(dataset.death_ids, dataset.y.tolist())):
+        cause_cell = "" if label == UNLABELED else causes[label]
+        writer.writerow([death_id, cause_cell, *cells[i * p:(i + 1) * p]])
     return buf.getvalue()
 
 

@@ -74,19 +74,45 @@ def _canonical_bytes(document: dict) -> bytes:
 
 
 def summary_bytes(s: BaseModelSummary) -> bytes:
-    """Validate and canonically serialize (checksum included)."""
+    """Validate and canonically serialize (checksum included).
+
+    The checksum hashes the canonical document without its checksum member.
+    Sorted keys put that member just before the top-level `"dict_fingerprint"`
+    key, so it is spliced in there rather than dumping the document twice. The
+    members ahead of that key (C, K, cause_list_fingerprint) are scalars, so
+    the first `"dict_fingerprint":` in the bytes is the top-level one.
+    """
     s.validate()
     for c in range(s.C):
         if s.present[c] and (np.any(np.isnan(s.nu_bar[c])) or np.any(np.isnan(s.theta_bar[c]))):
             raise InvalidSummary(f"present cause {c} has NaN parameters")
-    document = _summary_document(s)
-    document["checksum"] = sha256_hex(_canonical_bytes(document))
-    return _canonical_bytes(document) + b"\n"
+    body = _canonical_bytes(_summary_document(s))
+    head, key, tail = body.partition(b'"dict_fingerprint":')
+    member = b'"checksum":"%s",' % sha256_hex(body).encode("ascii")
+    return head + member + key + tail + b"\n"
 
 
 def export_summary(s: BaseModelSummary, path) -> None:
     """Validate, canonically serialize, checksum, and atomically write."""
     atomic_write_bytes(path, summary_bytes(s))
+
+
+def _raw_checksum_matches(raw: bytes, stated) -> bool:
+    """Whether the file's own bytes, less its checksum member, hash to `stated`.
+
+    A file written by `summary_bytes` passes without being re-serialized. Any
+    other file (re-indented, hand-edited, tampered) falls back to the hash of
+    its canonical re-dump.
+    """
+    if not isinstance(stated, str):
+        return False
+    parts = raw.split(b'"checksum":' + json.dumps(stated).encode("utf-8") + b",")
+    if len(parts) != 2:
+        return False
+    body = parts[0] + parts[1]
+    if body.endswith(b"\n"):
+        body = body[:-1]
+    return sha256_hex(body) == stated
 
 
 def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary) -> BaseModelSummary:
@@ -105,7 +131,7 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
         raise SchemaVersionUnsupported(f"{path}: cannot read format_version {version!r}")
 
     stated = document.pop("checksum", None)
-    if stated != sha256_hex(_canonical_bytes(document)):
+    if not _raw_checksum_matches(raw, stated) and stated != sha256_hex(_canonical_bytes(document)):
         raise ChecksumMismatch(f"{path}: checksum does not match content")
 
     if document.get("cause_list_fingerprint") != cause_list.fingerprint:

@@ -12,37 +12,30 @@ from .data import CauseList
 from .ensemble import Classification, GlobalPosterior
 
 
-def _f(v) -> str:
-    return repr(float(v))
+def _rows(names, table: np.ndarray) -> list[str]:
+    """One CSV line per name: the name, then its row of `table` as repr floats."""
+    return [",".join([name, *map(repr, row)]) for name, row in zip(names, table.tolist())]
 
 
 def pi_table_csv(pi_draws: np.ndarray, cause_list: CauseList) -> str:
     """Per-cause posterior mean with a central 95% interval."""
     mean = pi_draws.mean(axis=0)
     lo, hi = np.quantile(pi_draws, [0.025, 0.975], axis=0)
-    lines = ["cause,mean,q2.5,q97.5"]
-    for c, name in enumerate(cause_list.causes):
-        lines.append(f"{name},{_f(mean[c])},{_f(lo[c])},{_f(hi[c])}")
+    lines = ["cause,mean,q2.5,q97.5", *_rows(cause_list.causes, np.column_stack([mean, lo, hi]))]
     return "\n".join(lines) + "\n"
 
 
 def lambda_matrix_csv(post: GlobalPosterior, cause_list: CauseList) -> str:
     """Posterior-mean domain weight per (cause, domain)."""
-    lam = post.lambda_mean()
-    header = ",".join(["cause", *post.domain_ids])
-    lines = [header]
-    for c, name in enumerate(cause_list.causes):
-        lines.append(",".join([name, *(_f(v) for v in lam[c])]))
+    lines = [",".join(["cause", *post.domain_ids]), *_rows(cause_list.causes, post.lambda_mean())]
     return "\n".join(lines) + "\n"
 
 
 def classification_csv(cls: Classification, cause_list: CauseList) -> str:
     header = ",".join(["death_id", *cause_list.causes, "top_cause"])
-    lines = [header]
-    for i, death_id in enumerate(cls.death_ids):
-        cells = [death_id, *(_f(v) for v in cls.probs[i]),
-                 cause_list.causes[int(cls.top[i])]]
-        lines.append(",".join(cells))
+    tops = [cause_list.causes[c] for c in cls.top.tolist()]
+    lines = [header, *(",".join([death_id, *map(repr, row), top])
+                       for death_id, row, top in zip(cls.death_ids, cls.probs.tolist(), tops))]
     return "\n".join(lines) + "\n"
 
 

@@ -31,10 +31,22 @@ products, so the two agree to rounding.
 0.1 the package takes a linear path with the same generator calls, so the
 two agree to rounding.
 
+`summary_bytes_reference` is the two-dump exporter: it serializes the
+document, hashes it, adds the checksum and serializes it again.
+`fedva.exchange.summary_bytes` dumps once and splices the checksum member in,
+so the two must return identical bytes.
+
+`parse_dataset_reference` is the per-cell dataset parser: every symptom cell
+is stripped and mapped through a dict. `fedva.data.load_dataset` maps all
+well-formed rows at once, so the two must return identical arrays and raise
+the same exception with the same message.
+
 `enumerate_mass` sums a summary's likelihood over every fully observed
 symptom vector; it must equal 1 for each covered cause.
 """
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -44,11 +56,17 @@ from fedva.data import UNLABELED, Dataset, SymptomValue, cause_counts
 from fedva.ensemble import EnsembleConfig, GlobalPosterior, PhiTensor, marginal_loglik
 from fedva.errors import (
     AbsentCause,
+    DuplicateDeathId,
     EmptyDataset,
     InvalidHyper,
+    InvalidSummary,
+    MalformedCell,
     NotFullyLabeled,
     TooManySymptoms,
+    UnknownCause,
+    UnknownSymptomColumn,
 )
+from fedva.exchange import _canonical_bytes, _summary_document
 from fedva.lcm import (
     _THETA_EPS,
     BaseModelSummary,
@@ -58,7 +76,7 @@ from fedva.lcm import (
     _canonical_order,
     cond_loglik_matrix,
 )
-from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf
+from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf, sha256_hex
 
 from fedva import TOOL_VERSION
 
@@ -538,3 +556,88 @@ def enumerate_mass(s: BaseModelSummary, c: int, chunk: int = 1 << 14) -> float:
         bits = ((block[:, None] >> np.arange(p)) & 1).astype(np.uint8)
         total += float(np.exp(cond_loglik_matrix(s, bits)[:, c]).sum())
     return total
+
+
+def summary_bytes_reference(s: BaseModelSummary) -> bytes:
+    """Validate, dump the document, hash it, then dump it again with the checksum."""
+    s.validate()
+    for c in range(s.C):
+        if s.present[c] and (np.any(np.isnan(s.nu_bar[c])) or np.any(np.isnan(s.theta_bar[c]))):
+            raise InvalidSummary(f"present cause {c} has NaN parameters")
+    document = _summary_document(s)
+    document["checksum"] = sha256_hex(_canonical_bytes(document))
+    return _canonical_bytes(document) + b"\n"
+
+
+_CELL_TO_CODE = {"Y": SymptomValue.YES, "N": SymptomValue.NO, ".": SymptomValue.MISSING}
+
+
+def parse_dataset_reference(path, cause_list, symptom_dict, domain_id=None) -> Dataset:
+    """Per-cell form of `fedva.data.load_dataset`: same checks, same messages."""
+    try:
+        return _parse_dataset_reference(path, cause_list, symptom_dict, domain_id)
+    except UnicodeDecodeError as exc:
+        raise MalformedCell(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse_dataset_reference(path, cause_list, symptom_dict, domain_id) -> Dataset:
+    p = len(symptom_dict)
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedCell(f"{path}: empty file") from None
+        expected = ["death_id", "cause", *symptom_dict.symptoms]
+        if header != expected:
+            raise UnknownSymptomColumn(
+                f"{path}: header does not match the symptom dictionary order"
+            )
+        death_ids: list[str] = []
+        rows: list[list[int]] = []
+        labels: list[int] = []
+        seen: set[str] = set()
+        blank = None
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                blank = blank or lineno
+                continue
+            if blank is not None:
+                raise MalformedCell(f"{path}:{blank}: blank line before the last record")
+            if len(row) != p + 2:
+                raise MalformedCell(f"{path}:{lineno}: expected {p + 2} cells, got {len(row)}")
+            death_id = row[0].strip()
+            if not death_id:
+                raise MalformedCell(f"{path}:{lineno}: empty death_id")
+            if death_id in seen:
+                raise DuplicateDeathId(f"{path}:{lineno}: duplicate death_id {death_id!r}")
+            seen.add(death_id)
+            cause_cell = row[1].strip()
+            if cause_cell == "":
+                labels.append(UNLABELED)
+            else:
+                try:
+                    labels.append(cause_list.index(cause_cell))
+                except UnknownCause:
+                    raise UnknownCause(f"{path}:{lineno}: unknown cause {cause_cell!r}") from None
+            cells = []
+            for j, cell in enumerate(row[2:]):
+                code = _CELL_TO_CODE.get(cell.strip())
+                if code is None:
+                    raise MalformedCell(
+                        f"{path}:{lineno}: column {symptom_dict.symptoms[j]!r} has "
+                        f"value {cell!r}, expected Y, N or ."
+                    )
+                cells.append(int(code))
+            death_ids.append(death_id)
+            rows.append(cells)
+    x = np.asarray(rows, dtype=np.uint8).reshape(len(rows), p)
+    y = np.asarray(labels, dtype=np.int32)
+    return Dataset(
+        domain_id=domain_id if domain_id is not None else str(path),
+        death_ids=tuple(death_ids),
+        x=x,
+        y=y,
+        cause_list=cause_list,
+        symptom_dict=symptom_dict,
+    )

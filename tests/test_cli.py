@@ -218,6 +218,27 @@ def test_export_is_canonical_and_detects_tampering(ws):
                    "--out", ws["root"] / "out_bad") == 2
 
 
+def test_train_then_export_reproduces_the_summary_byte_for_byte(ws, tmp_path):
+    """A sparse model under a non-ASCII domain id; the absent cause row is null."""
+    cfg = dict(ws["cfg_dict"], base_model={"K": 2, "sparse": True})
+    cl = load_cause_list(ws["sim"] / "cause_list.txt")
+    sd = load_symptom_dictionary(ws["sim"] / "symptom_dict.txt")
+    train = load_dataset(ws["sim"] / "domain_2.csv", cl, sd)
+    keep = np.flatnonzero(train.y != 1)
+    write_dataset(train.subset(keep), tmp_path / "site.csv")
+    cfg["paths"] = dict(cfg["paths"], datasets={"sité_東": str(tmp_path / "site.csv")})
+    cfg_path = tmp_path / "site.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg, allow_unicode=True), encoding="utf-8")
+    assert run_cli("train", "--config", cfg_path, "--domain", "sité_東", "--out", tmp_path) == 0
+    trained = tmp_path / "summaries" / "sité_東.summary.json"
+    doc = json.loads(read(trained))
+    assert doc["domain_id"] == "sité_東" and doc["hyper"]["sparse"] is True
+    assert doc["theta_bar"][1] is None
+    assert run_cli("export", "--config", cfg_path, "--summary", trained,
+                   "--out", tmp_path / "exported") == 0
+    assert read(tmp_path / "exported" / "sité_東.summary.json") == read(trained)
+
+
 def test_validation_failures_exit_1(ws, tmp_path):
     assert run_cli("ensemble", "--config", tmp_path / "nope.yaml") == 1
     bad = tmp_path / "bad.yaml"

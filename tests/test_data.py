@@ -1,7 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import CL3, SD4, make_dataset
+from oracles import parse_dataset_reference
 from fedva.data import (
     UNLABELED,
     CauseList,
@@ -179,3 +185,58 @@ def test_subset_and_without_labels(labeled_ds):
 def test_partition_and_counts():
     ds = make_dataset("d", [[0, 0, 0, 0]] * 4, [1, UNLABELED, 0, 1])
     assert cause_counts(ds).tolist() == [1, 2, 0]
+
+
+_ID = st.text(st.sampled_from(list("ab1,\"' é;")), min_size=1, max_size=5).filter(str.strip)
+_CELL = st.sampled_from(["Y", "N", ".", " Y ", "N ", "\t."])
+_CAUSE = st.sampled_from(["", "cardio", "infect", " trauma "])
+_FAULTS = ("bad cell", "short row", "duplicate id", "unknown cause", "blank line")
+
+
+@st.composite
+def _csv_files(draw, fault: bool):
+    """CSV text in the loader's schema; with `fault`, one record is broken."""
+    ids = draw(st.lists(_ID, min_size=1 if fault else 0, max_size=8, unique_by=str.strip))
+    rows = [[i, draw(_CAUSE), *draw(st.lists(_CELL, min_size=4, max_size=4))] for i in ids]
+    if fault:
+        k = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(_FAULTS))
+        if kind == "bad cell":
+            rows[k][draw(st.integers(2, 5))] = draw(st.sampled_from(["maybe", "", "y", "YN", " "]))
+        elif kind == "short row":
+            rows[k] = rows[k][:-1]
+        elif kind == "duplicate id":
+            rows.append([" " + rows[k][0].strip(), "cardio", "Y", "N", ".", "Y"])
+        elif kind == "unknown cause":
+            rows[k][1] = "sepsis"
+        else:
+            rows.insert(k, [])  # writes an empty line ahead of record k
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(["death_id", "cause", *SD4.symptoms])
+    writer.writerows(rows)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + buf.getvalue() + newline * draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files(fault=False))
+def test_loader_matches_per_cell_reference(tmp_path_factory, text):
+    path = _write(tmp_path_factory.mktemp("prop") / "d.csv", text)
+    got = load_dataset(path, CL3, SD4, domain_id="dom")
+    want = parse_dataset_reference(path, CL3, SD4, domain_id="dom")
+    assert got.death_ids == want.death_ids
+    assert got.x.dtype == want.x.dtype and np.array_equal(got.x, want.x)
+    assert got.y.dtype == want.y.dtype and np.array_equal(got.y, want.y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_files(fault=True))
+def test_loader_raises_what_the_per_cell_reference_raises(tmp_path_factory, text):
+    path = _write(tmp_path_factory.mktemp("prop") / "d.csv", text)
+    with pytest.raises(Exception) as want:
+        parse_dataset_reference(path, CL3, SD4)
+    with pytest.raises(want.type) as got:
+        load_dataset(path, CL3, SD4)
+    assert got.type is want.type and str(got.value) == str(want.value)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CL3, SD4, make_dataset
+from oracles import summary_bytes_reference
 from fedva.data import CauseList
 from fedva.errors import (
     ChecksumMismatch,
@@ -15,6 +16,7 @@ from fedva.errors import (
 )
 from fedva.exchange import (
     FORMAT_VERSION,
+    _raw_checksum_matches,
     export_summary,
     import_summary,
     make_registry,
@@ -24,14 +26,15 @@ from fedva.lcm import GibbsConfig, LcmHyper, train_lcm
 from fedva.utils import sha256_hex
 
 
-def trained(domain_id="alpha", drop_cause=None, seed=0):
+def trained(domain_id="alpha", drop_cause=None, seed=0, sparse=False):
     rng = np.random.default_rng(seed)
     y = np.repeat([0, 1, 2], 8).astype(np.int32)
     if drop_cause is not None:
         y = y[y != drop_cause]
     x = rng.integers(0, 2, size=(len(y), 4)).astype(np.uint8)
     ds = make_dataset(domain_id, x, y)
-    return train_lcm(ds, LcmHyper(K=2), GibbsConfig(iterations=60, burn_in=30, thin=1, seed=seed))
+    return train_lcm(ds, LcmHyper(K=2, sparse=sparse),
+                     GibbsConfig(iterations=60, burn_in=30, thin=1, seed=seed))
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -144,3 +147,71 @@ def test_registry_validation_and_coverage():
         make_registry([a, a], CL3, SD4)
     with pytest.raises(EmptyRegistry):
         make_registry([], CL3, SD4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"drop_cause": 1},                                   # absent-cause rows are null
+    {"sparse": True, "seed": 3},
+    {"domain_id": 'sité-東京 "q"', "drop_cause": 0},   # escaped in the JSON
+])
+def test_summary_bytes_match_the_two_dump_reference(kwargs):
+    s = trained(**kwargs)
+    assert summary_bytes(s) == summary_bytes_reference(s)
+
+
+def _exported(tmp_path, **kwargs):
+    s = trained(**kwargs)
+    path = tmp_path / "s.summary.json"
+    export_summary(s, path)
+    return s, path
+
+
+def test_exported_file_passes_the_raw_byte_check(tmp_path):
+    _, path = _exported(tmp_path, drop_cause=2)
+    raw = path.read_bytes()
+    assert _raw_checksum_matches(raw, json.loads(raw)["checksum"])
+
+
+def test_reindented_file_loads_through_the_canonical_fallback(tmp_path):
+    s, path = _exported(tmp_path, drop_cause=2)
+    doc = json.loads(path.read_bytes())
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    assert not _raw_checksum_matches(path.read_bytes(), doc["checksum"])
+    back = import_summary(path, CL3, SD4)
+    assert summary_bytes(back) == summary_bytes(s)
+
+
+def test_file_without_trailing_newline_loads(tmp_path):
+    s, path = _exported(tmp_path)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    assert summary_bytes(import_summary(path, CL3, SD4)) == summary_bytes(s)
+
+
+def test_one_changed_digit_fails_checksum(tmp_path):
+    _, path = _exported(tmp_path)
+    raw = path.read_bytes()
+    start = raw.index(b'"theta_bar":[[[0.') + len(b'"theta_bar":[[[0.')
+    digit = raw[start:start + 1]
+    assert digit.isdigit()
+    path.write_bytes(raw[:start] + (b"2" if digit == b"1" else b"1") + raw[start + 1:])
+    with pytest.raises(ChecksumMismatch):
+        import_summary(path, CL3, SD4)
+
+
+@pytest.mark.parametrize("old,new", [
+    (b"{member}", b""),                                            # missing
+    (b"{member}", b'"checksum":12345,'),                          # not a string
+    (b"{member}", b'"checksum":null,'),
+    (b'"domain_id":"alpha"', b'"domain_id":{{member}"id":"alpha"}'),  # twice
+    (b'"provenance":{', b'"provenance":{{member}'),
+])
+def test_absent_odd_or_repeated_checksum_member_fails(tmp_path, old, new):
+    _, path = _exported(tmp_path)
+    raw = path.read_bytes()
+    member = b'"checksum":"%s",' % json.loads(raw)["checksum"].encode("ascii")
+    old, new = (b.replace(b"{member}", member) for b in (old, new))
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, new))
+    with pytest.raises(ChecksumMismatch):
+        import_summary(path, CL3, SD4)
