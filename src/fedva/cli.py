@@ -11,8 +11,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -31,7 +29,7 @@ from .ensemble import run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
 from .exchange import import_summary, make_registry, summary_bytes
 from .lcm import train_lcm
-from .lodo import RESULT_COLUMNS, ExperimentReport, MethodResult, run_lodo
+from .lodo import ExperimentReport, run_lodo
 from .reports import (
     calibration_text,
     classification_csv,
@@ -40,13 +38,9 @@ from .reports import (
     posterior_text,
 )
 from .simulate import simulate
-from .utils import atomic_write_bytes, sha256_hex
+from .utils import atomic_write_bytes, canonical_json, sha256_hex
 
 VALIDATION_ERRORS = (ConfigError, InvalidHyper, InvalidGenerator)
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _write_outputs(cfg: RunConfig, command: str, files: dict) -> None:
@@ -62,7 +56,7 @@ def _write_outputs(cfg: RunConfig, command: str, files: dict) -> None:
         "config": cfg.raw,
         "outputs": {name: sha256_hex(blob) for name, blob in sorted(blobs.items())},
     }
-    blobs[f"{command}_manifest.json"] = _canonical_json(manifest).encode("utf-8")
+    blobs[f"{command}_manifest.json"] = canonical_json(manifest) + b"\n"
     for name, blob in blobs.items():
         path = os.path.join(cfg.out_dir, name)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -194,7 +188,7 @@ def cmd_simulate(cfg: RunConfig, args) -> None:
         "cause_list.txt": "\n".join(sim.cause_list.causes) + "\n",
         "symptom_dict.txt": "\n".join(sim.symptom_dict.symptoms) + "\n",
         "target.csv": dataset_csv_text(sim.target),
-        "truth.json": _canonical_json(truth),
+        "truth.json": canonical_json(truth) + b"\n",
     }
     for d in sim.domains:
         files[f"{d.domain_id}.csv"] = dataset_csv_text(d)
@@ -227,32 +221,7 @@ def cmd_lodo(cfg: RunConfig, args) -> None:
 
 
 def cmd_report(cfg: RunConfig, args) -> None:
-    with open(args.results, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RESULT_COLUMNS):
-            raise ConfigError(f"{args.results}: unexpected header {header}")
-        rows = []
-        for line in reader:
-            rows.append(MethodResult(
-                target_domain=line[0],
-                method=line[1],
-                seed=int(line[2]),
-                scenario=line[3],
-                csmf_acc=float(line[4]),
-                top_acc=float(line[5]) if line[5] else None,
-                balanced_acc=float(line[6]) if line[6] else None,
-                runtime_s=float(line[7]),
-            ))
-    if not rows:
-        raise ConfigError(f"{args.results}: no result rows")
-    report = ExperimentReport(
-        rows=tuple(rows),
-        skipped=(),
-        scenario=rows[0].scenario,
-        methods=tuple(sorted({r.method for r in rows})),
-        seeds=tuple(sorted({r.seed for r in rows})),
-    )
+    report = ExperimentReport.from_csv(args.results)
     _write_outputs(cfg, "report", {"lodo_summary.txt": report.summary_text()})
     print(report.summary_text(), file=sys.stderr)
 

@@ -1,34 +1,37 @@
 """Structured run configuration: one YAML tree drives every command.
 
-Unknown keys are rejected so typos fail loudly before any work starts.
-Command-line flags (--seed, --workers, --out) override the matching leaves.
+Each block is built from its dataclass: the fields name the allowed keys and
+each default gives the type a value must have. Unknown keys and values a cast
+would change (``"false"`` for a bool, ``2.5`` for an int) fail loudly before
+any work starts. Command-line flags (--seed, --workers, --out) override the
+matching leaves.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from .calibration import CalibConfig
-from .ensemble import EnsembleConfig, LambdaPrior
+from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .lcm import GibbsConfig, LcmHyper
 from .simulate import GeneratorSpec
 
-_TOP_KEYS = {
-    "paths", "target", "base_model", "gibbs", "ensemble", "calibration",
-    "scenario", "seeds", "methods", "generator", "workers",
-}
+_TOP_KEYS = {"paths", "target", "base_model", "gibbs", "ensemble", "calibration",
+             "scenario", "seeds", "methods", "generator", "workers"}
 _PATH_KEYS = {"cause_list", "symptom_dict", "datasets", "summaries", "out"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str = "random_sample"
     label_fraction: float = 0.2
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -52,126 +55,60 @@ class RunConfig:
     raw: dict
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
-    unknown = set(block) - allowed
+def _mapping(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    return block
+
+
+def _check_keys(block: dict, allowed, where: str) -> None:
+    unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _get(block: dict, key: str, default, caster, where: str):
-    if key not in block:
-        return default
+def _build(cls, block, where: str):
+    """An instance of dataclass `cls` from a config mapping; absent keys keep their defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    _check_keys(_mapping(block, where), defaults, where)
+    return cls(**{key: _cast(defaults[key], value, f"{where}.{key}")
+                  for key, value in block.items()})
+
+
+def _cast(default, value, where: str):
+    """`value` read as the type of `default`, or ConfigError if that would change or lose it."""
+    if dataclasses.is_dataclass(default):
+        return _build(type(default), value, where)
+    if default is None:
+        return None if value is None else _array(value, where)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ConfigError(f"{where}: expected a list of {len(default)} numbers, got {value!r}")
+        return tuple(_cast(d, v, where) for d, v in zip(default, value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif isinstance(default, float):
+        ok = number and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ConfigError(f"{where}: expected {_EXPECTED[type(default)]}, got {value!r}")
+    return type(default)(value)
+
+
+def _array(value, where: str) -> np.ndarray:
+    def floats(v):
+        return [floats(u) for u in v] if isinstance(v, (list, tuple)) else _cast(0.0, v, where)
+
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected an array of numbers, got {value!r}")
     try:
-        return caster(block[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from None
-
-
-def _pair(v):
-    a, b = v
-    return (float(a), float(b))
-
-
-def _build_lcm_hyper(block: dict) -> tuple[LcmHyper, int]:
-    _check_keys(block, {"K", "alpha_sb", "theta_prior", "pi_prior", "sparse",
-                        "spike_omega_prior", "min_count"}, "base_model")
-    hyper = LcmHyper(
-        K=_get(block, "K", 5, int, "base_model"),
-        alpha_sb=_get(block, "alpha_sb", 1.0, float, "base_model"),
-        theta_prior=_get(block, "theta_prior", (1.0, 1.0), _pair, "base_model"),
-        pi_prior=_get(block, "pi_prior", 1.0, float, "base_model"),
-        sparse=_get(block, "sparse", False, bool, "base_model"),
-        spike_omega_prior=_get(block, "spike_omega_prior", (1.0, 1.0), _pair, "base_model"),
-    )
-    return hyper, _get(block, "min_count", 1, int, "base_model")
-
-
-def _build_gibbs(block: dict) -> GibbsConfig:
-    _check_keys(block, {"iterations", "burn_in", "thin", "seed"}, "gibbs")
-    return GibbsConfig(
-        iterations=_get(block, "iterations", 4000, int, "gibbs"),
-        burn_in=_get(block, "burn_in", 2000, int, "gibbs"),
-        thin=_get(block, "thin", 1, int, "gibbs"),
-        seed=_get(block, "seed", 0, int, "gibbs"),
-    )
-
-
-def _build_ensemble(block: dict) -> EnsembleConfig:
-    _check_keys(block, {"variant", "tie_pi", "lambda_prior", "pi_prior_conc", "chains",
-                        "iterations", "burn_in", "thin", "seed", "mix_split_fraction",
-                        "mh_step"}, "ensemble")
-    lp_block = block.get("lambda_prior", {})
-    if not isinstance(lp_block, dict):
-        raise ConfigError("ensemble.lambda_prior must be a mapping")
-    _check_keys(lp_block, {"kind", "conc", "sigma"}, "ensemble.lambda_prior")
-    prior = LambdaPrior(
-        kind=_get(lp_block, "kind", "dirichlet", str, "lambda_prior"),
-        conc=_get(lp_block, "conc", 1.0, float, "lambda_prior"),
-        sigma=_get(lp_block, "sigma", 1.0, float, "lambda_prior"),
-    )
-    return EnsembleConfig(
-        variant=_get(block, "variant", "plain", str, "ensemble"),
-        tie_pi=_get(block, "tie_pi", True, bool, "ensemble"),
-        lambda_prior=prior,
-        pi_prior_conc=_get(block, "pi_prior_conc", 1.0, float, "ensemble"),
-        chains=_get(block, "chains", 4, int, "ensemble"),
-        iterations=_get(block, "iterations", 4000, int, "ensemble"),
-        burn_in=_get(block, "burn_in", 2000, int, "ensemble"),
-        thin=_get(block, "thin", 1, int, "ensemble"),
-        seed=_get(block, "seed", 0, int, "ensemble"),
-        mix_split_fraction=_get(block, "mix_split_fraction", 0.5, float, "ensemble"),
-        mh_step=_get(block, "mh_step", 0.25, float, "ensemble"),
-    )
-
-
-def _build_calibration(block: dict) -> CalibConfig:
-    _check_keys(block, {"alpha", "beta_rate", "epsilon", "iterations", "burn_in", "seed"},
-                "calibration")
-    return CalibConfig(
-        alpha=_get(block, "alpha", 5.0, float, "calibration"),
-        beta_rate=_get(block, "beta_rate", 0.5, float, "calibration"),
-        epsilon=_get(block, "epsilon", 0.01, float, "calibration"),
-        iterations=_get(block, "iterations", 2000, int, "calibration"),
-        burn_in=_get(block, "burn_in", 1000, int, "calibration"),
-        seed=_get(block, "seed", 0, int, "calibration"),
-    )
-
-
-def _build_scenario(block: dict) -> ScenarioConfig:
-    _check_keys(block, {"kind", "label_fraction", "seed"}, "scenario")
-    return ScenarioConfig(
-        kind=_get(block, "kind", "random_sample", str, "scenario"),
-        label_fraction=_get(block, "label_fraction", 0.2, float, "scenario"),
-        seed=_get(block, "seed", 0, int, "scenario"),
-    )
-
-
-def _build_generator(block: dict) -> GeneratorSpec:
-    allowed = {"C", "K", "p", "M", "n_domain", "n_target", "seed", "missing_rate",
-               "pi_target", "pi_domains", "lambda_mix", "nu", "theta",
-               "theta_beta", "nu_conc"}
-    _check_keys(block, allowed, "generator")
-
-    def arr(v):
-        return None if v is None else np.asarray(v, dtype=np.float64)
-
-    return GeneratorSpec(
-        C=_get(block, "C", 3, int, "generator"),
-        K=_get(block, "K", 2, int, "generator"),
-        p=_get(block, "p", 20, int, "generator"),
-        M=_get(block, "M", 3, int, "generator"),
-        n_domain=_get(block, "n_domain", 2000, int, "generator"),
-        n_target=_get(block, "n_target", 1000, int, "generator"),
-        seed=_get(block, "seed", 0, int, "generator"),
-        missing_rate=_get(block, "missing_rate", 0.0, float, "generator"),
-        pi_target=arr(block.get("pi_target")),
-        pi_domains=arr(block.get("pi_domains")),
-        lambda_mix=arr(block.get("lambda_mix")),
-        nu=arr(block.get("nu")),
-        theta=arr(block.get("theta")),
-        theta_beta=_get(block, "theta_beta", (0.3, 0.3), _pair, "generator"),
-        nu_conc=_get(block, "nu_conc", 2.0, float, "generator"),
-    )
+        return np.array(floats(value), dtype=np.float64)
+    except ValueError:
+        raise ConfigError(f"{where}: rows of the array differ in length") from None
 
 
 def load_config(path, seed_override: int | None = None,
@@ -199,58 +136,53 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
                      out_override: str | None = None) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "config")
 
-    paths = raw.get("paths", {})
-    if not isinstance(paths, dict):
-        raise ConfigError("paths must be a mapping")
+    paths = _mapping(raw.get("paths", {}), "paths")
     _check_keys(paths, _PATH_KEYS, "paths")
-    datasets = paths.get("datasets", {})
+    paths = {key: value for key, value in paths.items() if value is not None}
+    datasets = paths.pop("datasets", {})
     if not isinstance(datasets, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in datasets.items()
     ):
         raise ConfigError("paths.datasets must map domain ids to file paths")
+    for key, value in paths.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"paths.{key}: expected a file path, got {value!r}")
 
-    def block(name):
-        b = raw.get(name, {})
-        if not isinstance(b, dict):
-            raise ConfigError(f"{name} must be a mapping")
-        return b
-
-    hyper, min_count = _build_lcm_hyper(block("base_model"))
-    gibbs = _build_gibbs(block("gibbs"))
-    ensemble = _build_ensemble(block("ensemble"))
-    calibration = _build_calibration(block("calibration"))
-    scenario = _build_scenario(block("scenario"))
-    generator = _build_generator(block("generator")) if "generator" in raw else None
+    base = dict(_mapping(raw.get("base_model", {}), "base_model"))
+    min_count = _cast(1, base.pop("min_count", 1), "base_model.min_count")
+    hyper = _build(LcmHyper, base, "base_model")
+    gibbs = _build(GibbsConfig, raw.get("gibbs", {}), "gibbs")
+    ensemble = _build(EnsembleConfig, raw.get("ensemble", {}), "ensemble")
+    calibration = _build(CalibConfig, raw.get("calibration", {}), "calibration")
+    scenario = _build(ScenarioConfig, raw.get("scenario", {}), "scenario")
+    generator = _build(GeneratorSpec, raw["generator"], "generator") if "generator" in raw else None
 
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
+    seeds = [_cast(0, s, "seeds") for s in seeds]
     methods = raw.get("methods", ["bfl-plain"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("methods must be a list of method names")
-    workers = raw.get("workers", os.cpu_count() or 1)
-    if not isinstance(workers, int) or workers < 1:
+    workers = _cast(0, raw.get("workers", os.cpu_count() or 1), "workers")
+    if workers < 1:
         raise ConfigError("workers must be a positive integer")
 
     if seed_override is not None:
-        gibbs = replace(gibbs, seed=seed_override)
-        ensemble = replace(ensemble, seed=seed_override)
-        calibration = replace(calibration, seed=seed_override)
-        scenario = replace(scenario, seed=seed_override)
+        gibbs, ensemble, calibration = (replace(block, seed=seed_override)
+                                        for block in (gibbs, ensemble, calibration))
         if generator is not None:
             generator = replace(generator, seed=seed_override)
         seeds = [seed_override]
     if workers_override is not None:
         workers = workers_override
 
-    out_dir = out_override if out_override is not None else paths.get("out", "out")
-
     cfg = RunConfig(
         cause_list_path=paths.get("cause_list"),
         symptom_dict_path=paths.get("symptom_dict"),
         dataset_paths=dict(datasets),
         summaries_dir=paths.get("summaries"),
-        out_dir=out_dir,
+        out_dir=out_override if out_override is not None else paths.get("out", "out"),
         target=raw.get("target"),
         base_model=hyper,
         min_count=min_count,

@@ -132,6 +132,12 @@ class Dataset:
             raise ValueError("x width disagrees with the symptom dictionary")
         if len(set(self.death_ids)) != n:
             raise DuplicateDeathId(f"duplicate death_id in domain {self.domain_id!r}")
+        # load_dataset strips cells and reads a bare \r as a line end, so such
+        # ids would not survive write_dataset
+        bad = next((d for d in self.death_ids if not d or d != d.strip() or "\r" in d), None)
+        if bad is not None:
+            raise MalformedCell(f"death_id {bad!r} in domain {self.domain_id!r} is empty, "
+                                "padded with whitespace or holds a carriage return")
         if not np.all((x == 0) | (x == 1) | (x == 2)):
             raise MalformedCell("symptom codes must be 0 (No), 1 (Yes) or 2 (Missing)")
         if np.any((y < UNLABELED) | (y >= len(self.cause_list))):

@@ -37,24 +37,8 @@ class InvalidHyper(FedvaError):
     """A hyperparameter or sampler configuration violates its constraints."""
 
 
-class AbsentCause(FedvaError):
-    """A conditional likelihood was requested for a cause the model never saw.
-
-    Nothing in the package raises it; the test oracle
-    `tests/oracles.py:enumerate_mass` does.
-    """
-
-
 class DimensionMismatch(FedvaError):
     """Array shapes disagree with the model dimensions."""
-
-
-class TooManySymptoms(FedvaError):
-    """Exhaustive enumeration was requested for p too large (2^p blowup).
-
-    Nothing in the package raises it; the test oracle
-    `tests/oracles.py:enumerate_mass` does.
-    """
 
 
 # --- summary exchange ---

@@ -25,7 +25,7 @@ from .errors import (
     SchemaVersionUnsupported,
 )
 from .lcm import BaseModelSummary, LcmHyper, Provenance
-from .utils import atomic_write_bytes, sha256_hex
+from .utils import atomic_write_bytes, canonical_json, sha256_hex
 
 FORMAT_VERSION = "1.0.0"
 
@@ -66,9 +66,7 @@ def _summary_document(s: BaseModelSummary) -> dict:
 
 def _canonical_bytes(document: dict) -> bytes:
     try:
-        return json.dumps(
-            document, sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
+        return canonical_json(document)
     except ValueError as exc:
         raise InvalidSummary(f"summary contains non-finite values: {exc}") from None
 

@@ -19,6 +19,7 @@ baseline under weak and strong shrinkage).
 """
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -31,6 +32,7 @@ from .ensemble import EnsembleConfig, adjust_csmf, fit_single_model, run_variant
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
 from .errors import (
+    ConfigError,
     EmptyCauseForResample,
     FedvaError,
     FingerprintMismatch,
@@ -89,6 +91,32 @@ class ExperimentReport:
             )
         return "\n".join(lines) + "\n"
 
+    @classmethod
+    def from_csv(cls, path) -> "ExperimentReport":
+        """Read back what `to_csv_text` wrote (without the skipped cells).
+
+        A wrong header, a row of the wrong length or a cell that does not
+        parse is a ConfigError naming the file and line.
+        """
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != list(RESULT_COLUMNS):
+                    raise ConfigError(f"{path}: unexpected header {header}")
+                rows = tuple(_result_row(cells, f"{path}:{reader.line_num}") for cells in reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if not rows:
+            raise ConfigError(f"{path}: no result rows")
+        return cls(
+            rows=rows,
+            skipped=(),
+            scenario=rows[0].scenario,
+            methods=tuple(sorted({r.method for r in rows})),
+            seeds=tuple(sorted({r.seed for r in rows})),
+        )
+
     def summary_text(self) -> str:
         estimand = (
             "full-target CSMF (held-out labels blended back in)"
@@ -129,6 +157,25 @@ class ExperimentReport:
                 out.append(f"  {s.target_domain} / {s.method} / seed {s.seed}: {s.reason}")
             out.append("")
         return "\n".join(out)
+
+
+def _result_row(cells: list, where: str) -> MethodResult:
+    if len(cells) != len(RESULT_COLUMNS):
+        raise ConfigError(f"{where}: expected {len(RESULT_COLUMNS)} cells, got {len(cells)}")
+    target_domain, method, seed, scenario, csmf_acc, top_acc, balanced_acc, runtime_s = cells
+    try:
+        return MethodResult(
+            target_domain=target_domain,
+            method=method,
+            seed=int(seed),
+            scenario=scenario,
+            csmf_acc=float(csmf_acc),
+            top_acc=float(top_acc) if top_acc else None,
+            balanced_acc=float(balanced_acc) if balanced_acc else None,
+            runtime_s=float(runtime_s),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _score(pred_top: np.ndarray, truth_y: np.ndarray, C: int):

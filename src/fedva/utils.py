@@ -7,6 +7,7 @@ wall clock or OS entropy.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +17,7 @@ from scipy.special import gammaln
 
 __all__ = [
     "sha256_hex",
+    "canonical_json",
     "fingerprint_ids",
     "derive_rng",
     "derive_seed",
@@ -33,6 +35,11 @@ __all__ = [
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def canonical_json(obj) -> bytes:
+    """Sorted keys, no spaces, no NaN or infinity: equal objects give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def fingerprint_ids(ids) -> str:

@@ -55,14 +55,13 @@ from fedva.calibration import CalibConfig, CalibrationResult, PredictionTensor
 from fedva.data import UNLABELED, Dataset, SymptomValue, cause_counts
 from fedva.ensemble import EnsembleConfig, GlobalPosterior, PhiTensor, marginal_loglik
 from fedva.errors import (
-    AbsentCause,
     DuplicateDeathId,
     EmptyDataset,
+    FedvaError,
     InvalidHyper,
     InvalidSummary,
     MalformedCell,
     NotFullyLabeled,
-    TooManySymptoms,
     UnknownCause,
     UnknownSymptomColumn,
 )
@@ -79,6 +78,14 @@ from fedva.lcm import (
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf, sha256_hex
 
 from fedva import TOOL_VERSION
+
+
+class AbsentCause(FedvaError):
+    """`enumerate_mass` was asked about a cause the summary does not cover."""
+
+
+class TooManySymptoms(FedvaError):
+    """`enumerate_mass` was asked to enumerate 2^p vectors for p above 20."""
 
 
 def _sample_lambda_row(rng, counts_m: np.ndarray, allowed: np.ndarray, conc: float):

@@ -240,3 +240,16 @@ def test_loader_raises_what_the_per_cell_reference_raises(tmp_path_factory, text
     with pytest.raises(want.type) as got:
         load_dataset(path, CL3, SD4)
     assert got.type is want.type and str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", ["a\rb", " a", "a\t", ""])
+def test_dataset_rejects_ids_that_would_not_load_back(bad):
+    with pytest.raises(MalformedCell, match="death_id"):
+        make_dataset("d", [[0, 0, 0, 0]] * 2, [0, 1], ids=(bad, "c"))
+
+
+def test_ids_with_csv_specials_round_trip(tmp_path):
+    ids = ("a\nb", 'q"x', "c,d", "in ner", "é")
+    ds = make_dataset("d", [[0, 1, 2, 0]] * len(ids), [0, 1, 2, UNLABELED, 0], ids=ids)
+    write_dataset(ds, tmp_path / "d.csv")
+    assert load_dataset(tmp_path / "d.csv", CL3, SD4).death_ids == ids

@@ -8,13 +8,11 @@ from conftest import make_dataset
 from fedva import lcm
 from fedva.data import CauseList, Dataset, SymptomDictionary, SymptomValue
 from fedva.errors import (
-    AbsentCause,
     DimensionMismatch,
     EmptyDataset,
     InvalidHyper,
     InvalidSummary,
     NotFullyLabeled,
-    TooManySymptoms,
 )
 from fedva.lcm import (
     BaseModelSummary,
@@ -24,7 +22,13 @@ from fedva.lcm import (
     cond_loglik_matrix,
     train_lcm,
 )
-from oracles import cond_loglik_matrix_reference, enumerate_mass, train_lcm_reference
+from oracles import (
+    AbsentCause,
+    TooManySymptoms,
+    cond_loglik_matrix_reference,
+    enumerate_mass,
+    train_lcm_reference,
+)
 
 MISSING = int(SymptomValue.MISSING)
 

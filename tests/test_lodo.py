@@ -5,12 +5,13 @@ import pytest
 
 from conftest import CL3, SD4, make_dataset
 from fedva.calibration import CalibConfig
+from fedva.cli import main
 from fedva.data import CauseList, Dataset
 from fedva.ensemble import EnsembleConfig
 from fedva import lodo
-from fedva.errors import EmptyCauseForResample, FedvaError, FingerprintMismatch
+from fedva.errors import ConfigError, EmptyCauseForResample, FedvaError, FingerprintMismatch
 from fedva.lcm import GibbsConfig, LcmHyper
-from fedva.lodo import KNOWN_METHODS, run_lodo
+from fedva.lodo import KNOWN_METHODS, ExperimentReport, MethodResult, run_lodo
 from fedva.scenarios import make_scenario
 
 THETA = np.array([
@@ -209,3 +210,28 @@ def test_known_methods_are_stable():
         "bfl-plain", "bfl-partial", "bfl-domain", "bfl-mix",
         "local-self", "local-avg", "calib-0.5", "calib-50",
     )
+
+
+def test_results_csv_reads_back_what_it_wrote(tmp_path):
+    rows = (MethodResult("dom0", "bfl-plain", 0, "random_sample", 0.75, 0.5, 0.25, 1.5),
+            MethodResult("dom1", "calib-50", 3, "random_sample", 0.125, None, None, 0.25))
+    rep = ExperimentReport(rows=rows, skipped=(), scenario="random_sample",
+                           methods=("bfl-plain", "calib-50"), seeds=(0, 3))
+    path = tmp_path / "lodo_results.csv"
+    path.write_text(rep.to_csv_text())
+    assert ExperimentReport.from_csv(path) == rep
+
+
+@pytest.mark.parametrize("row,message", [
+    ("dom0,bfl-plain,0,random_sample,0.5,,", "expected 8 cells, got 7"),
+    ("dom0,bfl-plain,zero,random_sample,0.5,,,0.1", "zero"),
+    ("dom0,bfl-plain,0,random_sample,high,,,0.1", "high"),
+    ("", "expected 8 cells, got 0"),
+])
+def test_malformed_results_csv_names_file_and_line(tmp_path, row, message):
+    good = "dom1,bfl-plain,0,random_sample,0.5,0.5,0.5,0.1"
+    path = tmp_path / "lodo_results.csv"
+    path.write_text(",".join(lodo.RESULT_COLUMNS) + f"\n{good}\n{row}\n{good}\n")
+    with pytest.raises(ConfigError, match=f"lodo_results.csv:3: .*{message}"):
+        ExperimentReport.from_csv(path)
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 1
