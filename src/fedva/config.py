@@ -167,6 +167,9 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
     workers = _cast(0, raw.get("workers", os.cpu_count() or 1), "workers")
     if workers < 1:
         raise ConfigError("workers must be a positive integer")
+    target = raw.get("target")
+    if target is not None and not isinstance(target, str):
+        raise ConfigError(f"target: expected a domain id or null, got {target!r}")
 
     if seed_override is not None:
         gibbs, ensemble, calibration = (replace(block, seed=seed_override)
@@ -183,7 +186,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
         dataset_paths=dict(datasets),
         summaries_dir=paths.get("summaries"),
         out_dir=out_override if out_override is not None else paths.get("out", "out"),
-        target=raw.get("target"),
+        target=target,
         base_model=hyper,
         min_count=min_count,
         gibbs=gibbs,

@@ -12,15 +12,21 @@ labels contribute through a separate cause distribution pi_tilde (or the
 same pi when the labeled subset is a random sample, tie_pi).
 
 The sweep works in probability space. Each chain exponentiates the
-likelihoods once, shifted by every death's row maximum, so a sweep draws
-each death's (cause, domain) cell by one inverse-CDF lookup over the
-weights phi[i,c,m] * pi_c * lambda_cm (a labeled death draws its domain the
-same way over its known cause's row). The exponentiated likelihoods are
-stored cell-major, (cells, deaths), so the running sums take one vectorized
-add per cell across all deaths. Where a death's weights sum to zero or a
-subnormal, because exp() underflowed at a likelihood spread beyond ~745
-nats or under tiny Dirichlet concentrations, that death is drawn instead by
-a Gumbel argmax over the log-weights; both give the same distribution.
+likelihoods once, shifted by every death's maximum, and keeps them in one
+domain-major (M, C, deaths) array. A sweep draws each death's (cause,
+domain) cell, weighted phi[i,c,m] * pi_c * lambda_cm, in two levels from one
+uniform point u (the composition method): the cause c by an inverse CDF
+over the C cause masses, which one batched matrix product gives, then the
+domain by an inverse CDF over cause c's M weights at the leftover point u
+minus the mass of the causes below c. That takes C + M running sums and
+comparisons per death instead of C * M, and it draws from the same
+distribution with the same generator calls. A labeled death draws only the
+domain step, at its known cause. Running sums take one vectorized add per
+row across all deaths. Where a death's weights sum to zero or a subnormal,
+because exp() underflowed at a likelihood spread beyond ~745 nats or under
+tiny Dirichlet concentrations, that death is drawn instead by a Gumbel
+argmax over the log-weights of all its C * M cells; both give the same
+distribution.
 
 Classification averages each draw's cause posterior over the pooled draws.
 With E the (n, C*M) exp-shifted likelihoods and W the (D, C*M) weights
@@ -246,47 +252,98 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
 
 
 def _exp_shifted(log_w: np.ndarray) -> np.ndarray:
-    """exp(log_w) of a (deaths, cells) array, returned cell-major.
+    """exp(log_w) of a (deaths, ...) array, returned with its axes reversed.
 
-    Each death is shifted so that its largest entry is 1.
+    Each death is shifted so that its largest entry is 1; deaths end up on
+    the last axis, so an (n, C, M) array comes back domain-major (M, C, n).
     """
-    out = np.subtract(log_w.T, log_w.max(axis=1), order="C")
+    top = log_w.max(axis=tuple(range(1, log_w.ndim)))
+    out = np.subtract(log_w.T, top, order="C")
     return np.exp(out, out=out)
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per death, the index of the first cell whose cumulative weight exceeds u.
+def _running_sums(a: np.ndarray) -> np.ndarray:
+    """Running sums down the rows of a (K, deaths) array, in place.
 
-    cum holds cell-major (cells, deaths) running sums of non-negative weights
-    with a positive total in its last row; u lies in [0, total]. A point that
-    reaches the total is moved just below it, so a cell of zero weight, whose
-    cumulative value equals its predecessor's, is never returned.
+    One vectorized add per row: the same left fold as a cumsum over each
+    death's K entries, without cumsum's strided walk down the columns.
     """
-    u = np.minimum(u, np.nextafter(cum[-1], 0.0))
-    return (cum <= u).sum(axis=0)
-
-
-def _draw_cells(rng, phi_exp, w, log_phi, log_w, buf) -> np.ndarray:
-    """One categorical draw per death over cells weighted phi_exp * w.
-
-    phi_exp and log_phi are cell-major (cells, deaths) arrays, w broadcasts
-    against them and buf is a work array of their shape. The running sums
-    are built one cell row at a time, the same left fold as a cumsum over
-    each death's cells. A death whose weights sum to 0 or a subnormal has
-    lost its relative precision to underflow and is drawn from
-    log_phi + log_w() instead; log_w is called only then.
-    """
-    np.multiply(phi_exp, w, out=buf)
-    rows = list(buf)
+    rows = list(a)
     for prev, row in zip(rows, rows[1:]):
         np.add(prev, row, out=row)
-    total = buf[-1]
-    cell = _inverse_cdf(buf, rng.random(total.shape[0]) * total)
-    low = np.flatnonzero(total < _TINY)
+    return a
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per death, the index of the first row whose cumulative weight exceeds u.
+
+    cum holds (K, deaths) running sums of non-negative weights, the total in
+    its last row, and u lies in [0, total] up to rounding. A point that
+    reaches the total is moved just below it, so a row of zero weight, whose
+    cumulative value equals its predecessor's, is never returned. The last
+    row is never compared, so the index is at most K - 1 even where the
+    total is 0 (the fallback redraws such a death).
+    """
+    u = np.minimum(u, np.nextafter(cum[-1], 0.0))
+    return (cum[:-1] <= u).sum(axis=0)
+
+
+def _redraw_underflowed(rng, draw, total, log_phi, log_w) -> None:
+    """Redraw in log space every death whose weights sum to 0 or a subnormal.
+
+    Such a death lost its relative precision to underflow. log_phi holds
+    (deaths, K) log-likelihoods and log_w() log weights broadcasting against
+    them; log_w is called only when a death needs the redraw.
+    """
+    low = (total < _TINY).nonzero()[0]
     if low.size:
-        log_w_low = np.broadcast_to(log_w(), log_phi.shape)[:, low]
-        cell[low] = gumbel_argmax(rng, (log_phi[:, low] + log_w_low).T, axis=1)
+        log_w_low = np.broadcast_to(log_w(), log_phi.shape)[low]
+        draw[low] = gumbel_argmax(rng, log_phi[low] + log_w_low, axis=1)
+
+
+def _draw_cells(rng, phi_exp, w, cum, log_phi, log_w) -> np.ndarray:
+    """One (cause, domain) draw per death, weighted phi_exp[m, c, i] * w[c, m].
+
+    phi_exp holds domain-major (M, C, deaths) likelihoods, cum is a
+    (C + 1, deaths) work array whose first row is 0, and log_phi, log_w are
+    as in _redraw_underflowed over the C*M cells. Returns cell c * M + m.
+    The draw takes two levels from each death's one uniform point u: the
+    cause c is the inverse CDF over the C cause masses (one batched matrix
+    product), and the domain the inverse CDF over cause c's M weights at the
+    leftover point u - cum[c], the mass of the causes below c.
+    """
+    M, C, n = phi_exp.shape
+    mass = cum[1:]
+    if M == 1:  # each mass is one product, and matmul takes 2-3x as long for it
+        np.multiply(phi_exp[0], w, out=mass)
+    else:
+        np.matmul(w[:, None, :], phi_exp.transpose(1, 0, 2), out=mass[:, None, :])
+    total = _running_sums(mass)[-1]
+    u = rng.random(n) * total
+    cell = _inverse_cdf(mass, u)
+    if M > 1:
+        at = cell * n
+        at += np.arange(n)
+        u -= cum.take(at)
+        dom = phi_exp.reshape(M, C * n).take(at, axis=1)
+        dom *= w.T.take(cell, axis=1)
+        cell *= M
+        cell += _inverse_cdf(_running_sums(dom), u)
+    _redraw_underflowed(rng, cell, total, log_phi, log_w)
     return cell
+
+
+def _draw_domains(rng, phi_exp, w, log_phi, log_w) -> np.ndarray:
+    """One domain draw per death over its M weights phi_exp * w, (M, deaths) each.
+
+    The domain step of _draw_cells at a known cause, on a uniform of its own;
+    w is overwritten.
+    """
+    np.multiply(phi_exp, w, out=w)
+    total = _running_sums(w)[-1]
+    h = _inverse_cdf(w, rng.random(total.shape[0]) * total)
+    _redraw_underflowed(rng, h, total, log_phi, log_w)
+    return h
 
 
 def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, chain: int):
@@ -304,15 +361,16 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     sigma = cfg.lambda_prior.sigma
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
 
-    # Unlabeled deaths range over all C*M cells; labeled ones over the M
-    # domains of their known cause. All four arrays are cell-major; the
-    # log-likelihoods are transposed views, read only by the fallback.
+    # Unlabeled deaths range over all C*M cells, kept once as domain-major
+    # (M, C, n_u) likelihoods; labeled ones over the M domains of their known
+    # cause, (M, n_L). The log-likelihoods stay death-major, read only by the
+    # fallback.
     log_phi_u = phi.log_phi[n_L:].reshape(n_u, C * M)
     log_phi_l = phi.log_phi[np.arange(n_L), y_lab, :]
-    phi_u, phi_l = _exp_shifted(log_phi_u), _exp_shifted(log_phi_l)
-    log_phi_u, log_phi_l = log_phi_u.T, log_phi_l.T
-    buf_u, buf_l = np.empty_like(phi_u), np.empty_like(phi_l)
+    phi_u, phi_l = _exp_shifted(phi.log_phi[n_L:]), _exp_shifted(log_phi_l)
+    cum_u = np.zeros((C + 1, n_u))
     counts_lab = np.bincount(y_lab, minlength=C).astype(np.float64)
+    cell_lab = y_lab * M
 
     pi, log_pi = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
     if cfg.tie_pi or n_L == 0:
@@ -347,17 +405,22 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     kept = 0
 
     for it in range(cfg.iterations):
-        # (Y, H) | pi, lambda — one joint draw per death over its cells
-        nm = np.zeros(C * M)
+        # (Y, H) | pi, lambda. An unlabeled death draws its cause and then,
+        # on the same uniform, its domain within that cause; a labeled death
+        # draws only that domain step, at its known cause. A death whose
+        # weights sum to 0 or a subnormal is redrawn by a Gumbel argmax over
+        # the log-weights of its cells (all C*M, or its cause's M).
         if n_u:
-            cell = _draw_cells(rng, phi_u, (pi[:, None] * lam).reshape(C * M, 1), log_phi_u,
-                               lambda: (log_pi[:, None] + log_lam).reshape(C * M, 1), buf_u)
-            nm += np.bincount(cell, minlength=C * M)
+            cell = _draw_cells(rng, phi_u, pi[:, None] * lam, cum_u, log_phi_u,
+                               lambda: (log_pi[:, None] + log_lam).ravel())
+            nm = np.bincount(cell, minlength=C * M)
+        else:
+            nm = np.zeros(C * M, dtype=np.int64)
         counts_u = nm.reshape(C, M).sum(axis=1)
         if n_L:
-            h_l = _draw_cells(rng, phi_l, lam.T[:, y_lab], log_phi_l,
-                              lambda: log_lam.T[:, y_lab], buf_l)
-            nm += np.bincount(y_lab * M + h_l, minlength=C * M)
+            h_l = _draw_domains(rng, phi_l, lam.T[:, y_lab], log_phi_l,
+                                lambda: log_lam[y_lab])
+            nm += np.bincount(cell_lab + h_l, minlength=C * M)
         nm = nm.reshape(C, M)
 
         # pi | Y (and pi_tilde when the labeled subset has its own CSMF)

@@ -20,6 +20,7 @@ baseline under weak and strong shrinkage).
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -82,14 +83,15 @@ class ExperimentReport:
         def fmt(v):
             return "" if v is None else repr(float(v))
 
-        lines = [",".join(RESULT_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                f"{r.target_domain},{r.method},{r.seed},{r.scenario},"
-                f"{fmt(r.csmf_acc)},{fmt(r.top_acc)},{fmt(r.balanced_acc)},"
-                f"{r.runtime_s:.3f}"
-            )
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows(
+            (r.target_domain, r.method, r.seed, r.scenario, fmt(r.csmf_acc), fmt(r.top_acc),
+             fmt(r.balanced_acc), f"{r.runtime_s:.3f}")
+            for r in self.rows
+        )
+        return out.getvalue()
 
     @classmethod
     def from_csv(cls, path) -> "ExperimentReport":

@@ -110,6 +110,9 @@ ILL_TYPED = [
     {"seeds": [0, 1.5]},
     {"seeds": [True]},
     {"paths": {"out": 5}},
+    {"target": float("inf")},
+    {"target": 5},
+    {"target": ["a"]},
 ]
 
 
@@ -130,6 +133,8 @@ def test_error_names_the_leaf():
         config_from_dict({"ensemble": {"lambda_prior": {"conc": "high"}}})
     with pytest.raises(ConfigError, match=r"unknown key\(s\) \['seed'\] in scenario"):
         config_from_dict({"scenario": {"seed": 7}})
+    with pytest.raises(ConfigError, match=r"^target: expected a domain id or null, got inf$"):
+        config_from_dict({"target": float("inf")})
 
 
 def test_seed_flag_reaches_every_seed_leaf(tmp_path, monkeypatch):

@@ -20,6 +20,8 @@ from fedva.ensemble import (
     fit_single_model,
     marginal_loglik,
     _draw_cells,
+    _draw_domains,
+    _exp_shifted,
     _inverse_cdf,
     run_variant,
     split_rhat,
@@ -486,65 +488,137 @@ def test_inverse_cdf_never_picks_a_zero_weight_cell():
         [0.0, 0.0, 0.0, 3.0],
         [0.1, 0.0, 0.2, 0.0],
     ])
-    cum = np.cumsum(w, axis=1).T  # cell-major
+    cum = np.cumsum(w, axis=1).T  # (cells, deaths)
     total = cum[-1]
     assert _inverse_cdf(cum, total).tolist() == [1, 1, 3, 2]  # u rounded up to the total
     assert _inverse_cdf(cum, np.zeros(4)).tolist() == [0, 1, 3, 0]
     u = np.nextafter(total, 0.0)
     assert _inverse_cdf(cum, u).tolist() == [1, 1, 3, 2]
+    # A point past the total (a leftover that rounding carried beyond its
+    # cause's domain sums) still lands on the last cell of positive weight.
+    assert _inverse_cdf(cum, total * 1.5).tolist() == [1, 1, 3, 2]
+
+
+def test_inverse_cdf_of_a_zero_total_stays_in_range():
+    """A death whose weights all underflowed gets the last index, never K."""
+    cum = np.zeros((4, 3))
+    assert _inverse_cdf(cum, np.zeros(3)).tolist() == [3, 3, 3]
+    assert _inverse_cdf(np.zeros((1, 2)), np.zeros(2)).tolist() == [0, 0]
+
+
+def _two_level_args(log_phi, log_w):
+    """(n, C, M) log-likelihoods and (C, M) log weights as _draw_cells takes them."""
+    n, C, M = log_phi.shape
+    shifted = log_phi - log_phi.max(axis=(1, 2), keepdims=True)
+    return (_exp_shifted(log_phi), np.exp(log_w), np.zeros((C + 1, n)),
+            shifted.reshape(n, C * M), lambda: log_w.ravel())
 
 
 def test_cell_draw_frequencies_match_weights_on_both_paths():
-    """Linear weights and underflowed (log-space fallback) weights give the same law."""
+    """Linear weights and underflowed (log-space fallback) weights give the same law.
+
+    Covers the two-level draw over (cause, domain) cells, a zero-weight cell
+    included, and the labeled deaths' domain draw at a known cause.
+    """
     n = 20000
-    log_phi = np.log(np.tile([0.5, 1.0, 0.25], (n, 1)))
-    phi_exp = np.exp(log_phi)
-    want = np.array([0.5, 3.0, 0.25]) / 3.75
-    for log_w in (np.log([1.0, 3.0, 1.0]), np.log([1.0, 3.0, 1.0]) - 800.0):
-        cells = _draw_cells(derive_rng("cell-draw"), phi_exp.T, np.exp(log_w)[:, None],
-                            log_phi.T, lambda: log_w[:, None], np.empty_like(phi_exp.T))
-        freq = np.bincount(cells, minlength=3) / n
-        se = np.sqrt(want * (1 - want) / n)
-        assert np.all(np.abs(freq - want) < 4 * se), freq
+    lik = np.array([[0.5, 1.0], [0.25, 0.5], [1.0, 0.125]])
+    log_phi = np.log(np.broadcast_to(lik, (n, 3, 2)))
+    log_w = np.log([[1.0, 3.0], [1.0, 1.0], [2.0, 1.0]])
+    log_w[1, 1] = -np.inf
+    want = (lik * np.exp(log_w)).ravel()
+    want /= want.sum()
+    want_l = lik[0] * np.exp(log_w[0])
+    want_l /= want_l.sum()
+    se = np.sqrt(want * (1 - want) / n)
+    se_l = np.sqrt(want_l * (1 - want_l) / n)
+    for shift in (0.0, -800.0):
+        phi_exp, w, cum, shifted, lw = _two_level_args(log_phi, log_w + shift)
+        assert (np.count_nonzero(w) == 0) == (shift < 0)
+        cells = _draw_cells(derive_rng("cell-draw"), phi_exp, w, cum, shifted, lw)
+        freq = np.bincount(cells, minlength=6) / n
+        assert np.all(np.abs(freq - want) <= 4 * se), freq
+        log_phi_l = log_phi[:, 0, :]
+        h = _draw_domains(derive_rng("domain-draw"), np.exp(log_phi_l).T,
+                          np.exp(log_w[0] + shift)[:, None].repeat(n, axis=1),
+                          log_phi_l, lambda: log_w[0] + shift)
+        freq_l = np.bincount(h, minlength=2) / n
+        assert np.all(np.abs(freq_l - want_l) <= 4 * se_l), freq_l
 
 
 def _cell_draw_cases():
-    """Row-major (log_phi, log_w) pairs, with 1-D and 2-D (labeled) weights.
+    """(log_phi (n, C, M), log_w (C, M)) pairs for the two-level draw.
 
-    In every second row the first cell holds all likelihood and the others
-    sit 900 nats lower, so a fallback case starves that cell of weight.
+    In the fallback cases every second death holds all its likelihood in
+    cell (0, 0), the others sitting 900 nats lower, and that cell's weight
+    is exp(-800): the death's total is exactly 0, so it must stay inside the
+    index range until the log-space redraw replaces it.
     """
     rng = np.random.default_rng(7)
-    log_phi = np.log(rng.uniform(0.01, 1.0, size=(300, 12)))
-    log_phi[:, 5] = -np.inf  # an absent cell
-    log_phi[::2, 1:] -= 900.0
-    log_w = np.log(rng.dirichlet(np.ones(12)))
-    starved = log_w.copy()
-    starved[0] = -800.0
-    log_phi2 = np.log(rng.uniform(0.01, 1.0, size=(300, 4)))
-    log_phi2[::2, 1:] -= 900.0
-    log_w2 = np.log(rng.dirichlet(np.ones(4), size=300))  # one row per labeled death
-    starved2 = log_w2.copy()
-    starved2[::4, 0] = -800.0
+
+    def likelihoods(C, M, absent=()):
+        log_phi = np.log(rng.uniform(0.01, 1.0, size=(300, C, M)))
+        for c, m in absent:
+            log_phi[:, c, m] = -np.inf
+        return log_phi
+
+    def weights(C, M):
+        return np.log(rng.dirichlet(np.ones(C * M))).reshape(C, M)
+
+    linear = likelihoods(5, 3, absent=[(1, 2)])
+    masked_w = weights(5, 3)
+    masked_w[0, 2] = masked_w[3, 0] = -np.inf  # zero-weight cells
+    masked_w[4, 1:] = -np.inf  # a cause's trailing domains
+    masked_w[2] = -np.inf  # a whole cause
+    starved_phi = likelihoods(4, 3)
+    starved_phi[::2] -= 900.0
+    starved_phi[::2, 0, 0] += 900.0
+    starved_w = weights(4, 3)
+    starved_w[0, 0] = -800.0
     return {
-        "linear": (log_phi, log_w),
-        "fallback": (log_phi, starved),
-        "labeled": (log_phi2, log_w2),
-        "labeled-fallback": (log_phi2, starved2),
+        "linear": (linear, weights(5, 3)),
+        "masked": (likelihoods(5, 3), masked_w),
+        "M=1": (likelihoods(6, 1), weights(6, 1)),
+        "C=1": (likelihoods(1, 4), weights(1, 4)),
+        "fallback": (starved_phi, starved_w),
     }
 
 
-@pytest.mark.parametrize("case", ["linear", "fallback", "labeled", "labeled-fallback"])
-def test_cell_major_draw_is_identical_to_row_major_reference(case):
+@pytest.mark.parametrize("case", ["linear", "masked", "M=1", "C=1", "fallback"])
+def test_two_level_draw_is_identical_to_one_level_reference(case):
+    """Cause then domain on one uniform gives the one-level draw's cells and stream."""
     log_phi, log_w = _cell_draw_cases()[case]
-    log_phi_shifted = log_phi - log_phi.max(axis=1, keepdims=True)
-    phi_exp = np.exp(log_phi_shifted)
-    w = np.exp(log_w)
-    want_rng, got_rng = derive_rng("cell-major", case), derive_rng("cell-major", case)
-    want = draw_cells_reference(want_rng, phi_exp, w, log_phi_shifted, log_w)
-    log_w_cm = log_w.T if log_w.ndim == 2 else log_w[:, None]
-    got = _draw_cells(got_rng, phi_exp.T.copy(), w.T if w.ndim == 2 else w[:, None],
-                      log_phi_shifted.T.copy(), lambda: log_w_cm, np.empty_like(phi_exp.T))
+    n, C, M = log_phi.shape
+    phi_exp, w, cum, shifted, lw = _two_level_args(log_phi, log_w)
+    want_rng, got_rng = derive_rng("two-level", case), derive_rng("two-level", case)
+    want = draw_cells_reference(want_rng, np.exp(shifted), w.ravel(), shifted, log_w.ravel())
+    got = _draw_cells(got_rng, phi_exp, w, cum, shifted, lw)
+    assert np.array_equal(got, want)
+    assert want_rng.bit_generator.state == got_rng.bit_generator.state
+    assert np.all(log_w.ravel()[got] > -np.inf)  # no zero-weight cell is ever drawn
+    assert np.all(cum[0] == 0)
+    totals = (np.exp(shifted) * w.ravel()).sum(axis=1)
+    assert np.any(totals == 0) == (case == "fallback")
+
+
+def _domain_draw_cases():
+    """(log_phi (n, M), log_w (n, M)) pairs: one weight row per labeled death."""
+    rng = np.random.default_rng(8)
+    log_phi = np.log(rng.uniform(0.01, 1.0, size=(300, 4)))
+    log_phi[::2, 1:] -= 900.0
+    log_w = np.log(rng.dirichlet(np.ones(4), size=300))
+    starved = log_w.copy()
+    starved[::4, 0] = -800.0
+    return {"labeled": (log_phi, log_w), "labeled-fallback": (log_phi, starved)}
+
+
+@pytest.mark.parametrize("case", ["labeled", "labeled-fallback"])
+def test_labeled_domain_draw_is_identical_to_reference(case):
+    log_phi, log_w = _domain_draw_cases()[case]
+    shifted = log_phi - log_phi.max(axis=1, keepdims=True)
+    phi_exp, w = np.exp(shifted), np.exp(log_w)
+    want_rng, got_rng = derive_rng("domain", case), derive_rng("domain", case)
+    want = draw_cells_reference(want_rng, phi_exp, w, shifted, log_w)
+    got = _draw_domains(got_rng, phi_exp.T.copy(), w.T.copy(), shifted, lambda: log_w)
     assert np.array_equal(got, want)
     assert want_rng.bit_generator.state == got_rng.bit_generator.state
     underflowed = (phi_exp * w).sum(axis=1) < np.finfo(np.float64).tiny
@@ -552,13 +626,13 @@ def test_cell_major_draw_is_identical_to_row_major_reference(case):
 
 
 def test_cell_draw_builds_log_weights_only_for_underflowed_rows():
-    phi_exp = np.ones((3, 5))
-
     def fail():
         raise AssertionError("log weights built without an underflowed row")
 
-    _draw_cells(derive_rng("lazy"), phi_exp, np.full((3, 1), 1 / 3), np.zeros((3, 5)), fail,
-                np.empty_like(phi_exp))
+    _draw_cells(derive_rng("lazy"), np.ones((2, 3, 5)), np.full((3, 2), 1 / 6),
+                np.zeros((4, 5)), np.zeros((5, 6)), fail)
+    _draw_domains(derive_rng("lazy"), np.ones((2, 5)), np.full((2, 5), 0.5),
+                  np.zeros((5, 2)), fail)
 
 
 def _posterior(pi, lam):

@@ -212,14 +212,19 @@ def test_known_methods_are_stable():
     )
 
 
-def test_results_csv_reads_back_what_it_wrote(tmp_path):
-    rows = (MethodResult("dom0", "bfl-plain", 0, "random_sample", 0.75, 0.5, 0.25, 1.5),
+@pytest.mark.parametrize("domain", ["dom0", "a,b", 'say "hi"'])
+def test_results_csv_reads_back_what_it_wrote(tmp_path, domain):
+    rows = (MethodResult(domain, "bfl-plain", 0, "random_sample", 0.75, 0.5, 0.25, 1.5),
             MethodResult("dom1", "calib-50", 3, "random_sample", 0.125, None, None, 0.25))
     rep = ExperimentReport(rows=rows, skipped=(), scenario="random_sample",
                            methods=("bfl-plain", "calib-50"), seeds=(0, 3))
     path = tmp_path / "lodo_results.csv"
     path.write_text(rep.to_csv_text())
+    assert path.read_text().endswith("\ndom1,calib-50,3,random_sample,0.125,,,0.250\n")
     assert ExperimentReport.from_csv(path) == rep
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "lodo_summary.txt").read_text() == rep.summary_text()
+    assert domain in rep.summary_text()
 
 
 @pytest.mark.parametrize("row,message", [
