@@ -165,8 +165,8 @@ class Dataset:
         return Dataset(
             domain_id=domain_id if domain_id is not None else self.domain_id,
             death_ids=tuple(self.death_ids[i] for i in idx),
-            x=self.x[idx].copy(),
-            y=self.y[idx].copy(),
+            x=self.x[idx],
+            y=self.y[idx],
             cause_list=self.cause_list,
             symptom_dict=self.symptom_dict,
         )

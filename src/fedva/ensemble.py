@@ -396,7 +396,6 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     accept_win = np.zeros(C)
     window = 0
     accept_post = np.zeros(C)
-    post_updates = 0
 
     keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
     pi_out = np.empty((keep, C))
@@ -460,9 +459,6 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
                 step[rate > 0.40] *= 1.25
                 accept_win[:] = 0.0
                 window = 0
-            elif not adapting and window == 1:
-                post_updates += 1
-                window = 0
         elif any_multi:
             lam[multi], log_lam[multi] = log_dirichlet(
                 rng, np.where(multi_allowed, conc + nm[multi], 0.0)
@@ -477,8 +473,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
 
     acc = None
     if ln_prior:
-        denom = max(post_updates, 1)
-        rates = accept_post[multi] / denom
+        rates = accept_post[multi] / (cfg.iterations - cfg.burn_in)
         acc = float(rates.mean()) if rates.size else 1.0
     return pi_out, pi_tilde_out, lam_out, acc
 

@@ -15,7 +15,9 @@ Methods: bfl-plain, bfl-partial, bfl-domain, bfl-mix, local-self (a model
 trained on the target's labeled subset alone), local-avg (every training
 model applied singly; the report carries one local-one:<domain> row per
 model plus their metric mean), calib-0.5 and calib-50 (the calibration
-baseline under weak and strong shrinkage).
+baseline under weak and strong shrinkage). Each cell runs the requested
+methods in this order, so its rows and skipped cells follow it whatever
+order `methods` lists them in; a method listed twice is an error.
 """
 from __future__ import annotations
 
@@ -42,11 +44,12 @@ from .errors import (
 from .exchange import make_registry
 from .lcm import GibbsConfig, LcmHyper, train_lcm
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
-from .scenarios import ScenarioRealization, make_scenario
+from .scenarios import make_scenario
 from .utils import derive_seed, parallel_map
 
 BFL_METHODS = ("bfl-plain", "bfl-partial", "bfl-domain", "bfl-mix")
 KNOWN_METHODS = BFL_METHODS + ("local-self", "local-avg", "calib-0.5", "calib-50")
+CALIB_RATES = {"calib-0.5": 0.5, "calib-50": 50.0}  # beta_rate: weak, strong shrinkage
 RESULT_COLUMNS = ("target_domain", "method", "seed", "scenario",
                   "csmf_acc", "top_acc", "balanced_acc", "runtime_s")
 
@@ -180,28 +183,23 @@ def _result_row(cells: list, where: str) -> MethodResult:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _score(pred_top: np.ndarray, truth_y: np.ndarray, C: int):
-    return (
-        top_cause_accuracy(pred_top, truth_y),
-        balanced_accuracy(pred_top, truth_y, C),
-    )
-
-
-def _run_cell(args):
-    """All methods for one (target domain, seed) cell."""
-    (target, summaries, methods, scenario_kind, seed, label_fraction,
-     ens_cfg, calib_cfg, lcm_hyper, lcm_cfg) = args
+def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
+              ens_cfg, calib_cfg, lcm_hyper, lcm_cfg):
+    """The requested methods for one (target domain, seed) cell, in report order."""
     C = len(target.cause_list)
+    requested = [m for m in KNOWN_METHODS if m in methods]
     rows: list[MethodResult] = []
     skips: list[SkippedCell] = []
 
+    def skip(method, reason):
+        skips.append(SkippedCell(target.domain_id, method, seed, reason))
+
     try:
-        real: ScenarioRealization = make_scenario(
-            target, scenario_kind, seed, label_fraction=label_fraction
-        )
+        real = make_scenario(target, scenario_kind, seed, label_fraction=label_fraction)
     except EmptyCauseForResample as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        return rows, [SkippedCell(target.domain_id, m, seed, reason) for m in methods]
+        for method in requested:
+            skip(method, f"{type(exc).__name__}: {exc}")
+        return rows, skips
     masked = real.dataset
     truth = real.truth
     random_sample = scenario_kind == "random_sample"
@@ -212,7 +210,6 @@ def _run_cell(args):
     labeled_counts = np.bincount(
         masked.y[labeled_pos], minlength=C
     ).astype(np.int64) if labeled_pos.size else np.zeros(C, dtype=np.int64)
-    reg = make_registry(summaries, target.cause_list, target.symptom_dict)
     cell_cfg = replace(
         ens_cfg,
         tie_pi=random_sample,
@@ -221,20 +218,19 @@ def _run_cell(args):
 
     def finish(method, csmf_est, pred_top, started):
         runtime = time.perf_counter() - started
-        if pred_top is None:
-            top = bal = None
-        else:
-            top, bal = _score(pred_top, truth.unlabeled_y, C)
-        rows.append(MethodResult(
+        row = MethodResult(
             target_domain=target.domain_id,
             method=method,
             seed=seed,
             scenario=scenario_kind,
             csmf_acc=csmf_accuracy(csmf_est, csmf_true),
-            top_acc=top,
-            balanced_acc=bal,
+            top_acc=None if pred_top is None else top_cause_accuracy(pred_top, truth.unlabeled_y),
+            balanced_acc=(None if pred_top is None
+                          else balanced_accuracy(pred_top, truth.unlabeled_y, C)),
             runtime_s=runtime,
-        ))
+        )
+        rows.append(row)
+        return row
 
     def adjusted(pi_est):
         # blending applies only when the estimand covers the labeled deaths
@@ -242,14 +238,17 @@ def _run_cell(args):
             return adjust_csmf(pi_est, masked.n, labeled_counts)
         return pi_est
 
-    for method in methods:
-        if method == "local-avg":
-            continue  # expanded into local-one rows below
+    def single(summary, method, started):
+        pi, probs = fit_single_model(summary, unlabeled, cell_cfg)
+        return finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
+
+    n_calib = sum(m in CALIB_RATES for m in requested)
+    preds = None
+    for method in requested:
         started = time.perf_counter()
         try:
             if method in BFL_METHODS:
-                variant = method.split("-", 1)[1]
-                cfg = replace(cell_cfg, variant=variant)
+                cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
                 _, cls, csmf = run_variant(reg, masked, cfg, local_hyper=lcm_hyper)
                 finish(method, csmf, cls.top[unlabeled_pos], started)
             elif method == "local-self":
@@ -260,74 +259,45 @@ def _run_cell(args):
                     lcm_hyper,
                     replace(lcm_cfg, seed=derive_seed("lodo-self", target.domain_id, seed)),
                 )
-                pi, probs = fit_single_model(local, unlabeled, cell_cfg)
-                finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
-            elif method in ("calib-0.5", "calib-50"):
-                pass  # handled together below to share the prediction tensor
+                single(local, method, started)
+            elif method == "local-avg":
+                # one local-one:<id> row per training model, then their mean
+                parts = []
+                for s in reg.summaries:
+                    one = f"local-one:{s.domain_id}"
+                    try:
+                        parts.append(single(s, one, time.perf_counter()))
+                    except FedvaError as exc:
+                        skip(one, f"{type(exc).__name__}: {exc}")
+                if parts:
+                    rows.append(MethodResult(
+                        target_domain=target.domain_id,
+                        method=method,
+                        seed=seed,
+                        scenario=scenario_kind,
+                        csmf_acc=float(np.mean([r.csmf_acc for r in parts])),
+                        top_acc=float(np.mean([r.top_acc for r in parts])),
+                        balanced_acc=float(np.mean([r.balanced_acc for r in parts])),
+                        runtime_s=float(np.sum([r.runtime_s for r in parts])),
+                    ))
+                else:
+                    skip(method, "every single-model fit failed")
             else:
-                raise FedvaError(f"unknown method {method!r}")
-        except FedvaError as exc:
-            skips.append(SkippedCell(target.domain_id, method, seed,
-                                     f"{type(exc).__name__}: {exc}"))
-
-    if "local-avg" in methods:
-        parts = []
-        for s in summaries:
-            started = time.perf_counter()
-            try:
-                pi, probs = fit_single_model(s, unlabeled, cell_cfg)
-                finish(f"local-one:{s.domain_id}", adjusted(pi), np.argmax(probs, axis=1), started)
-                parts.append(rows[-1])
-            except FedvaError as exc:
-                skips.append(SkippedCell(target.domain_id, f"local-one:{s.domain_id}",
-                                         seed, f"{type(exc).__name__}: {exc}"))
-        if parts:
-            rows.append(MethodResult(
-                target_domain=target.domain_id,
-                method="local-avg",
-                seed=seed,
-                scenario=scenario_kind,
-                csmf_acc=float(np.mean([r.csmf_acc for r in parts])),
-                top_acc=float(np.mean([r.top_acc for r in parts])),
-                balanced_acc=float(np.mean([r.balanced_acc for r in parts])),
-                runtime_s=float(np.sum([r.runtime_s for r in parts])),
-            ))
-        else:
-            skips.append(SkippedCell(target.domain_id, "local-avg", seed,
-                                     "every single-model fit failed"))
-
-    calib_requested = [m for m in methods if m in ("calib-0.5", "calib-50")]
-    if calib_requested:
-        started = time.perf_counter()
-        try:
-            preds = build_predictions(reg, masked, cell_cfg)
-            # the shared prediction tensor is charged to the calib rows in equal parts
-            build_share = (time.perf_counter() - started) / len(calib_requested)
-            for method in calib_requested:
-                m_started = time.perf_counter()
-                rate = 0.5 if method == "calib-0.5" else 50.0
+                if preds is None:
+                    # built once, charged to the calib rows in equal parts
+                    preds = build_predictions(reg, masked, cell_cfg)
+                    build_share = (time.perf_counter() - started) / n_calib
+                    started = time.perf_counter()
                 ccfg = replace(
                     calib_cfg,
-                    beta_rate=rate,
+                    beta_rate=CALIB_RATES[method],
                     seed=derive_seed("lodo-calib", target.domain_id, seed),
                 )
                 result = fit_calibration(preds, masked.y[labeled_pos], ccfg,
                                          domain_ids=reg.domain_ids)
-                finish(method, adjusted(result.pi_mean()), None, m_started - build_share)
+                finish(method, adjusted(result.pi_mean()), None, started - build_share)
         except FedvaError as exc:
-            for method in calib_requested:
-                skips.append(SkippedCell(target.domain_id, method, seed,
-                                         f"{type(exc).__name__}: {exc}"))
-
-    order_key = {m: i for i, m in enumerate(KNOWN_METHODS)}
-
-    def sort_key(r):
-        base = r.method.split(":")[0]
-        if base == "local-one":  # constituents sit just before their mean
-            return (order_key["local-avg"], 0, r.method)
-        return (order_key.get(base, len(KNOWN_METHODS)), 1, r.method)
-
-    rows.sort(key=sort_key)
+            skip(method, f"{type(exc).__name__}: {exc}")
     return rows, skips
 
 
@@ -347,6 +317,8 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
     for m in methods:
         if m not in KNOWN_METHODS:
             raise FedvaError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise FedvaError(f"a method is listed more than once in {methods}")
     base = domains[0]
     for d in domains[1:]:
         if (d.cause_list.fingerprint != base.cause_list.fingerprint
@@ -365,24 +337,26 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
     )
     by_id = {d.domain_id: s for d, s in zip(domains, summaries)}
 
-    tasks = []
+    regs, targets, cell_seeds = [], [], []
     skipped: list[SkippedCell] = []
     for target in domains:
-        train_sums = [by_id[d.domain_id] for d in domains if d.domain_id != target.domain_id]
-        coverage = np.sum([s.present.astype(int) for s in train_sums], axis=0)
-        if np.any(coverage == 0):
-            uncovered = np.flatnonzero(coverage == 0).tolist()
-            for seed in seeds:
-                skipped.append(SkippedCell(
-                    target.domain_id, "*", seed,
-                    f"registry incomplete: cause indices {uncovered} uncovered",
-                ))
+        train = [by_id[d.domain_id] for d in domains if d.domain_id != target.domain_id]
+        reg = make_registry(train, target.cause_list, target.symptom_dict)
+        if not reg.complete:
+            uncovered = np.flatnonzero(reg.coverage == 0).tolist()
+            skipped.extend(SkippedCell(target.domain_id, "*", seed,
+                                       f"registry incomplete: cause indices {uncovered} uncovered")
+                           for seed in seeds)
             continue
         for seed in seeds:
-            tasks.append((target, train_sums, methods, scenario_kind, seed,
-                          label_fraction, ens_cfg, calib_cfg, lcm_hyper, lcm_cfg))
+            regs.append(reg)
+            targets.append(target)
+            cell_seeds.append(seed)
 
-    results = parallel_map(_run_cell, tasks, workers=workers)
+    cell = partial(_run_cell, methods=methods, scenario_kind=scenario_kind,
+                   label_fraction=label_fraction, ens_cfg=ens_cfg, calib_cfg=calib_cfg,
+                   lcm_hyper=lcm_hyper, lcm_cfg=lcm_cfg)
+    results = parallel_map(cell, regs, targets, cell_seeds, workers=workers)
 
     rows: list[MethodResult] = []
     for cell_rows, cell_skips in results:

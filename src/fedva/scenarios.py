@@ -33,7 +33,6 @@ class ShiftScenario:
     kind: str
     label_fraction: float
     seed: int
-    realized: tuple[tuple[str, ...], tuple[str, ...]]
     realized_q: np.ndarray | None = None
     realized_pi_pair: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -64,15 +63,13 @@ def _empirical_csmf(y: np.ndarray, C: int) -> np.ndarray:
 
 def _finalize(target: Dataset, kind: str, label_fraction: float, seed: int,
               dataset: Dataset, labeled_pos: np.ndarray, unlabeled_pos: np.ndarray,
-              true_y: np.ndarray, labeled_orig: tuple[str, ...],
-              unlabeled_orig: tuple[str, ...], realized_q=None,
+              true_y: np.ndarray, realized_q=None,
               realized_pi_pair=None) -> ScenarioRealization:
     C = len(target.cause_list)
     scenario = ShiftScenario(
         kind=kind,
         label_fraction=label_fraction,
         seed=seed,
-        realized=(labeled_orig, unlabeled_orig),
         realized_q=realized_q,
         realized_pi_pair=realized_pi_pair,
     )
@@ -120,8 +117,6 @@ def make_scenario(target: Dataset, kind: str, seed: int,
         return _finalize(
             target, kind, label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
             target.y,
-            tuple(target.death_ids[i] for i in labeled_pos),
-            tuple(target.death_ids[i] for i in unlabeled_pos),
         )
 
     if kind == "severe_shift":
@@ -139,10 +134,7 @@ def make_scenario(target: Dataset, kind: str, seed: int,
         dataset = _mask(target, labeled_pos)
         return _finalize(
             target, kind, label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
-            target.y,
-            tuple(target.death_ids[i] for i in labeled_pos),
-            tuple(target.death_ids[i] for i in unlabeled_pos),
-            realized_q=q,
+            target.y, realized_q=q,
         )
 
     # mild_shift: both parts are resampled multisets of the original deaths.
@@ -188,8 +180,5 @@ def make_scenario(target: Dataset, kind: str, seed: int,
     unlabeled_pos = np.arange(n_lab, n_lab + n_unl)
     return _finalize(
         target, "mild_shift", label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
-        true_y,
-        tuple(target.death_ids[i] for i in lab_src),
-        tuple(target.death_ids[i] for i in unl_src),
-        realized_pi_pair=(pi_tilde, pi_gen),
+        true_y, realized_pi_pair=(pi_tilde, pi_gen),
     )

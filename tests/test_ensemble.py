@@ -189,10 +189,11 @@ def test_fit_global_label_guards():
                    None, FAST)  # a cause no domain covers
 
 
-def test_logistic_normal_route_runs_and_reports_acceptance():
+@pytest.mark.parametrize("burn_in", [300, 120])  # 120 ends burn-in mid adaptation window
+def test_logistic_normal_route_runs_and_reports_acceptance(burn_in):
     rng = np.random.default_rng(0)
     phi = phi_of(np.log(rng.uniform(0.05, 1.0, size=(40, 2, 2))))
-    cfg = EnsembleConfig(variant="plain", chains=2, iterations=600, burn_in=300,
+    cfg = EnsembleConfig(variant="plain", chains=2, iterations=600, burn_in=burn_in,
                          seed=0, lambda_prior=LambdaPrior(kind="logistic_normal", sigma=1.0))
     post = fit_global(phi, None, cfg)
     assert post.acceptance_rate is not None

@@ -54,12 +54,19 @@ def run_small(methods, scenario="random_sample", seeds=(0,), domains=None,
     )
 
 
+def without_runtime(rows):
+    return [(r.target_domain, r.method, r.seed, r.scenario, r.csmf_acc, r.top_acc,
+             r.balanced_acc) for r in rows]
+
+
 def test_input_validation():
     doms = toy_domains(2)
     with pytest.raises(FedvaError):
         run_lodo(doms, ["not-a-method"], "random_sample", [0])
     with pytest.raises(FedvaError):
         run_lodo(doms[:1], ["bfl-plain"], "random_sample", [0])
+    with pytest.raises(FedvaError, match="more than once"):
+        run_lodo(doms, ["bfl-plain", "bfl-plain"], "random_sample", [0])
     other = Dataset(
         domain_id="odd",
         death_ids=doms[0].death_ids,
@@ -119,6 +126,19 @@ def test_insufficient_labels_become_skips_not_crashes():
     skipped = [s for s in rep.skipped if s.method == "bfl-domain"]
     assert len(skipped) == 3  # one per fold
     assert all("InsufficientLocalLabels" in s.reason for s in skipped)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_method_order_does_not_change_the_report():
+    # label_fraction 0.06 leaves bfl-domain and bfl-mix too few labels, so each
+    # cell has two skips whose order is compared too
+    shuffled = run_small(["calib-50", "bfl-mix", "local-avg", "bfl-domain", "bfl-plain"],
+                         label_fraction=0.06)
+    ordered = run_small(["bfl-plain", "bfl-domain", "bfl-mix", "local-avg", "calib-50"],
+                        label_fraction=0.06)
+    assert [s.method for s in ordered.skipped] == ["bfl-domain", "bfl-mix"] * 3
+    assert without_runtime(shuffled.rows) == without_runtime(ordered.rows)
+    assert shuffled.skipped == ordered.skipped
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -197,11 +217,7 @@ def test_summary_text_mentions_every_method():
 def test_workers_do_not_change_results():
     a = run_small(["bfl-plain", "calib-50"], seeds=(0, 1), workers=1)
     b = run_small(["bfl-plain", "calib-50"], seeds=(0, 1), workers=2)
-    strip = lambda rows: [
-        (r.target_domain, r.method, r.seed, r.scenario, r.csmf_acc, r.top_acc, r.balanced_acc)
-        for r in rows
-    ]
-    assert strip(a.rows) == strip(b.rows)
+    assert without_runtime(a.rows) == without_runtime(b.rows)
     assert a.skipped == b.skipped
 
 
