@@ -12,6 +12,15 @@ beta_rate) controls shrinkage toward the identity matrix: large gamma means
 "trust the classifier as-is". Confusion rows are estimated from labeled
 deaths only; latent causes of unlabeled deaths never feed back into them.
 
+Unlabeled deaths enter the model only through their pattern of M top
+predicted causes, and pi reads their latent causes only as per-cause counts.
+Deaths that share a pattern are therefore interchangeable (as in the
+count-based calibration models of Datta et al. 2021 and Fiksel et al. 2022):
+each iteration draws the counts of a pattern's deaths as one multinomial
+over the pattern's cause weights. A sum of i.i.d. categorical draws is
+multinomial, so this is exact in distribution, and an iteration costs one
+weight row per distinct pattern rather than one draw per death.
+
 The baseline estimates prevalence only. It cannot assign causes to
 individual deaths.
 """
@@ -27,7 +36,7 @@ from .exchange import FederationRegistry
 from .ensemble import EnsembleConfig, fit_single_model
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
-from .utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf
+from .utils import derive_rng, log_dirichlet, log_dirichlet_pdf
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,12 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     Given the confusion rows, each gamma[m, c] depends on its own row only,
     and given gamma the rows are independent, so every iteration updates all
     (model, cause) pairs at once: one Metropolis step and one Dirichlet draw.
+
+    The U distinct patterns of top predictions among unlabeled deaths, and
+    how many deaths share each, are found once. Each iteration then weighs
+    cause c for pattern u by log pi_c + sum_m log conf[m, c, pattern_m] and
+    draws all latent cause counts with one multinomial call over the (U, C)
+    normalized weights, the sum over patterns being the counts pi needs.
     """
     cfg.validate()
     if a.n == 0:
@@ -179,9 +194,7 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     log_g = np.full((M, C), np.log(cfg.alpha / cfg.beta_rate))
     _, log_conf = log_dirichlet(rng_cut, np.exp(log_g)[..., None] * eye_eps + counts)
 
-    top_u = top[n_L:]
-    n_u = n - n_L
-    logw = np.empty((n_u, C))
+    patterns, sizes = np.unique(top[n_L:], axis=0, return_counts=True)
     keep = cfg.iterations - cfg.burn_in
     pi_out = np.empty((keep, C))
     conf_sum = np.zeros((M, C, C))
@@ -199,15 +212,15 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
         # confusion rows | gamma (labeled counts only)
         conf, log_conf = log_dirichlet(rng_cut, gamma[..., None] * eye_eps + counts)
 
-        # latent true causes of unlabeled deaths | confusion, pi:
-        # weight of cause c is log pi_c + sum_m log conf[m, c, top_u[i, m]]
-        if n_u:
-            np.sum(log_conf[models, :, top_u], axis=1, out=logw)
-            logw += log_pi
-            t_u = gumbel_argmax(rng, logw, axis=1)
-            latent_counts = np.bincount(t_u, minlength=C).astype(np.float64)
-        else:
-            latent_counts = np.zeros(C)
+        # latent cause counts of unlabeled deaths | confusion, pi: pattern u
+        # weighs cause c by log pi_c + sum_m log conf[m, c, patterns[u, m]],
+        # and its deaths' causes sum to one multinomial over those weights
+        logw = log_conf[models, :, patterns].sum(axis=1)
+        logw += log_pi
+        logw -= logw.max(axis=1, keepdims=True, initial=-np.inf)  # initial: U may be 0
+        w = np.exp(logw, out=logw)
+        w /= w.sum(axis=1, keepdims=True)
+        latent_counts = rng.multinomial(sizes, w).sum(axis=0)
 
         pi, log_pi = log_dirichlet(rng, 1.0 + latent_counts)
 

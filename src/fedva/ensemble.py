@@ -22,11 +22,11 @@ minus the mass of the causes below c. That takes C + M running sums and
 comparisons per death instead of C * M, and it draws from the same
 distribution with the same generator calls. A labeled death draws only the
 domain step, at its known cause. Running sums take one vectorized add per
-row across all deaths. Where a death's weights sum to zero or a subnormal,
-because exp() underflowed at a likelihood spread beyond ~745 nats or under
-tiny Dirichlet concentrations, that death is drawn instead by a Gumbel
-argmax over the log-weights of all its C * M cells; both give the same
-distribution.
+row across all deaths. Where a death's weights sum to at most the smallest
+normal (zero and every subnormal included), because exp() underflowed at a
+likelihood spread beyond ~745 nats or under tiny Dirichlet concentrations,
+that death is drawn instead by a Gumbel argmax over the log-weights of all
+its C * M cells; both give the same distribution.
 
 Classification averages each draw's cause posterior over the pooled draws.
 With E the (n, C*M) exp-shifted likelihoods and W the (D, C*M) weights
@@ -96,12 +96,11 @@ class PhiTensor:
             raise DimensionMismatch("present flags must be C x M")
         if len(self.death_ids) != n:
             raise DimensionMismatch("death_ids length disagrees with log_phi")
-        if np.any(log_phi[:, present == 1] == -np.inf) or np.any(
-            log_phi[:, present == 0] != -np.inf
-        ):
+        live = log_phi[:, present == 1]
+        if np.any(live == -np.inf) or np.any(log_phi[:, present == 0] != -np.inf):
             raise IncompletePhi("-inf cells must coincide exactly with absent (c,m)")
-        if np.any(log_phi[:, present == 1] > 0):
-            raise IncompletePhi("log-likelihood entries must be <= 0")
+        if not np.all(live <= 0):
+            raise IncompletePhi("log-likelihood entries must be <= 0 and not NaN")
         log_phi.setflags(write=False)
         present.setflags(write=False)
         object.__setattr__(self, "log_phi", log_phi)
@@ -280,22 +279,24 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum holds (K, deaths) running sums of non-negative weights, the total in
     its last row, and u lies in [0, total] up to rounding. A point that
     reaches the total is moved just below it, so a row of zero weight, whose
-    cumulative value equals its predecessor's, is never returned. The last
-    row is never compared, so the index is at most K - 1 even where the
-    total is 0 (the fallback redraws such a death).
+    cumulative value equals its predecessor's, is never returned. The move
+    is one multiply by 1 - 2**-53, which lands on the next float down for
+    every total above _TINY; at _TINY and below it may keep the total
+    itself, and the fallback redraws those deaths. The last row is never
+    compared, so the index is at most K - 1 even where the total is 0.
     """
-    u = np.minimum(u, np.nextafter(cum[-1], 0.0))
+    u = np.minimum(u, cum[-1] * (1.0 - 2.0 ** -53))
     return (cum[:-1] <= u).sum(axis=0)
 
 
 def _redraw_underflowed(rng, draw, total, log_phi, log_w) -> None:
-    """Redraw in log space every death whose weights sum to 0 or a subnormal.
+    """Redraw in log space every death whose weights sum to at most _TINY.
 
     Such a death lost its relative precision to underflow. log_phi holds
     (deaths, K) log-likelihoods and log_w() log weights broadcasting against
     them; log_w is called only when a death needs the redraw.
     """
-    low = (total < _TINY).nonzero()[0]
+    low = (total <= _TINY).nonzero()[0]
     if low.size:
         log_w_low = np.broadcast_to(log_w(), log_phi.shape)[low]
         draw[low] = gumbel_argmax(rng, log_phi[low] + log_w_low, axis=1)
@@ -407,7 +408,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
         # (Y, H) | pi, lambda. An unlabeled death draws its cause and then,
         # on the same uniform, its domain within that cause; a labeled death
         # draws only that domain step, at its known cause. A death whose
-        # weights sum to 0 or a subnormal is redrawn by a Gumbel argmax over
+        # weights sum to at most _TINY is redrawn by a Gumbel argmax over
         # the log-weights of its cells (all C*M, or its cause's M).
         if n_u:
             cell = _draw_cells(rng, phi_u, pi[:, None] * lam, cum_u, log_phi_u,
@@ -514,11 +515,6 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
             raise InvalidLabels("labels must be a vector no longer than the death count")
         if y.size and (y.min() < 0 or y.max() >= phi.C):
             raise InvalidLabels("label index out of range")
-        for i in range(len(y)):
-            if not np.any(np.isfinite(phi.log_phi[i, y[i], :])):
-                raise InvalidLabels(
-                    f"death {phi.death_ids[i]!r} is labeled with a cause no domain covers"
-                )
         if len(y) == 0:
             labels = None
 

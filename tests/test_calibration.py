@@ -188,19 +188,23 @@ def record_confusion_draws(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("C, M, n, n_L", [
-    (10, 1, 120, 40),
-    (4, 2, 60, 60),     # n_L = n: no unlabeled deaths
-    (4, 2, 60, None),   # no labels at all
-    (2, 1, 40, 10),
-    (5, 3, 80, 20),
+@pytest.mark.parametrize("C, M, n, n_L, one_pattern", [
+    (10, 1, 120, 40, False),
+    (4, 2, 60, 60, False),     # n_L = n: no unlabeled deaths
+    (4, 2, 60, None, False),   # no labels at all
+    (2, 1, 40, 10, False),
+    (2, 1, 40, 10, True),      # U = 1: every unlabeled death predicted alike
+    (5, 3, 80, 20, False),
 ])
-def test_tiny_prior_concentrations_keep_draws_finite_simplices(monkeypatch, C, M, n, n_L):
+def test_tiny_prior_concentrations_keep_draws_finite_simplices(monkeypatch, C, M, n, n_L,
+                                                               one_pattern):
     """epsilon 1e-6 and beta_rate 50 put gamma * epsilon near 1e-7."""
     rng = np.random.default_rng([C, M, n])
     y = rng.choice(C, size=n)
     tops = np.where(rng.random((n, M)) < 0.7, y[:, None], rng.choice(C, size=(n, M)))
     labels = None if n_L is None else y[:n_L]
+    if one_pattern:
+        tops[n_L:] = tops[n_L]
     calls = record_confusion_draws(monkeypatch)
     cfg = CalibConfig(epsilon=1e-6, beta_rate=50.0, iterations=300, burn_in=150, seed=0)
     res = fit_calibration(hard_tensor(tops, C=C, M=M), labels, cfg)
@@ -211,6 +215,44 @@ def test_tiny_prior_concentrations_keep_draws_finite_simplices(monkeypatch, C, M
         assert np.all(np.isfinite(rows)) and np.all(rows >= 0)
         assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
     assert np.all(np.isfinite(res.gamma_mean)) and np.all(res.gamma_mean > 0)
+
+
+def record_pi_concentrations(monkeypatch):
+    """Concentration of every pi draw `fit_calibration` makes (the 1-d ones)."""
+    calls = []
+
+    def spy(rng, alpha):
+        if np.ndim(alpha) == 1:
+            calls.append(np.array(alpha))
+        return log_dirichlet(rng, alpha)
+
+    monkeypatch.setattr(calibration, "log_dirichlet", spy)
+    return calls
+
+
+def all_pairs(C):
+    """(C * C, 2) top predictions of two models, every pattern once."""
+    return np.stack(np.meshgrid(np.arange(C), np.arange(C), indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("tops, n_L, U", [
+    (np.ones((50, 2), dtype=np.int64), 10, 1),                      # U = 1
+    (np.concatenate([all_pairs(4)[::-1], all_pairs(4)]), 16, 16),  # U = n_u
+    (np.random.default_rng(6).choice(4, size=(30, 2)), 30, 0),     # n_L = n
+])
+def test_latent_counts_sum_to_the_unlabeled_deaths(monkeypatch, tops, n_L, U):
+    """Each iteration's pi concentration is 1 plus whole latent counts summing to n_u."""
+    C, n_u = 4, len(tops) - n_L
+    assert len(np.unique(tops[n_L:], axis=0)) == U
+    calls = record_pi_concentrations(monkeypatch)
+    cfg = CalibConfig(iterations=60, burn_in=30, seed=0)
+    fit_calibration(hard_tensor(tops, C=C, M=2), np.arange(n_L) % C, cfg)
+    assert len(calls) == cfg.iterations + 1
+    assert np.array_equal(calls[0], np.ones(C))  # the starting draw
+    for alpha in calls[1:]:
+        counts = alpha - 1.0
+        assert np.all(counts >= 0) and np.array_equal(counts, np.round(counts))
+        assert alpha.sum() == C + n_u
 
 
 def misrouting(C):
@@ -242,17 +284,25 @@ def routed_tensor(R, pi, n_L, n_U, seed):
 
 def calibration_cases():
     """Test 10's classifier at both rates (fewer deaths, so pi mixes within the
-    run) and three models at the lodo-small shape (C=10, 600 deaths, 120 labeled)."""
+    run), three models at the lodo-small shape (C=10, 600 deaths, 120 labeled),
+    and four noisy models whose unlabeled deaths nearly all have a prediction
+    pattern of their own (153 patterns among 160 deaths)."""
     rng = np.random.default_rng(1000)
     mis = routed_tensor(misrouting(10)[None], rng.dirichlet(np.ones(10)), 100, 200, seed=0)
     R3 = 0.6 * np.eye(10) + 0.4 * rng.dirichlet(np.ones(10), size=(3, 10))
     three = routed_tensor(R3, rng.dirichlet(np.ones(10)), 120, 480, seed=1)
+    rng = np.random.default_rng(1001)
+    R4 = 0.3 * np.eye(8) + 0.7 * rng.dirichlet(np.ones(8), size=(4, 8))
+    distinct = routed_tensor(R4, rng.dirichlet(np.ones(8)), 80, 160, seed=2)
+    assert len(np.unique(distinct[0].top()[80:], axis=0)) == 153
     return [
         pytest.param(*mis, CalibConfig(beta_rate=0.5, iterations=4000, burn_in=400),
                      id="misrouting-rate-0.5"),
         pytest.param(*mis, CalibConfig(beta_rate=50.0, iterations=4000, burn_in=400),
                      id="misrouting-rate-50"),
         pytest.param(*three, CalibConfig(iterations=4000, burn_in=400), id="three-models"),
+        pytest.param(*distinct, CalibConfig(iterations=4000, burn_in=400),
+                     id="distinct-patterns"),
     ]
 
 

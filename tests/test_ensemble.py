@@ -114,6 +114,11 @@ def test_phi_tensor_validation():
                   death_ids=("a", "b"))
     with pytest.raises(IncompletePhi):
         phi_of(np.full((1, 2, 1), 0.5))  # positive log-likelihood
+    for row in (0, 1):  # NaN at a present cell of the labeled death, then the unlabeled one
+        log_phi = np.full((2, 2, 1), -0.5)
+        log_phi[row, 0, 0] = np.nan
+        with pytest.raises(IncompletePhi):
+            fit_global(phi_of(log_phi), np.array([0]), FAST)
 
 
 def test_single_model_lambda_degenerates():
@@ -634,6 +639,21 @@ def test_cell_draw_builds_log_weights_only_for_underflowed_rows():
                 np.zeros((4, 5)), np.zeros((5, 6)), fail)
     _draw_domains(derive_rng("lazy"), np.ones((2, 5)), np.full((2, 5), 0.5),
                   np.zeros((5, 2)), fail)
+
+    # Weights summing to exactly _TINY take the fallback: moving the point
+    # below such a total by a multiply can leave it at the total itself.
+    tiny = np.finfo(np.float64).tiny
+    built = []
+
+    def log_w():
+        built.append(True)
+        return np.array([0.0, -np.inf])
+
+    cell = _draw_cells(derive_rng("tiny"), np.ones((1, 2, 1)), np.array([[tiny], [0.0]]),
+                       np.zeros((3, 1)), np.zeros((1, 2)), log_w)
+    h = _draw_domains(derive_rng("tiny"), np.ones((2, 1)), np.array([[tiny], [0.0]]),
+                      np.zeros((1, 2)), log_w)
+    assert len(built) == 2 and cell.tolist() == h.tolist() == [0]
 
 
 def _posterior(pi, lam):
