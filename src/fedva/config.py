@@ -165,8 +165,6 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("methods must be a list of method names")
     workers = _cast(0, raw.get("workers", os.cpu_count() or 1), "workers")
-    if workers < 1:
-        raise ConfigError("workers must be a positive integer")
     target = raw.get("target")
     if target is not None and not isinstance(target, str):
         raise ConfigError(f"target: expected a domain id or null, got {target!r}")
@@ -179,6 +177,8 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
         seeds = [seed_override]
     if workers_override is not None:
         workers = workers_override
+    if workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers}")
 
     cfg = RunConfig(
         cause_list_path=paths.get("cause_list"),

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DuplicateDeathId,
+    InvalidIdentifiers,
     MalformedCell,
     UnknownCause,
     UnknownSymptomColumn,
@@ -47,11 +48,11 @@ _CODE_TO_CHAR = bytes.maketrans(  # code byte -> its cell character
 
 def _check_identifiers(ids: tuple[str, ...], what: str, minimum: int) -> None:
     if len(ids) < minimum:
-        raise ValueError(f"{what} needs at least {minimum} entries, got {len(ids)}")
+        raise InvalidIdentifiers(f"{what} needs at least {minimum} entries, got {len(ids)}")
     if any(not s for s in ids):
-        raise ValueError(f"{what} contains an empty identifier")
+        raise InvalidIdentifiers(f"{what} contains an empty identifier")
     if len(set(ids)) != len(ids):
-        raise ValueError(f"{what} contains duplicate identifiers")
+        raise InvalidIdentifiers(f"{what} contains duplicate identifiers")
 
 
 @dataclass(frozen=True)
@@ -94,17 +95,30 @@ class SymptomDictionary:
         return len(self.symptoms)
 
 
+def _load_identifiers(path, kind):
+    """A CauseList or SymptomDictionary (kind) of a UTF-8 file's non-blank lines.
+
+    Bytes that are not UTF-8, and identifiers that kind rejects, raise
+    InvalidIdentifiers naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return kind(tuple(ln.strip() for ln in fh if ln.strip()))
+    except UnicodeDecodeError as exc:
+        raise InvalidIdentifiers(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except InvalidIdentifiers as exc:
+        raise InvalidIdentifiers(f"{path}: {exc}") from None
+
+
 def load_cause_list(path) -> CauseList:
     """Newline-delimited cause identifiers, one per line, UTF-8."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return CauseList(tuple(lines))
+    return _load_identifiers(path, CauseList)
 
 
 def load_symptom_dictionary(path) -> SymptomDictionary:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return SymptomDictionary(tuple(lines))
+    """Newline-delimited symptom identifiers, one per line, UTF-8."""
+    return _load_identifiers(path, SymptomDictionary)
 
 
 @dataclass(frozen=True)

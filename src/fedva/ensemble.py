@@ -7,9 +7,12 @@ target cause distribution pi and cause-specific domain weights lambda from
         phi[i,c,m] * pi_c * lambda_cm
 
 by data-augmented Gibbs sampling: each death gets a latent (cause, domain)
-pair, then pi and lambda have Dirichlet conditionals. Deaths with known
-labels contribute through a separate cause distribution pi_tilde (or the
-same pi when the labeled subset is a random sample, tie_pi).
+pair, then pi and lambda have Dirichlet conditionals; (pi, lambda) is the
+whole sampler state. A death with a known label draws only its domain and
+always informs lambda. Its cause enters pi's conditional only when the
+labeled subset is a random sample of the target (tie_pi); otherwise the
+labeled deaths' own cause distribution is not sampled, as no other block
+would read it.
 
 The sweep works in probability space. Each chain exponentiates the
 likelihoods once, shifted by every death's maximum, and keeps them in one
@@ -178,7 +181,6 @@ class GlobalPosterior:
     """Pooled post-burn-in draws, in (chain, iteration) order."""
 
     pi_draws: np.ndarray
-    pi_tilde_draws: np.ndarray | None
     lambda_draws: np.ndarray
     acceptance_rate: float | None
     config: EnsembleConfig
@@ -218,12 +220,11 @@ def build_phi(reg: FederationRegistry, target: Dataset) -> PhiTensor:
 
 
 def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
-                    labels: np.ndarray | None = None,
-                    pi_tilde: np.ndarray | None = None) -> float:
+                    labels: np.ndarray | None = None) -> float:
     """Exact log-likelihood of the mixture, latent assignments summed out.
 
-    The first len(labels) deaths are treated as labeled and scored through
-    pi_tilde (defaults to pi); the rest are scored through pi.
+    The first len(labels) deaths are treated as labeled: each is scored at
+    its known cause, through pi and that cause's lambda row.
     """
     pi = np.asarray(pi, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
@@ -232,11 +233,8 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
     n_L = 0 if labels is None else len(labels)
     if n_L > phi.n:
         raise DimensionMismatch("more labels than deaths")
-    if pi_tilde is None:
-        pi_tilde = pi
     with np.errstate(divide="ignore"):
         log_pi = np.log(pi)
-        log_pi_tilde = np.log(pi_tilde)
         log_lam = np.log(lam)
     total = 0.0
     if n_L < phi.n:
@@ -246,7 +244,7 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
         y = np.asarray(labels, dtype=np.int64)
         rows = np.arange(n_L)
         w = phi.log_phi[rows, y, :] + log_lam[y, :]
-        total += float((logsumexp(w, axis=1) + log_pi_tilde[y]).sum())
+        total += float((logsumexp(w, axis=1) + log_pi[y]).sum())
     return total
 
 
@@ -370,14 +368,13 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     log_phi_l = phi.log_phi[np.arange(n_L), y_lab, :]
     phi_u, phi_l = _exp_shifted(phi.log_phi[n_L:]), _exp_shifted(log_phi_l)
     cum_u = np.zeros((C + 1, n_u))
-    counts_lab = np.bincount(y_lab, minlength=C).astype(np.float64)
     cell_lab = y_lab * M
+    # Labeled causes enter pi's conditional only when tied; the zeros added
+    # when untied leave that concentration's floats as they are.
+    counts_lab = (np.bincount(y_lab, minlength=C).astype(np.float64) if cfg.tie_pi
+                  else np.zeros(C))
 
     pi, log_pi = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
-    if cfg.tie_pi or n_L == 0:
-        pi_tilde = pi
-    else:
-        pi_tilde, _ = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
 
     lam = np.where(allowed & ~multi[:, None], 1.0, 0.0)
     log_lam = np.where(lam == 1.0, 0.0, -np.inf)
@@ -400,7 +397,6 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
 
     keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
     pi_out = np.empty((keep, C))
-    pi_tilde_out = np.empty((keep, C)) if (n_L and not cfg.tie_pi) else None
     lam_out = np.empty((keep, C, M))
     kept = 0
 
@@ -409,13 +405,12 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
         # on the same uniform, its domain within that cause; a labeled death
         # draws only that domain step, at its known cause. A death whose
         # weights sum to at most _TINY is redrawn by a Gumbel argmax over
-        # the log-weights of its cells (all C*M, or its cause's M).
-        if n_u:
-            cell = _draw_cells(rng, phi_u, pi[:, None] * lam, cum_u, log_phi_u,
-                               lambda: (log_pi[:, None] + log_lam).ravel())
-            nm = np.bincount(cell, minlength=C * M)
-        else:
-            nm = np.zeros(C * M, dtype=np.int64)
+        # the log-weights of its cells (all C*M, or its cause's M). With no
+        # unlabeled deaths the cell draw runs on empty arrays and takes no
+        # generator output.
+        cell = _draw_cells(rng, phi_u, pi[:, None] * lam, cum_u, log_phi_u,
+                           lambda: (log_pi[:, None] + log_lam).ravel())
+        nm = np.bincount(cell, minlength=C * M)
         counts_u = nm.reshape(C, M).sum(axis=1)
         if n_L:
             h_l = _draw_domains(rng, phi_l, lam.T[:, y_lab], log_phi_l,
@@ -423,14 +418,8 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
             nm += np.bincount(cell_lab + h_l, minlength=C * M)
         nm = nm.reshape(C, M)
 
-        # pi | Y (and pi_tilde when the labeled subset has its own CSMF)
-        if cfg.tie_pi:
-            pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u + counts_lab)
-            pi_tilde = pi
-        else:
-            pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u)
-            if n_L:
-                pi_tilde, _ = log_dirichlet(rng, cfg.pi_prior_conc + counts_lab)
+        # pi | Y
+        pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u + counts_lab)
 
         # lambda | H; rows of single-domain causes stay at 1
         if ln_prior:
@@ -467,8 +456,6 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
 
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             pi_out[kept] = pi
-            if pi_tilde_out is not None:
-                pi_tilde_out[kept] = pi_tilde
             lam_out[kept] = lam
             kept += 1
 
@@ -476,7 +463,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     if ln_prior:
         rates = accept_post[multi] / (cfg.iterations - cfg.burn_in)
         acc = float(rates.mean()) if rates.size else 1.0
-    return pi_out, pi_tilde_out, lam_out, acc
+    return pi_out, lam_out, acc
 
 
 def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
@@ -522,12 +509,8 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
                            workers=workers)
 
     pi_by_chain = np.stack([r[0] for r in results])
-    pi_draws = np.concatenate([r[0] for r in results])
-    pi_tilde_draws = (
-        np.concatenate([r[1] for r in results]) if results[0][1] is not None else None
-    )
-    lambda_draws = np.concatenate([r[2] for r in results])
-    accs = [r[3] for r in results]
+    lambda_draws = np.concatenate([r[1] for r in results])
+    accs = [r[2] for r in results]
     acceptance = float(np.mean(accs)) if accs[0] is not None else None
 
     rhat = split_rhat(pi_by_chain)
@@ -539,8 +522,7 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
             stacklevel=2,
         )
     return GlobalPosterior(
-        pi_draws=pi_draws,
-        pi_tilde_draws=pi_tilde_draws,
+        pi_draws=pi_by_chain.reshape(-1, phi.C),
         lambda_draws=lambda_draws,
         acceptance_rate=acceptance,
         config=cfg,
@@ -655,8 +637,8 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
     Returns the posterior, a classification of every target death (known
     labels become one-hot rows except under plain, which ignores labels),
     and the CSMF estimate. When tie_pi holds, the estimate refers to the
-    full target and blends in held-out label counts; otherwise it refers to
-    the deaths the sampler actually saw.
+    full target and blends in held-out label counts; otherwise it is the
+    CSMF of the unlabeled deaths the sampler saw.
     """
     cfg.validate()
     C = len(target.cause_list)

@@ -23,6 +23,10 @@ class MalformedCell(FedvaError):
     """A cell value is outside the accepted grammar (Y, N, '.')."""
 
 
+class InvalidIdentifiers(FedvaError):
+    """A cause list or symptom dictionary is not UTF-8 or has too few, empty or duplicate ids."""
+
+
 class NotFullyLabeled(FedvaError):
     """An operation requiring labels on every record saw an unlabeled one."""
 

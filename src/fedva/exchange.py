@@ -113,13 +113,26 @@ def _raw_checksum_matches(raw: bytes, stated) -> bool:
     return sha256_hex(body) == stated
 
 
+def _typed(doc: dict, key: str, kind: type, path, where: str = ""):
+    """doc[key], which must be a JSON integer (kind int) or true/false (kind bool).
+
+    Nothing is coerced: 1.9, 2.0, "2" and true are not integers, and "false"
+    and 0 are not booleans.
+    """
+    value = doc[key]
+    if type(value) is not kind:
+        expected = "true or false" if kind is bool else "an integer"
+        raise InvalidSummary(f"{path}: {where}{key} must be {expected}, got {value!r}")
+    return value
+
+
 def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary) -> BaseModelSummary:
     """Read, verify checksum and fingerprints, re-validate all invariants."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidSummary(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise InvalidSummary(f"{path}: top level must be an object")
@@ -138,7 +151,7 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
         raise FingerprintMismatch(f"{path}: summary was built against a different symptom dictionary")
 
     try:
-        C, K, p = int(document["C"]), int(document["K"]), int(document["p"])
+        C, K, p = (_typed(document, key, int, path) for key in ("C", "K", "p"))
         if C != len(cause_list) or p != len(symptom_dict):
             raise InvalidSummary(f"{path}: C/p disagree with the supplied cause list / dictionary")
         nu_bar = np.full((C, K), np.nan)
@@ -150,11 +163,11 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
                 theta_bar[c] = np.asarray(document["theta_bar"][c], dtype=np.float64).reshape(K, p)
         hyper_doc = document["hyper"]
         hyper = LcmHyper(
-            K=int(hyper_doc["K"]),
+            K=_typed(hyper_doc, "K", int, path, "hyper."),
             alpha_sb=float(hyper_doc["alpha_sb"]),
             theta_prior=tuple(float(v) for v in hyper_doc["theta_prior"]),
             pi_prior=float(hyper_doc["pi_prior"]),
-            sparse=bool(hyper_doc["sparse"]),
+            sparse=_typed(hyper_doc, "sparse", bool, path, "hyper."),
             spike_omega_prior=tuple(float(v) for v in hyper_doc["spike_omega_prior"]),
         )
         prov_doc = document["provenance"]
@@ -169,9 +182,9 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
             hyper=hyper,
             provenance=Provenance(
                 tool_version=str(prov_doc["tool_version"]),
-                seed=int(prov_doc["seed"]),
-                iterations=int(prov_doc["iterations"]),
-                burn_in=int(prov_doc["burn_in"]),
+                seed=_typed(prov_doc, "seed", int, path, "provenance."),
+                iterations=_typed(prov_doc, "iterations", int, path, "provenance."),
+                burn_in=_typed(prov_doc, "burn_in", int, path, "provenance."),
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -138,11 +138,11 @@ def make_scenario(target: Dataset, kind: str, seed: int,
         )
 
     # mild_shift: both parts are resampled multisets of the original deaths.
-    pi_tilde = rng.dirichlet(np.ones(C))
+    pi_lab = rng.dirichlet(np.ones(C))
     pi_gen = rng.dirichlet(np.ones(C))
     n_lab = round_half_up(0.2 * n)
     n_unl = round_half_up(0.8 * n)
-    lab_counts = largest_remainder_counts(pi_tilde, n_lab)
+    lab_counts = largest_remainder_counts(pi_lab, n_lab)
     unl_counts = largest_remainder_counts(pi_gen, n_unl)
     pools = {c: np.flatnonzero(target.y == c) for c in range(C)}
     for c in range(C):
@@ -180,5 +180,5 @@ def make_scenario(target: Dataset, kind: str, seed: int,
     unlabeled_pos = np.arange(n_lab, n_lab + n_unl)
     return _finalize(
         target, "mild_shift", label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
-        true_y, realized_pi_pair=(pi_tilde, pi_gen),
+        true_y, realized_pi_pair=(pi_lab, pi_gen),
     )

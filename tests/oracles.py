@@ -102,7 +102,13 @@ def _sample_lambda_row(rng, counts_m: np.ndarray, allowed: np.ndarray, conc: flo
 
 def run_chain_reference(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
                         chain: int):
-    """One chain of the log-space kernel: (pi, pi_tilde or None, lambda) draws."""
+    """One chain of the log-space kernel: (pi, pi_tilde or None, lambda) draws.
+
+    Untied and with labels, it also draws pi_tilde, the labeled deaths' own
+    cause distribution, every sweep. No other block reads it, and
+    `fedva.ensemble` leaves it out, so their (pi, lambda) draws agree in
+    distribution only.
+    """
     n, C, M = phi.n, phi.C, phi.M
     n_L = 0 if labels is None else len(labels)
     y_lab = None if labels is None else np.asarray(labels, dtype=np.int64)
@@ -230,9 +236,10 @@ def log_posterior(phi: PhiTensor, post: GlobalPosterior,
     """Unnormalized log-posterior of every kept draw, for a Dirichlet lambda prior.
 
     Mixture likelihood with latent assignments summed out, plus the
-    Dirichlet log-densities of pi, of pi_tilde when it is sampled apart from
-    pi, and of every lambda row over the domains that cover its cause (rows
-    with one covering domain are fixed at 1 and contribute nothing).
+    Dirichlet log-densities of pi and of every lambda row over the domains
+    that cover its cause (rows with one covering domain are fixed at 1 and
+    contribute nothing). Untied, a labeled death's cause is not scored
+    through pi: its own cause distribution integrates out to a constant.
     """
     cfg = post.config
     if cfg.lambda_prior.kind != "dirichlet":
@@ -244,11 +251,10 @@ def log_posterior(phi: PhiTensor, post: GlobalPosterior,
     with np.errstate(divide="ignore"):
         for d in range(post.D):
             pi, lam = post.pi_draws[d], post.lambda_draws[d]
-            pi_tilde = None if post.pi_tilde_draws is None else post.pi_tilde_draws[d]
-            lp = marginal_loglik(phi, pi, lam, labels=labels, pi_tilde=pi_tilde)
+            lp = marginal_loglik(phi, pi, lam, labels=labels)
+            if labels is not None and not cfg.tie_pi:
+                lp -= np.log(pi)[labels].sum()
             lp += log_dirichlet_pdf(np.log(pi), pi_alpha)
-            if pi_tilde is not None:
-                lp += log_dirichlet_pdf(np.log(pi_tilde), pi_alpha)
             for c in multi:
                 row = lam[c, allowed[c]]
                 lp += log_dirichlet_pdf(np.log(row),

@@ -253,6 +253,10 @@ def test_validation_failures_exit_1(ws, tmp_path):
     no_gen = tmp_path / "no_gen.yaml"
     no_gen.write_text(yaml.safe_dump({"paths": {"out": str(tmp_path / "o")}}))
     assert run_cli("simulate", "--config", no_gen) == 1
+    for workers in ("0", "-3"):  # the flag is checked like the config key
+        assert run_cli("ensemble", "--config", ws["cfg"], "--workers", workers,
+                       "--out", tmp_path / "w") == 1
+        assert not (tmp_path / "w").exists()
 
 
 def test_runtime_failures_exit_2(ws, tmp_path):
@@ -274,6 +278,32 @@ def test_runtime_failures_exit_2(ws, tmp_path):
     p2 = tmp_path / "broken.yaml"
     p2.write_text(yaml.safe_dump(cfg2))
     assert run_cli("ensemble", "--config", p2) == 2
+
+
+@pytest.mark.parametrize("key, data", [
+    ("cause_list", None),  # the simulated list with its first cause repeated
+    ("cause_list", b"only_cause\n"),
+    ("cause_list", b"cause_1\n\xffcause_2\ncause_3\n"),
+    ("symptom_dict", b"\n\n"),
+    ("symptom_dict", None),
+    ("symptom_dict", b"s_1\ns_2\xfe\n"),
+])
+def test_malformed_cause_list_or_dictionary_exits_2(ws, tmp_path, capsys, key, data):
+    if data is None:
+        text = (ws["sim"] / f"{key}.txt").read_text()
+        data = (text + text.split("\n")[0] + "\n").encode("utf-8")
+    bad = tmp_path / f"{key}.txt"
+    bad.write_bytes(data)
+    cfg = dict(ws["cfg_dict"])
+    cfg["paths"] = dict(cfg["paths"], **{key: str(bad)})
+    cfg_path = tmp_path / "bad_ids.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg_path, "--domain", "domain_1",
+                   "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidIdentifiers: ") and err.count("\n") == 1
+    assert str(bad) in err
 
 
 def _with_target(ws, tmp_path, name, data: bytes):

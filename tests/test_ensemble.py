@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CL3, SD4, batch_se, make_dataset
 from fedva.data import UNLABELED
@@ -95,10 +97,9 @@ def test_marginal_loglik_matches_direct_sum():
             math.exp(log_phi[i, c, m]) * pi[c] * lam[c, m]
             for c in range(2) for m in range(2)
         ))
-    pi_tilde = np.array([0.5, 0.5])
     want += math.log(sum(math.exp(log_phi[0, 1, m]) * lam[1, m] for m in range(2))
-                     * pi_tilde[1])
-    got = marginal_loglik(phi, pi, lam, labels=np.array([1]), pi_tilde=pi_tilde)
+                     * pi[1])
+    got = marginal_loglik(phi, pi, lam, labels=np.array([1]))
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -162,7 +163,7 @@ def test_fit_global_is_deterministic_and_worker_invariant():
     assert not np.array_equal(p1.pi_draws, p3.pi_draws)
 
 
-def test_labels_shift_posterior_and_pi_tilde_reporting():
+def test_labels_shift_posterior_and_draw_shapes():
     phi = bernoulli_phi(10, 10)
     labels = np.zeros(6, dtype=np.int64)  # first 6 deaths known cause 0
     tied = fit_global(phi, labels, EnsembleConfig(variant="partial", tie_pi=True,
@@ -171,11 +172,44 @@ def test_labels_shift_posterior_and_pi_tilde_reporting():
     untied = fit_global(phi, labels, EnsembleConfig(variant="partial", tie_pi=False,
                                                     chains=2, iterations=400,
                                                     burn_in=200, seed=0))
-    assert tied.pi_tilde_draws is None
-    assert untied.pi_tilde_draws is not None
-    assert untied.pi_tilde_draws.shape == untied.pi_draws.shape
+    assert untied.pi_draws.shape == tied.pi_draws.shape == (400, 2)
+    assert untied.lambda_draws.shape == tied.lambda_draws.shape == (400, 2, 1)
     plain = fit_global(phi, None, FAST)
     assert tied.pi_mean()[0] > plain.pi_mean()[0] - 0.02
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("tie_pi", [True, False])
+@pytest.mark.parametrize("n_L", [0, 5, 12])
+def test_one_pi_conditional_per_sweep(monkeypatch, tie_pi, n_L):
+    """Each sweep draws pi once; labeled counts enter it only when tied."""
+    from fedva import ensemble
+
+    pi_conc = []
+
+    def recording(rng, alpha):
+        if np.ndim(alpha) == 1:
+            pi_conc.append(np.array(alpha))
+        return log_dirichlet(rng, alpha)
+
+    monkeypatch.setattr(ensemble, "log_dirichlet", recording)
+    rng = np.random.default_rng(5)
+    phi = phi_of(np.log(rng.uniform(0.05, 1.0, size=(12, 3, 2))))
+    labels = rng.integers(0, 3, size=n_L) if n_L else None
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=50, burn_in=25, seed=0,
+                         tie_pi=tie_pi, pi_prior_conc=0.5)
+    fit_global(phi, labels, cfg)
+    per_chain = cfg.iterations + 1  # the initial draw, then one per sweep
+    assert len(pi_conc) == cfg.chains * per_chain
+    seen = 12 if tie_pi else 12 - n_L
+    for chain in range(cfg.chains):
+        first, *sweeps = pi_conc[chain * per_chain:(chain + 1) * per_chain]
+        assert first.tolist() == [0.5] * 3
+        for alpha in sweeps:
+            counts = alpha - 0.5
+            assert np.array_equal(counts, np.round(counts)) and counts.sum() == seen
+            if tie_pi and n_L:
+                assert np.all(counts >= np.bincount(labels, minlength=3))
 
 
 def test_fit_global_label_guards():
@@ -212,7 +246,6 @@ def test_classify_examples():
     phi = phi_of(log_phi)
     post = GlobalPosterior(
         pi_draws=np.array([[0.5, 0.5], [0.25, 0.75]]),
-        pi_tilde_draws=None,
         lambda_draws=np.ones((2, 2, 1)),
         acceptance_rate=None,
         config=FAST,
@@ -232,7 +265,6 @@ def test_classify_tie_breaks_to_lowest_index():
     phi = phi_of(np.zeros((1, 3, 1)))
     post = GlobalPosterior(
         pi_draws=np.full((1, 3), 1 / 3),
-        pi_tilde_draws=None,
         lambda_draws=np.ones((1, 3, 1)),
         acceptance_rate=None,
         config=FAST,
@@ -385,14 +417,31 @@ def quadrature_instances():
     return out
 
 
+def untied_instances():
+    """Labels on the first deaths, tie_pi false: (seed, phi, labels).
+
+    The reference kernel also draws the labeled deaths' own CSMF every
+    sweep, which fedva.ensemble leaves out; (pi, lambda) must not change.
+    """
+    out = []
+    for seed, (n, C, M, n_L) in zip((201, 202, 203), ((40, 3, 2, 10), (30, 4, 3, 15),
+                                                      (24, 2, 2, 24))):
+        r = np.random.default_rng(seed)
+        phi = phi_of(np.log(r.uniform(0.02, 1.0, size=(n, C, M))))
+        out.append((seed, phi, r.integers(0, C, size=n_L)))
+    return out
+
+
 def test_kernel_matches_log_space_reference_within_monte_carlo_error():
     """Posterior means of pi and lambda agree with the reference kernel, |z| < 4."""
     worst = 0.0
-    for seed, phi in quadrature_instances():
-        cfg = EnsembleConfig(variant="plain", chains=2, iterations=2000, burn_in=400,
-                             seed=seed)
-        post = fit_global(phi, None, cfg)
-        ref_pi, ref_lam = fit_reference(phi, None, cfg)
+    cases = [(seed, phi, None) for seed, phi in quadrature_instances()] + untied_instances()
+    for seed, phi, labels in cases:
+        cfg = EnsembleConfig(variant="plain" if labels is None else "partial", chains=2,
+                             iterations=2000, burn_in=400, seed=seed,
+                             tie_pi=labels is None)
+        post = fit_global(phi, labels, cfg)
+        ref_pi, ref_lam = fit_reference(phi, labels, cfg)
         for got, want in ((post.pi_draws, ref_pi), (post.lambda_draws, ref_lam)):
             se = np.sqrt(batch_se(got) ** 2 + batch_se(want) ** 2)
             diff = np.abs(got.mean(axis=0) - want.mean(axis=0))
@@ -436,8 +485,6 @@ def test_extreme_spread_and_tiny_concentration_fall_back_to_log_space(monkeypatc
     post = fit_global(phi_of(log_phi), labels, cfg)
     assert calls, "the log-space fallback never ran"
     assert_finite_simplex_draws(post, np.ones((3, 2)))
-    assert np.all(np.isfinite(post.pi_tilde_draws))
-    assert np.allclose(post.pi_tilde_draws.sum(axis=1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tie_pi", [True, False])
@@ -449,7 +496,6 @@ def test_every_death_labeled(tie_pi):
                          seed=0, tie_pi=tie_pi)
     post = fit_global(phi, labels, cfg)
     assert_finite_simplex_draws(post, np.ones((3, 2)))
-    assert (post.pi_tilde_draws is None) == tie_pi
 
 
 def test_single_model_draws_no_lambda(monkeypatch):
@@ -468,6 +514,41 @@ def test_single_model_draws_no_lambda(monkeypatch):
     assert shapes and all(s == (2,) for s in shapes)
     assert np.all(post.lambda_draws == 1.0)
     assert_finite_simplex_draws(post, np.ones((2, 1)))
+
+
+@st.composite
+def extreme_fits(draw):
+    """(phi, labels, cfg) at small shapes: cause 0 has one covering domain,
+    spreads up to 2000 nats, concentrations down to 1e-3, any n_L in [0, n]."""
+    C, M = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    n_L = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    present = rng.random((C, M)) < 0.6
+    present[np.arange(C), rng.integers(0, M, size=C)] = True
+    present[0] = np.arange(M) == rng.integers(0, M)
+    spread = draw(st.sampled_from([1.0, 50.0, 800.0, 2000.0]))
+    log_phi = -spread * rng.random((n, C, M))
+    log_phi[:, ~present] = -np.inf
+    conc = st.sampled_from([1e-3, 0.05, 0.1, 1.0])
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=6, burn_in=2,
+                         seed=draw(st.integers(0, 2**32)), tie_pi=draw(st.booleans()),
+                         pi_prior_conc=draw(conc),
+                         lambda_prior=LambdaPrior(conc=draw(conc)))
+    labels = rng.integers(0, C, size=n_L) if n_L else None
+    return phi_of(log_phi, present.astype(np.uint8)), labels, cfg
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(extreme_fits())
+def test_fit_global_draws_stay_finite_and_respect_coverage(case):
+    phi, labels, cfg = case
+    post = fit_global(phi, labels, cfg)
+    assert post.pi_draws.shape == (8, phi.C)
+    assert_finite_simplex_draws(post, phi.present)
+    single = phi.present.sum(axis=1) == 1
+    assert np.all(post.lambda_draws[:, single] == phi.present[single])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -658,7 +739,7 @@ def test_cell_draw_builds_log_weights_only_for_underflowed_rows():
 
 def _posterior(pi, lam):
     pi = np.asarray(pi, dtype=np.float64)
-    return GlobalPosterior(pi_draws=pi, pi_tilde_draws=None, lambda_draws=np.asarray(lam),
+    return GlobalPosterior(pi_draws=pi, lambda_draws=np.asarray(lam),
                            acceptance_rate=None, config=FAST,
                            domain_ids=tuple(f"m{j}" for j in range(np.shape(lam)[2])),
                            rhat_pi=np.ones(pi.shape[1]))

@@ -130,6 +130,42 @@ def test_malformed_documents(tmp_path):
         import_summary(path, CL3, SD4)
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ((), "C", 3.0), ((), "K", 1.9), ((), "p", "4"), ((), "K", True),
+    (("hyper",), "K", 2.0), (("hyper",), "sparse", "false"), (("hyper",), "sparse", 0),
+    (("provenance",), "seed", 0.5), (("provenance",), "iterations", "60"),
+    (("provenance",), "burn_in", None),
+])
+def test_ill_typed_fields_are_refused_not_coerced(tmp_path, where, key, value):
+    path = tmp_path / "s.summary.json"
+    export_summary(trained(), path)
+    assert import_summary(path, CL3, SD4) is not None
+
+    def mutate(doc):
+        for name in where:
+            doc = doc[name]
+        doc[key] = value
+
+    _rewrite(path, mutate)
+    with pytest.raises(InvalidSummary, match=key):
+        import_summary(path, CL3, SD4)
+
+
+def test_non_utf8_summary_is_invalid(tmp_path):
+    path = tmp_path / "s.summary.json"
+    path.write_bytes(summary_bytes(trained()).replace(b'"alpha"', b'"alph\xff"'))
+    with pytest.raises(InvalidSummary):
+        import_summary(path, CL3, SD4)
+
+
+def test_exported_files_reimport_byte_identically(tmp_path):
+    for sparse in (False, True):
+        raw = summary_bytes(trained(sparse=sparse))
+        path = tmp_path / "s.summary.json"
+        path.write_bytes(raw)
+        assert summary_bytes(import_summary(path, CL3, SD4)) == raw
+
+
 def test_registry_validation_and_coverage():
     a = trained("alpha", drop_cause=2)
     b = trained("beta", drop_cause=2, seed=1)
