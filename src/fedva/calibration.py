@@ -34,6 +34,7 @@ from .data import Dataset
 from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper, InvalidLabels
 from .exchange import FederationRegistry
 from .ensemble import EnsembleConfig, fit_single_model
+from .lcm import GibbsConfig
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
 from .utils import derive_rng, log_dirichlet, log_dirichlet_pdf
@@ -89,12 +90,8 @@ class CalibConfig:
     def validate(self) -> None:
         if not (self.alpha > 0 and self.beta_rate > 0 and self.epsilon > 0):
             raise InvalidHyper("alpha, beta_rate and epsilon must all be positive")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
-            raise InvalidHyper("iterations must be a positive integer")
-        if not isinstance(self.burn_in, int) or not 0 <= self.burn_in < self.iterations:
-            raise InvalidHyper("burn_in must satisfy 0 <= burn_in < iterations")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidHyper("seed must be an unsigned 64-bit integer")
+        GibbsConfig(iterations=self.iterations, burn_in=self.burn_in, thin=1,
+                    seed=self.seed).validate()
 
 
 def gamma_prior_mean(cfg: CalibConfig) -> float:

@@ -43,7 +43,7 @@ non-covering domains are exactly zero, and a cause that one domain covers
 keeps weight exactly 1 there. The default lambda prior is a symmetric
 Dirichlet (fully conjugate, all rows drawn in one batched call); a
 logistic-normal prior over row log-weights is available via random-walk
-Metropolis-within-Gibbs.
+Metropolis-within-Gibbs, one batched step in which each row is accepted alone.
 """
 from __future__ import annotations
 
@@ -162,14 +162,8 @@ class EnsembleConfig:
             raise InvalidHyper("pi_prior_conc must be positive")
         if not isinstance(self.chains, int) or self.chains < 1:
             raise InvalidHyper("chains must be a positive integer")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
-            raise InvalidHyper("iterations must be a positive integer")
-        if not isinstance(self.burn_in, int) or not 0 <= self.burn_in < self.iterations:
-            raise InvalidHyper("burn_in must satisfy 0 <= burn_in < iterations")
-        if not isinstance(self.thin, int) or self.thin < 1:
-            raise InvalidHyper("thin must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise InvalidHyper("seed must be an unsigned 64-bit integer")
+        GibbsConfig(iterations=self.iterations, burn_in=self.burn_in, thin=self.thin,
+                    seed=self.seed).validate()
         if not 0.0 < self.mix_split_fraction < 1.0:
             raise InvalidHyper("mix_split_fraction must lie in (0,1)")
         if not self.mh_step > 0:
@@ -345,6 +339,13 @@ def _draw_domains(rng, phi_exp, w, log_phi, log_w) -> np.ndarray:
     return h
 
 
+def _log_softmax(b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of b over the cells in mask (some in each row), else -inf."""
+    top = b.max(axis=1, initial=-np.inf, where=mask, keepdims=True)
+    out = np.subtract(b, top, out=np.full_like(b, -np.inf), where=mask)
+    return out - np.log(np.exp(out).sum(axis=1, keepdims=True))
+
+
 def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, chain: int):
     """One MCMC chain; returns kept draws and acceptance bookkeeping."""
     n, C, M = phi.n, phi.C, phi.M
@@ -378,22 +379,19 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
 
     lam = np.where(allowed & ~multi[:, None], 1.0, 0.0)
     log_lam = np.where(lam == 1.0, 0.0, -np.inf)
-    beta = np.zeros((C, M))
-    if ln_prior:
-        for c in np.flatnonzero(multi):
-            idx = np.flatnonzero(allowed[c])
-            beta[c, idx] = rng.normal(0.0, sigma, size=idx.shape[0])
-            log_lam[c, idx] = beta[c, idx] - logsumexp(beta[c, idx])
-            lam[c, idx] = np.exp(log_lam[c, idx])
+    if ln_prior and any_multi:
+        # Multi-domain rows' log-weights beta, 0 at absent cells, and log lambda ll
+        beta = np.where(multi_allowed, rng.normal(0.0, sigma, size=multi_allowed.shape), 0.0)
+        ll = _log_softmax(beta, multi_allowed)
+        lam[multi], log_lam[multi] = np.exp(ll), ll
     elif any_multi:
         lam[multi], log_lam[multi] = log_dirichlet(
             rng, np.where(multi_allowed, conc, 0.0)
         )
 
-    step = np.full(C, cfg.mh_step)
-    accept_win = np.zeros(C)
-    window = 0
-    accept_post = np.zeros(C)
+    step = np.full(multi_allowed.shape[0], cfg.mh_step)
+    accept_win = np.zeros_like(step)
+    accept_post = np.zeros_like(step)
 
     keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
     pi_out = np.empty((keep, C))
@@ -421,34 +419,25 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
         # pi | Y
         pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u + counts_lab)
 
-        # lambda | H; rows of single-domain causes stay at 1
-        if ln_prior:
-            adapting = it < cfg.burn_in
-            for c in np.flatnonzero(multi):
-                idx = np.flatnonzero(allowed[c])
-                b = beta[c, idx]
-                prop = b + step[c] * rng.normal(size=idx.shape[0])
-                cur_ll = b - logsumexp(b)
-                prop_ll = prop - logsumexp(prop)
-                delta = (
-                    float(nm[c, idx] @ (prop_ll - cur_ll))
-                    + (b @ b - prop @ prop) / (2.0 * sigma**2)
-                )
-                if np.log(rng.random()) < delta:
-                    beta[c, idx] = prop
-                    cur_ll = prop_ll
-                    accept_win[c] += 1
-                    if not adapting:
-                        accept_post[c] += 1
-                log_lam[c, idx] = cur_ll
-                lam[c, idx] = np.exp(cur_ll)
-            window += 1
-            if adapting and window == 50:
-                rate = accept_win / 50.0
-                step[rate < 0.20] *= 0.8
-                step[rate > 0.40] *= 1.25
-                accept_win[:] = 0.0
-                window = 0
+        # lambda | H; rows of single-domain causes stay at 1. Logistic-normal:
+        # a random-walk step per row, its size adapted every 50 burn-in sweeps
+        if ln_prior and any_multi:
+            prop = beta + (multi_allowed * step[:, None]) * rng.normal(size=beta.shape)
+            prop_ll = _log_softmax(prop, multi_allowed)
+            gain = np.subtract(prop_ll, ll, out=np.zeros_like(ll), where=multi_allowed)
+            delta = (nm[multi] * gain - (prop * prop - beta * beta) / (2.0 * sigma**2)).sum(axis=1)
+            accepted = np.log(rng.random(delta.shape[0])) < delta
+            beta[accepted], ll[accepted] = prop[accepted], prop_ll[accepted]
+            lam[multi], log_lam[multi] = np.exp(ll), ll
+            if it < cfg.burn_in:
+                accept_win += accepted
+                if (it + 1) % 50 == 0:
+                    rate = accept_win / 50.0
+                    step[rate < 0.20] *= 0.8
+                    step[rate > 0.40] *= 1.25
+                    accept_win[:] = 0.0
+            else:
+                accept_post += accepted
         elif any_multi:
             lam[multi], log_lam[multi] = log_dirichlet(
                 rng, np.where(multi_allowed, conc + nm[multi], 0.0)
@@ -461,7 +450,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
 
     acc = None
     if ln_prior:
-        rates = accept_post[multi] / (cfg.iterations - cfg.burn_in)
+        rates = accept_post / (cfg.iterations - cfg.burn_in)
         acc = float(rates.mean()) if rates.size else 1.0
     return pi_out, lam_out, acc
 
@@ -485,7 +474,8 @@ def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
     out = np.full(C, 1.0)
     ok = w > 0
     var_plus = (L - 1) / L * w[ok] + b[ok] / L
-    out[ok] = np.sqrt(var_plus / w[ok])
+    with np.errstate(over="ignore"):  # a subnormal w gives inf, as it should
+        out[ok] = np.sqrt(var_plus / w[ok])
     return out
 
 

@@ -113,15 +113,28 @@ def _raw_checksum_matches(raw: bytes, stated) -> bool:
     return sha256_hex(body) == stated
 
 
-def _typed(doc: dict, key: str, kind: type, path, where: str = ""):
-    """doc[key], which must be a JSON integer (kind int) or true/false (kind bool).
+_EXPECTED = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
-    Nothing is coerced: 1.9, 2.0, "2" and true are not integers, and "false"
-    and 0 are not booleans.
+
+def _is(value, kind: type) -> bool:
+    """Whether value has JSON type kind; a number (kind float) may be an integer."""
+    return type(value) in (int, float) if kind is float else type(value) is kind
+
+
+def _typed(doc: dict, key: str, kind: type, path, where: str = "", length: int | None = None):
+    """doc[key]: a JSON string, integer, number or true/false, or a list of length such.
+
+    Nothing is coerced: 1.9, 2.0, "2" and true are not integers, true is not
+    a number, 5 is not a string, and "false" and 0 are not booleans.
     """
     value = doc[key]
-    if type(value) is not kind:
-        expected = "true or false" if kind is bool else "an integer"
+    if length is None:
+        ok, expected = _is(value, kind), _EXPECTED[kind]
+    else:
+        ok = (type(value) is list and len(value) == length
+              and all(_is(v, kind) for v in value))
+        expected = f"a list of {length} entries, each {_EXPECTED[kind]}"
+    if not ok:
         raise InvalidSummary(f"{path}: {where}{key} must be {expected}, got {value!r}")
     return value
 
@@ -164,30 +177,33 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
         hyper_doc = document["hyper"]
         hyper = LcmHyper(
             K=_typed(hyper_doc, "K", int, path, "hyper."),
-            alpha_sb=float(hyper_doc["alpha_sb"]),
-            theta_prior=tuple(float(v) for v in hyper_doc["theta_prior"]),
-            pi_prior=float(hyper_doc["pi_prior"]),
+            alpha_sb=float(_typed(hyper_doc, "alpha_sb", float, path, "hyper.")),
+            theta_prior=tuple(float(v) for v in
+                              _typed(hyper_doc, "theta_prior", float, path, "hyper.", 2)),
+            pi_prior=float(_typed(hyper_doc, "pi_prior", float, path, "hyper.")),
             sparse=_typed(hyper_doc, "sparse", bool, path, "hyper."),
-            spike_omega_prior=tuple(float(v) for v in hyper_doc["spike_omega_prior"]),
+            spike_omega_prior=tuple(float(v) for v in _typed(
+                hyper_doc, "spike_omega_prior", float, path, "hyper.", 2)),
         )
         prov_doc = document["provenance"]
         summary = BaseModelSummary(
-            domain_id=str(document["domain_id"]),
+            domain_id=_typed(document, "domain_id", str, path),
             nu_bar=nu_bar,
             theta_bar=theta_bar,
-            present=np.asarray(document["present"], dtype=np.uint8),
-            n_by_cause=np.asarray(document["n_by_cause"], dtype=np.int64),
+            present=np.asarray(_typed(document, "present", int, path, length=C), dtype=np.uint8),
+            n_by_cause=np.asarray(_typed(document, "n_by_cause", int, path, length=C),
+                                  dtype=np.int64),
             cause_list_fingerprint=document["cause_list_fingerprint"],
             dict_fingerprint=document["dict_fingerprint"],
             hyper=hyper,
             provenance=Provenance(
-                tool_version=str(prov_doc["tool_version"]),
+                tool_version=_typed(prov_doc, "tool_version", str, path, "provenance."),
                 seed=_typed(prov_doc, "seed", int, path, "provenance."),
                 iterations=_typed(prov_doc, "iterations", int, path, "provenance."),
                 burn_in=_typed(prov_doc, "burn_in", int, path, "provenance."),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSummary(f"{path}: malformed summary document: {exc}") from None
     if hyper.K != K:
         raise InvalidSummary(f"{path}: hyper.K disagrees with array shape K")

@@ -319,6 +319,9 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
             raise FedvaError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
     if len(set(methods)) < len(methods):
         raise FedvaError(f"a method is listed more than once in {methods}")
+    seeds = list(seeds)
+    if len(set(seeds)) < len(seeds):
+        raise FedvaError(f"a seed is listed more than once in {seeds}")
     base = domains[0]
     for d in domains[1:]:
         if (d.cause_list.fingerprint != base.cause_list.fingerprint

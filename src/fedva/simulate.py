@@ -6,6 +6,10 @@ training domains' conditionals. Parameters (per-domain CSMFs, latent class
 weights, Bernoulli profiles, the target mixture) may be given explicitly or
 drawn from seeded priors; either way the generating truth is returned so
 experiments can score against it.
+
+Sites and target share one record sampler. It takes one (deaths, p + 1) block
+of uniforms: the generator output of one `Generator.choice` of the latent
+class and one p-vector of symptom uniforms per death, used the same way.
 """
 from __future__ import annotations
 
@@ -81,19 +85,23 @@ class Simulation:
     truth: SimulationTruth
 
 
-def _draw_records(rng, n: int, pi: np.ndarray, nu_m: np.ndarray, theta_m: np.ndarray,
-                  missing_rate: float):
-    """Sample (y, x) for one domain of the latent class model."""
-    C, K, p = theta_m.shape
-    y = rng.choice(C, size=n, p=pi)
-    x = np.empty((n, p), dtype=np.uint8)
-    for i in range(n):
-        z = rng.choice(K, p=nu_m[y[i]])
-        x[i] = (rng.random(p) < theta_m[y[i], z]).astype(np.uint8)
+def _choose(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the index that Generator.choice(K, p=row) picks, by its rule, at u."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _draw_records(rng, source, y: np.ndarray, nu: np.ndarray, theta: np.ndarray,
+                  missing_rate: float) -> np.ndarray:
+    """Symptoms of deaths of causes y from domain source (one, or one per death)."""
+    n, p = y.shape[0], theta.shape[-1]
+    u = rng.random((n, p + 1))  # per death: its latent class, then its symptoms
+    z = _choose(nu[source, y], u[:, 0])
+    x = (u[:, 1:] < theta[source, y, z]).astype(np.uint8)
     if missing_rate:
-        mask = rng.random((n, p)) < missing_rate
-        x[mask] = int(SymptomValue.MISSING)
-    return y.astype(np.int32), x
+        x[rng.random((n, p)) < missing_rate] = int(SymptomValue.MISSING)
+    return x
 
 
 def simulate(spec: GeneratorSpec) -> Simulation:
@@ -138,22 +146,14 @@ def simulate(spec: GeneratorSpec) -> Simulation:
 
     domains = []
     for m in range(M):
-        y, x = _draw_records(rng, spec.n_domain, pi_domains[m], nu[m], theta[m],
-                             spec.missing_rate)
+        y = rng.choice(C, size=spec.n_domain, p=pi_domains[m]).astype(np.int32)
+        x = _draw_records(rng, m, y, nu, theta, spec.missing_rate)
         ids = tuple(f"d{m + 1}_{i + 1:06d}" for i in range(spec.n_domain))
         domains.append(Dataset(f"domain_{m + 1}", ids, x, y, cause_list, symptom_dict))
 
     y_t = rng.choice(C, size=spec.n_target, p=pi_target).astype(np.int32)
-    source = np.empty(spec.n_target, dtype=np.int64)
-    for i in range(spec.n_target):
-        source[i] = rng.choice(M, p=lambda_mix[y_t[i]])
-    x_t = np.empty((spec.n_target, p), dtype=np.uint8)
-    for i in range(spec.n_target):
-        z = rng.choice(K, p=nu[source[i], y_t[i]])
-        x_t[i] = (rng.random(p) < theta[source[i], y_t[i], z]).astype(np.uint8)
-    if spec.missing_rate:
-        mask = rng.random((spec.n_target, p)) < spec.missing_rate
-        x_t[mask] = int(SymptomValue.MISSING)
+    source = _choose(lambda_mix[y_t], rng.random(spec.n_target))
+    x_t = _draw_records(rng, source, y_t, nu, theta, spec.missing_rate)
     ids_t = tuple(f"t_{i + 1:06d}" for i in range(spec.n_target))
     target = Dataset("target", ids_t, x_t, y_t, cause_list, symptom_dict)
 

@@ -41,6 +41,13 @@ is stripped and mapped through a dict. `fedva.data.load_dataset` maps all
 well-formed rows at once, so the two must return identical arrays and raise
 the same exception with the same message.
 
+`simulate_reference` is the per-death record loop of the simulator, for a
+spec with every parameter given: one `choice` for the latent class and one
+`random(p)` for the symptoms per death, with the target's source domains and
+records in loops of their own. `fedva.simulate` draws each site's and the
+target's records from one block of uniforms, so the two must return
+identical arrays.
+
 `enumerate_mass` sums a summary's likelihood over every fully observed
 symptom vector; it must equal 1 for each covered cause.
 """
@@ -75,6 +82,7 @@ from fedva.lcm import (
     _canonical_order,
     cond_loglik_matrix,
 )
+from fedva.simulate import GeneratorSpec
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, log_dirichlet_pdf, sha256_hex
 
 from fedva import TOOL_VERSION
@@ -553,6 +561,48 @@ def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
         domain_ids=(),
     )
     return result, gamma_out, conf_out
+
+
+def _draw_records_reference(rng, n: int, pi: np.ndarray, nu_m: np.ndarray,
+                            theta_m: np.ndarray, missing_rate: float):
+    """Sample (y, x) for one domain of the latent class model, death by death."""
+    C, K, p = theta_m.shape
+    y = rng.choice(C, size=n, p=pi)
+    x = np.empty((n, p), dtype=np.uint8)
+    for i in range(n):
+        z = rng.choice(K, p=nu_m[y[i]])
+        x[i] = (rng.random(p) < theta_m[y[i], z]).astype(np.uint8)
+    if missing_rate:
+        mask = rng.random((n, p)) < missing_rate
+        x[mask] = int(SymptomValue.MISSING)
+    return y.astype(np.int32), x
+
+
+def simulate_reference(spec: GeneratorSpec):
+    """([(y, x) of every site], (y, source, x) of the target), death by death.
+
+    Every parameter must be given in spec, so that `simulate` draws none and
+    its stream starts at the records, as this one does.
+    """
+    spec.validate()
+    C, K, p, M = spec.C, spec.K, spec.p, spec.M
+    rng = derive_rng("simulate", spec.seed)
+    pi_domains, pi_target, lambda_mix = spec.pi_domains, spec.pi_target, spec.lambda_mix
+    nu, theta = np.asarray(spec.nu), np.asarray(spec.theta)
+    sites = [_draw_records_reference(rng, spec.n_domain, pi_domains[m], nu[m], theta[m],
+                                     spec.missing_rate) for m in range(M)]
+    y_t = rng.choice(C, size=spec.n_target, p=pi_target).astype(np.int32)
+    source = np.empty(spec.n_target, dtype=np.int64)
+    for i in range(spec.n_target):
+        source[i] = rng.choice(M, p=lambda_mix[y_t[i]])
+    x_t = np.empty((spec.n_target, p), dtype=np.uint8)
+    for i in range(spec.n_target):
+        z = rng.choice(K, p=nu[source[i], y_t[i]])
+        x_t[i] = (rng.random(p) < theta[source[i], y_t[i], z]).astype(np.uint8)
+    if spec.missing_rate:
+        mask = rng.random((spec.n_target, p)) < spec.missing_rate
+        x_t[mask] = int(SymptomValue.MISSING)
+    return sites, (y_t, source, x_t)
 
 
 def enumerate_mass(s: BaseModelSummary, c: int, chunk: int = 1 << 14) -> float:

@@ -283,6 +283,14 @@ def test_split_rhat_behavior():
     assert np.all(np.isnan(split_rhat(np.zeros((2, 3, 1)))))
     shifted = np.concatenate([same, same + 5.0], axis=0)
     assert np.all(split_rhat(shifted) > 1.5)
+    # Chains stuck at opposite vertices: the within-chain variance is
+    # subnormal, and the ratio is inf without an overflow warning.
+    stuck = np.zeros((2, 400, 1))
+    stuck[1] = 1.0
+    stuck += 1e-160 * rng.normal(size=stuck.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert split_rhat(stuck).tolist() == [np.inf]
 
 
 def federation(seed=0, n_per=120):
@@ -432,14 +440,29 @@ def untied_instances():
     return out
 
 
+def logistic_normal_instances():
+    """(seed, phi, labels) for the logistic-normal lambda prior: a plain M=2 fit
+    and an untied labeled M=3 fit under partial coverage, where the batched
+    step masks absent cells and one cause keeps a single domain."""
+    r = np.random.default_rng(301)
+    present = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
+    log_phi = np.log(r.uniform(0.02, 1.0, size=(36, 3, 3)))
+    log_phi[:, present == 0] = -np.inf
+    return [(101, dict(quadrature_instances())[101], None),
+            (301, phi_of(log_phi, present), r.integers(0, 3, size=12))]
+
+
 def test_kernel_matches_log_space_reference_within_monte_carlo_error():
     """Posterior means of pi and lambda agree with the reference kernel, |z| < 4."""
     worst = 0.0
-    cases = [(seed, phi, None) for seed, phi in quadrature_instances()] + untied_instances()
-    for seed, phi, labels in cases:
+    ln = LambdaPrior(kind="logistic_normal")
+    cases = ([(seed, phi, None, LambdaPrior()) for seed, phi in quadrature_instances()]
+             + [(*case, LambdaPrior()) for case in untied_instances()]
+             + [(*case, ln) for case in logistic_normal_instances()])
+    for seed, phi, labels, prior in cases:
         cfg = EnsembleConfig(variant="plain" if labels is None else "partial", chains=2,
                              iterations=2000, burn_in=400, seed=seed,
-                             tie_pi=labels is None)
+                             tie_pi=labels is None, lambda_prior=prior)
         post = fit_global(phi, labels, cfg)
         ref_pi, ref_lam = fit_reference(phi, labels, cfg)
         for got, want in ((post.pi_draws, ref_pi), (post.lambda_draws, ref_lam)):
@@ -519,7 +542,8 @@ def test_single_model_draws_no_lambda(monkeypatch):
 @st.composite
 def extreme_fits(draw):
     """(phi, labels, cfg) at small shapes: cause 0 has one covering domain,
-    spreads up to 2000 nats, concentrations down to 1e-3, any n_L in [0, n]."""
+    spreads up to 2000 nats, concentrations down to 1e-3, any n_L in [0, n],
+    under either lambda prior."""
     C, M = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     n = draw(st.integers(0, 12))
     n_L = draw(st.integers(0, n))
@@ -531,10 +555,11 @@ def extreme_fits(draw):
     log_phi = -spread * rng.random((n, C, M))
     log_phi[:, ~present] = -np.inf
     conc = st.sampled_from([1e-3, 0.05, 0.1, 1.0])
+    kind = draw(st.sampled_from(["dirichlet", "logistic_normal"]))
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=6, burn_in=2,
                          seed=draw(st.integers(0, 2**32)), tie_pi=draw(st.booleans()),
                          pi_prior_conc=draw(conc),
-                         lambda_prior=LambdaPrior(conc=draw(conc)))
+                         lambda_prior=LambdaPrior(kind=kind, conc=draw(conc)))
     labels = rng.integers(0, C, size=n_L) if n_L else None
     return phi_of(log_phi, present.astype(np.uint8)), labels, cfg
 

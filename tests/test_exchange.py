@@ -128,6 +128,11 @@ def test_malformed_documents(tmp_path):
     _rewrite(path, lambda d: d["nu_bar"][0].append(0.5))
     with pytest.raises(InvalidSummary):
         import_summary(path, CL3, SD4)
+    for key, value in (("present", [1, 1, -1]), ("n_by_cause", [20, 20, 2**70])):
+        export_summary(s, path)  # integers out of their array's range
+        _rewrite(path, lambda d: d.__setitem__(key, value))
+        with pytest.raises(InvalidSummary):
+            import_summary(path, CL3, SD4)
 
 
 @pytest.mark.parametrize("where, key, value", [
@@ -135,6 +140,12 @@ def test_malformed_documents(tmp_path):
     (("hyper",), "K", 2.0), (("hyper",), "sparse", "false"), (("hyper",), "sparse", 0),
     (("provenance",), "seed", 0.5), (("provenance",), "iterations", "60"),
     (("provenance",), "burn_in", None),
+    ((), "domain_id", 5), (("provenance",), "tool_version", 1.0),
+    (("hyper",), "alpha_sb", True), (("hyper",), "pi_prior", "1.0"),
+    (("hyper",), "theta_prior", [1.0, 1.0, 1.0]), (("hyper",), "theta_prior", [1.0, "1"]),
+    (("hyper",), "spike_omega_prior", [1.0, True]), (("hyper",), "spike_omega_prior", 1.0),
+    ((), "present", [1, 1]), ((), "present", [1, 1, True]),
+    ((), "n_by_cause", [20, 20, 34.9]),
 ])
 def test_ill_typed_fields_are_refused_not_coerced(tmp_path, where, key, value):
     path = tmp_path / "s.summary.json"

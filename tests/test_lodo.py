@@ -67,6 +67,8 @@ def test_input_validation():
         run_lodo(doms[:1], ["bfl-plain"], "random_sample", [0])
     with pytest.raises(FedvaError, match="more than once"):
         run_lodo(doms, ["bfl-plain", "bfl-plain"], "random_sample", [0])
+    with pytest.raises(FedvaError, match="seed is listed more than once"):
+        run_lodo(doms, ["bfl-plain"], "random_sample", [0, 1, 0])
     other = Dataset(
         domain_id="odd",
         death_ids=doms[0].death_ids,

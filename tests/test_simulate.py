@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedva.data import UNLABELED, SymptomValue
 from fedva.errors import InvalidGenerator
 from fedva.simulate import GeneratorSpec, simulate
+from oracles import simulate_reference
 
 SMALL = GeneratorSpec(C=3, K=2, p=5, M=2, n_domain=40, n_target=25, seed=7)
 
@@ -39,6 +42,40 @@ def test_determinism_in_spec():
     assert np.array_equal(a.truth.theta, b.truth.theta)
     c = simulate(GeneratorSpec(C=3, K=2, p=5, M=2, n_domain=40, n_target=25, seed=8))
     assert not np.array_equal(a.target.x, c.target.x)
+
+
+def _explicit_spec():
+    r = np.random.default_rng(11)
+    return GeneratorSpec(C=3, K=3, p=6, M=2, n_domain=50, n_target=60, seed=5,
+                         nu=r.dirichlet(np.ones(3), size=(2, 3)),
+                         theta=r.uniform(0.05, 0.95, size=(2, 3, 3, 6)),
+                         lambda_mix=r.dirichlet(np.ones(2), size=3))
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(C=4, K=2, p=7, M=3, n_domain=60, n_target=80, seed=3, missing_rate=0.2),
+    GeneratorSpec(C=3, K=1, p=5, M=2, n_domain=40, n_target=30, seed=4),
+    GeneratorSpec(C=3, K=3, p=5, M=1, n_domain=40, n_target=30, seed=6),
+    _explicit_spec(),
+], ids=["missing", "K1", "M1", "explicit"])
+def test_records_match_the_per_death_reference(spec):
+    """The batched record sampler returns the per-death loop's arrays, byte for byte.
+
+    The drawn parameters are passed back in, so that no parameter draw comes
+    before the records in either stream.
+    """
+    t = simulate(spec).truth
+    spec = replace(spec, pi_domains=t.pi_domains, pi_target=t.pi_target,
+                   lambda_mix=t.lambda_mix, nu=t.nu, theta=t.theta)
+    sim = simulate(spec)
+    sites, (y_t, source, x_t) = simulate_reference(spec)
+    for ds, (y, x) in zip(sim.domains, sites, strict=True):
+        assert ds.y.dtype == y.dtype and ds.y.tobytes() == y.tobytes()
+        assert ds.x.dtype == x.dtype and ds.x.tobytes() == x.tobytes()
+    assert sim.target.y.tobytes() == y_t.tobytes()
+    assert sim.truth.target_source.dtype == source.dtype
+    assert sim.truth.target_source.tobytes() == source.tobytes()
+    assert sim.target.x.tobytes() == x_t.tobytes()
 
 
 def test_provided_parameters_are_echoed_and_used():
