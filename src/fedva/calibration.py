@@ -33,7 +33,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper, InvalidLabels
 from .exchange import FederationRegistry
-from .ensemble import EnsembleConfig, fit_single_model
+from .ensemble import EnsembleConfig, PhiTensor, fit_single_model
 from .lcm import GibbsConfig
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
@@ -115,20 +115,27 @@ class CalibrationResult:
         return np.quantile(self.pi_draws, [lo, 1.0 - lo], axis=0)
 
 
-def build_predictions(reg: FederationRegistry, target: Dataset,
-                      cfg: EnsembleConfig) -> PredictionTensor:
+def build_predictions(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
+                      phi: PhiTensor | None = None) -> PredictionTensor:
     """Classify every target death with each base model independently.
 
     Rows hold the labeled deaths first, then the unlabeled ones, each part in
     target order: the layout `fit_calibration` expects. Every model runs
     through `fit_single_model`; causes it does not cover get probability 0.
     Target labels decide only the row order; they belong to the calibration
-    step.
+    step. `phi`, when given, is `build_phi(reg, target)`, already computed by
+    the caller; each model then reads its column instead of scoring again.
     """
     if target.n == 0:
         return PredictionTensor(a=np.zeros((0, len(target.cause_list), reg.M)), death_ids=())
-    target = target.subset(np.argsort(~target.labeled_mask, kind="stable"))
-    a = np.stack([fit_single_model(s, target, cfg)[1] for s in reg.summaries], axis=2)
+    if phi is not None and (phi.M != reg.M or phi.death_ids != target.death_ids):
+        raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
+    order = np.argsort(~target.labeled_mask, kind="stable")
+    target = target.subset(order)
+    a = np.stack([
+        fit_single_model(s, target, cfg, None if phi is None else phi.log_phi[order, :, m])[1]
+        for m, s in enumerate(reg.summaries)
+    ], axis=2)
     return PredictionTensor(a=a, death_ids=target.death_ids)
 
 

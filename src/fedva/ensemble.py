@@ -575,18 +575,23 @@ def _classify_log_space(log_phi: np.ndarray, pi: np.ndarray, lam: np.ndarray) ->
     return num / num.sum(axis=1, keepdims=True)
 
 
-def fit_single_model(summary: BaseModelSummary, target: Dataset,
-                     cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+def fit_single_model(summary: BaseModelSummary, target: Dataset, cfg: EnsembleConfig,
+                     log_lik: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One summary applied alone: the plain variant over the causes it covers.
 
     Returns the posterior-mean CSMF (C,) and the cause probabilities of every
     target death (n, C), both 0 at causes the summary does not cover. Target
-    labels are not read.
+    labels are not read. `log_lik`, when given, is the summary's
+    `cond_loglik_matrix` on the target's rows, already scored by the caller.
     """
     C = len(target.cause_list)
+    if log_lik is None:
+        log_lik = cond_loglik_matrix(summary, target.x)
+    elif log_lik.shape != (target.n, C):
+        raise DimensionMismatch(f"log_lik must have shape {(target.n, C)}, got {log_lik.shape}")
     covered = np.flatnonzero(summary.present)
     phi = PhiTensor(
-        log_phi=cond_loglik_matrix(summary, target.x)[:, covered, None],
+        log_phi=log_lik[:, covered, None],
         present=np.ones((covered.shape[0], 1), dtype=np.uint8),
         death_ids=target.death_ids,
     )
@@ -612,6 +617,17 @@ def adjust_csmf(pi_hat: np.ndarray, n0: int, heldout_counts: np.ndarray) -> np.n
     return ((n0 - n_h) / n0) * pi_hat + heldout / n0
 
 
+def _phi_rows(phi: PhiTensor, rows: np.ndarray, fit_data: Dataset,
+              local_summary: BaseModelSummary | None) -> PhiTensor:
+    """`phi` at `rows` (the deaths of fit_data), plus the local model's column if any."""
+    log_phi, present = phi.log_phi[rows], phi.present
+    if local_summary is not None:
+        local = cond_loglik_matrix(local_summary, fit_data.x)
+        log_phi = np.concatenate([log_phi, local[:, :, None]], axis=2)
+        present = np.concatenate([present, local_summary.present[:, None]], axis=1)
+    return PhiTensor(log_phi=log_phi, present=present, death_ids=fit_data.death_ids)
+
+
 def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], C))
     out[np.arange(labels.shape[0]), labels] = 1.0
@@ -621,7 +637,8 @@ def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
 def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
                 local_hyper: LcmHyper | None = None,
                 local_cfg: GibbsConfig | None = None,
-                workers: int = 1) -> tuple[GlobalPosterior, Classification, np.ndarray]:
+                workers: int = 1,
+                phi: PhiTensor | None = None) -> tuple[GlobalPosterior, Classification, np.ndarray]:
     """Fit one fine-tuning variant on a partially labeled target.
 
     Returns the posterior, a classification of every target death (known
@@ -629,8 +646,14 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
     and the CSMF estimate. When tie_pi holds, the estimate refers to the
     full target and blends in held-out label counts; otherwise it is the
     CSMF of the unlabeled deaths the sampler saw.
+
+    `phi`, when given, is `build_phi(reg, target)`, already computed by the
+    caller: the fit reads its rows, and only the local model that the domain
+    and mix variants train here is scored.
     """
     cfg.validate()
+    if phi is not None and (phi.M != reg.M or phi.death_ids != target.death_ids):
+        raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
     C = len(target.cause_list)
     labeled_idx = np.flatnonzero(target.labeled_mask)
     unlabeled_idx = np.flatnonzero(~target.labeled_mask)
@@ -675,7 +698,10 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
         fit_labels = target.y[partial_idx] if partial_idx.size else None
 
     fit_data = target.subset(fit_idx)
-    phi = build_phi(reg, fit_data)
+    if phi is None:
+        phi = build_phi(reg, fit_data)
+    else:
+        phi = _phi_rows(phi, fit_idx, fit_data, local_summary)
     post = fit_global(phi, fit_labels, cfg, domain_ids=reg.domain_ids, workers=workers)
     fitted = classify(phi, post)
 

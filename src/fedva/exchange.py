@@ -121,13 +121,16 @@ def _is(value, kind: type) -> bool:
     return type(value) in (int, float) if kind is float else type(value) is kind
 
 
-def _typed(doc: dict, key: str, kind: type, path, where: str = "", length: int | None = None):
+def _typed(doc, key, kind: type, path, where: str = "", length: int | None = None):
     """doc[key]: a JSON string, integer, number or true/false, or a list of length such.
 
     Nothing is coerced: 1.9, 2.0, "2" and true are not integers, true is not
-    a number, 5 is not a string, and "false" and 0 are not booleans.
+    a number, 5 is not a string, and "false" and 0 are not booleans. `doc`
+    may be a list, `key` then being an index.
     """
     value = doc[key]
+    if type(key) is int:
+        key = f"[{key}]"
     if length is None:
         ok, expected = _is(value, kind), _EXPECTED[kind]
     else:
@@ -169,11 +172,19 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
             raise InvalidSummary(f"{path}: C/p disagree with the supplied cause list / dictionary")
         nu_bar = np.full((C, K), np.nan)
         theta_bar = np.full((C, K, p), np.nan)
+        nu_rows, theta_rows = document["nu_bar"], document["theta_bar"]
         for c in range(C):
-            if document["nu_bar"][c] is not None:
-                nu_bar[c] = np.asarray(document["nu_bar"][c], dtype=np.float64).reshape(K)
-            if document["theta_bar"][c] is not None:
-                theta_bar[c] = np.asarray(document["theta_bar"][c], dtype=np.float64).reshape(K, p)
+            if nu_rows[c] is not None:
+                nu_bar[c] = _typed(nu_rows, c, float, path, "nu_bar", K)
+            if theta_rows[c] is not None:
+                # one dtype check per row: strings, nulls and objects infer a
+                # non-numeric dtype; booleans become 0 or 1, which validate()
+                # refuses as outside (0, 1)
+                row = np.asarray(theta_rows[c])
+                if row.dtype.kind not in "fiu":
+                    raise InvalidSummary(
+                        f"{path}: theta_bar[{c}] must hold numbers only, got {row.dtype} entries")
+                theta_bar[c] = row.reshape(K, p)
         hyper_doc = document["hyper"]
         hyper = LcmHyper(
             K=_typed(hyper_doc, "K", int, path, "hyper."),

@@ -18,6 +18,14 @@ model plus their metric mean), calib-0.5 and calib-50 (the calibration
 baseline under weak and strong shrinkage). Each cell runs the requested
 methods in this order, so its rows and skipped cells follow it whatever
 order `methods` lists them in; a method listed twice is an error.
+
+A source summary's likelihood of a death depends on the death's symptoms
+alone, not on the method or the label mask. So each cell scores every
+source summary once (`build_phi` on the masked dataset), and every method
+reads its rows from that array: the BFL variants, local-avg's single-model
+fits and the calibration predictions. Only models trained inside the cell
+are scored again. The shared step runs before any method's clock starts,
+so `runtime_s` charges it to no row.
 """
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ import numpy as np
 
 from .calibration import CalibConfig, build_predictions, fit_calibration
 from .data import UNLABELED
-from .ensemble import EnsembleConfig, adjust_csmf, fit_single_model, run_variant
+from .ensemble import EnsembleConfig, adjust_csmf, build_phi, fit_single_model, run_variant
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
 from .errors import (
@@ -201,6 +209,9 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             skip(method, f"{type(exc).__name__}: {exc}")
         return rows, skips
     masked = real.dataset
+    # Shared by every method below. run_lodo builds cells only for complete
+    # registries with the target's fingerprints, so this does not raise.
+    phi = build_phi(reg, masked)
     truth = real.truth
     random_sample = scenario_kind == "random_sample"
     csmf_true = truth.full_csmf if random_sample else truth.unlabeled_csmf
@@ -238,8 +249,8 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             return adjust_csmf(pi_est, masked.n, labeled_counts)
         return pi_est
 
-    def single(summary, method, started):
-        pi, probs = fit_single_model(summary, unlabeled, cell_cfg)
+    def single(summary, method, started, log_lik=None):
+        pi, probs = fit_single_model(summary, unlabeled, cell_cfg, log_lik)
         return finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
 
     n_calib = sum(m in CALIB_RATES for m in requested)
@@ -249,7 +260,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
         try:
             if method in BFL_METHODS:
                 cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
-                _, cls, csmf = run_variant(reg, masked, cfg, local_hyper=lcm_hyper)
+                _, cls, csmf = run_variant(reg, masked, cfg, local_hyper=lcm_hyper, phi=phi)
                 finish(method, csmf, cls.top[unlabeled_pos], started)
             elif method == "local-self":
                 if labeled_pos.size == 0:
@@ -263,10 +274,11 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             elif method == "local-avg":
                 # one local-one:<id> row per training model, then their mean
                 parts = []
-                for s in reg.summaries:
+                for m, s in enumerate(reg.summaries):
                     one = f"local-one:{s.domain_id}"
                     try:
-                        parts.append(single(s, one, time.perf_counter()))
+                        parts.append(single(s, one, time.perf_counter(),
+                                            phi.log_phi[unlabeled_pos, :, m]))
                     except FedvaError as exc:
                         skip(one, f"{type(exc).__name__}: {exc}")
                 if parts:
@@ -285,7 +297,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             else:
                 if preds is None:
                     # built once, charged to the calib rows in equal parts
-                    preds = build_predictions(reg, masked, cell_cfg)
+                    preds = build_predictions(reg, masked, cell_cfg, phi)
                     build_share = (time.perf_counter() - started) / n_calib
                     started = time.perf_counter()
                 ccfg = replace(

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -809,3 +810,51 @@ def test_classify_underflowed_draw_is_computed_in_log_space():
     assert cls.probs[0] == pytest.approx([1 / 3, 2 / 3, 0.0], abs=1e-12)
     assert cls.top[0] == 1
     assert np.abs(cls.probs[1] - classify_reference(phi_of(log_phi[1:]), post)[0]).max() < 1e-12
+
+
+@st.composite
+def extreme_classify_cases(draw):
+    """(phi, posterior) at small shapes: cause 0 has one covering domain, spreads
+    beyond 745 nats, and pi and lambda draws with concentrations down to 1e-3."""
+    C, M = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    n, D = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    present = rng.random((C, M)) < 0.6
+    present[np.arange(C), rng.integers(0, M, size=C)] = True
+    present[0] = np.arange(M) == rng.integers(0, M)
+    spread = draw(st.sampled_from([800.0, 2000.0, 1e5]))
+    log_phi = -spread * rng.random((n, C, M))
+    log_phi[:, ~present] = -np.inf
+    conc = st.sampled_from([1e-3, 0.01, 0.1, 1.0])
+    pi, _ = log_dirichlet(rng, np.full((D, C), draw(conc)))
+    lam, _ = log_dirichlet(rng, np.broadcast_to(draw(conc) * present, (D, C, M)))
+    return phi_of(log_phi, present.astype(np.uint8)), _posterior(pi, lam)
+
+
+def _folded_reference(phi, post):
+    """classify_reference, one draw at a time, with that draw's log pi_c + log
+    lambda_cm folded into the likelihoods and unit weights in their place. The
+    cause probabilities are the same, but the reference's per-death shift then
+    lands on the heaviest weighted cell, so its sums cannot underflow."""
+    unit = _posterior(np.ones((1, phi.C)), np.ones((1, phi.C, phi.M)))
+    total = np.zeros((phi.n, phi.C))
+    for pi, lam in zip(post.pi_draws, post.lambda_draws):
+        with np.errstate(divide="ignore"):
+            log_w = phi.log_phi + (np.log(pi)[:, None] + np.log(lam))
+        folded = SimpleNamespace(log_phi=log_w - log_w.max(axis=(1, 2), keepdims=True),
+                                 n=phi.n, C=phi.C)
+        total += classify_reference(folded, unit)
+    return total / post.D
+
+
+@settings(max_examples=80, deadline=None)
+@given(extreme_classify_cases())
+def test_classify_rows_stay_finite_simplices_at_numeric_extremes(case):
+    phi, post = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = classify(phi, post)
+    assert np.all(np.isfinite(cls.probs)) and np.all(cls.probs >= 0)
+    assert np.abs(cls.probs.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.abs(cls.probs - _folded_reference(phi, post)).max() < 1e-9
+    assert np.array_equal(cls.top, np.argmax(cls.probs, axis=1))

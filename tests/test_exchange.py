@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,12 @@ def test_malformed_documents(tmp_path):
     (("hyper",), "spike_omega_prior", [1.0, True]), (("hyper",), "spike_omega_prior", 1.0),
     ((), "present", [1, 1]), ((), "present", [1, 1, True]),
     ((), "n_by_cause", [20, 20, 34.9]),
+    # parameter rows (K=2, p=4): each value below would pass validate() if coerced
+    (("nu_bar",), 0, ["0.5", "0.5"]), (("nu_bar",), 2, [True, 0.0]),
+    (("nu_bar",), 1, [0.5, [0.5]]), (("nu_bar",), 0, "0.5"),
+    (("theta_bar",), 0, [[0.5, "0.5", 0.5, 0.5], [0.5] * 4]),
+    (("theta_bar",), 1, [["0.25"] * 4, ["0.75"] * 4]),
+    (("theta_bar",), 2, [[0.5] * 4, [0.5, 0.5, 0.5, {"v": 0.5}]]),
 ])
 def test_ill_typed_fields_are_refused_not_coerced(tmp_path, where, key, value):
     path = tmp_path / "s.summary.json"
@@ -158,7 +165,19 @@ def test_ill_typed_fields_are_refused_not_coerced(tmp_path, where, key, value):
         doc[key] = value
 
     _rewrite(path, mutate)
-    with pytest.raises(InvalidSummary, match=key):
+    name = key if isinstance(key, str) else f"{where[-1]}[{key}] must"
+    with pytest.raises(InvalidSummary, match=re.escape(name)):
+        import_summary(path, CL3, SD4)
+
+
+def test_nu_bar_true_at_one_class_is_refused(tmp_path):
+    ds = make_dataset("alpha", np.zeros((6, 4), dtype=np.uint8), np.repeat([0, 1, 2], 2))
+    s = train_lcm(ds, LcmHyper(K=1), GibbsConfig(iterations=20, burn_in=10, thin=1, seed=0))
+    path = tmp_path / "s.summary.json"
+    export_summary(s, path)
+    assert import_summary(path, CL3, SD4).nu_bar.tolist() == [[1.0]] * 3
+    _rewrite(path, lambda d: d["nu_bar"].__setitem__(1, [True]))
+    with pytest.raises(InvalidSummary, match=re.escape("nu_bar[1] must")):
         import_summary(path, CL3, SD4)
 
 

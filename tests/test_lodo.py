@@ -1,16 +1,24 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import CL3, SD4, make_dataset
-from fedva.calibration import CalibConfig
+from fedva.calibration import CalibConfig, build_predictions
 from fedva.cli import main
 from fedva.data import CauseList, Dataset
-from fedva.ensemble import EnsembleConfig
-from fedva import lodo
-from fedva.errors import ConfigError, EmptyCauseForResample, FedvaError, FingerprintMismatch
-from fedva.lcm import GibbsConfig, LcmHyper
+from fedva.ensemble import EnsembleConfig, build_phi, fit_single_model, run_variant
+from fedva import ensemble, lodo
+from fedva.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyCauseForResample,
+    FedvaError,
+    FingerprintMismatch,
+)
+from fedva.exchange import make_registry
+from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from fedva.lodo import KNOWN_METHODS, ExperimentReport, MethodResult, run_lodo
 from fedva.scenarios import make_scenario
 
@@ -258,3 +266,93 @@ def test_malformed_results_csv_names_file_and_line(tmp_path, row, message):
     with pytest.raises(ConfigError, match=f"lodo_results.csv:3: .*{message}"):
         ExperimentReport.from_csv(path)
     assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
+def test_each_source_summary_is_scored_once_per_cell(monkeypatch, scenario):
+    """All 8 methods of a cell read one build_phi; only models trained in the
+    cell (the -self and -local ones) are scored again."""
+    events = []
+
+    def spy_scenario(target, *args, **kwargs):
+        real = make_scenario(target, *args, **kwargs)
+        events.append(("cell", target.domain_id, real.dataset.n))
+        return real
+
+    def spy_loglik(s, x):
+        events.append(("score", s.domain_id, len(x)))
+        return cond_loglik_matrix(s, x)
+
+    monkeypatch.setattr(lodo, "make_scenario", spy_scenario)
+    monkeypatch.setattr(ensemble, "cond_loglik_matrix", spy_loglik)
+    rep = run_small(list(KNOWN_METHODS), scenario=scenario, seeds=(0, 1))
+    # severe_shift may label too few deaths for a local model in some cells
+    assert all("InsufficientLocalLabels" in s.reason for s in rep.skipped)
+    assert {"bfl-domain", "bfl-mix", "local-self"} <= {r.method for r in rep.rows}
+    cells = [i for i, e in enumerate(events) if e[0] == "cell"]
+    assert len(cells) == 3 * 2
+    sources = {f"dom{d}" for d in range(3)}
+    for start, end in zip(cells, cells[1:] + [len(events)]):
+        _, target, n = events[start]
+        scored = [e[1:] for e in events[start + 1:end]]
+        from_sources = sorted(e for e in scored if e[0] in sources)
+        assert from_sources == [(s, n) for s in sorted(sources - {target})]
+        assert {d for d, _ in scored} - sources <= {f"{target}-self", f"{target}-local"}
+
+
+def _cell(scenario, seed=3):
+    doms = toy_domains()
+    # the narrow summary leaves cause 2 uncovered, so its phi column has -inf cells
+    summaries = [train_lcm(d, LcmHyper(K=1), TINY_LCM) for d in doms[1:] + [narrow_domain()]]
+    reg = make_registry(summaries, CL3, SD4)
+    masked = make_scenario(doms[0], scenario, seed, label_fraction=0.4).dataset
+    return reg, masked
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
+@pytest.mark.parametrize("variant", ["plain", "partial", "domain", "mix"])
+def test_run_variant_on_shared_phi_matches_its_own(scenario, variant):
+    reg, masked = _cell(scenario)
+    cfg = replace(TINY_ENS, variant=variant, tie_pi=scenario == "random_sample")
+    kw = dict(local_hyper=LcmHyper(K=1))
+    post, cls, csmf = run_variant(reg, masked, cfg, **kw)
+    shared_post, shared_cls, shared_csmf = run_variant(
+        reg, masked, cfg, phi=build_phi(reg, masked), **kw)
+    assert np.array_equal(shared_cls.top, cls.top)
+    assert np.abs(shared_post.pi_mean() - post.pi_mean()).max() < 1e-9
+    assert np.abs(shared_csmf - csmf).max() < 1e-9
+    assert shared_post.domain_ids == post.domain_ids
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
+def test_single_model_fits_on_shared_phi_match_their_own(scenario):
+    reg, masked = _cell(scenario)
+    phi = build_phi(reg, masked)
+    unlabeled_pos = np.flatnonzero(~masked.labeled_mask)
+    unlabeled = masked.subset(unlabeled_pos)
+    for m, s in enumerate(reg.summaries):
+        pi, probs = fit_single_model(s, unlabeled, TINY_ENS)
+        shared_pi, shared_probs = fit_single_model(
+            s, unlabeled, TINY_ENS, phi.log_phi[unlabeled_pos, :, m])
+        assert np.array_equal(np.argmax(shared_probs, axis=1), np.argmax(probs, axis=1))
+        assert np.abs(shared_pi - pi).max() < 1e-9
+    preds = build_predictions(reg, masked, TINY_ENS)
+    shared = build_predictions(reg, masked, TINY_ENS, phi)
+    assert shared.death_ids == preds.death_ids
+    assert np.array_equal(shared.top(), preds.top())
+    assert np.abs(shared.a - preds.a).max() < 1e-9
+
+
+def test_shared_phi_must_match_registry_and_target():
+    reg, masked = _cell("severe_shift")
+    phi = build_phi(reg, masked)
+    other = masked.subset(np.arange(masked.n)[::-1])
+    with pytest.raises(DimensionMismatch):
+        run_variant(reg, other, TINY_ENS, phi=phi)
+    with pytest.raises(DimensionMismatch):
+        build_predictions(make_registry(reg.summaries[:1], CL3, SD4), masked, TINY_ENS, phi)
+    with pytest.raises(DimensionMismatch):
+        fit_single_model(reg.summaries[0], masked, TINY_ENS, phi.log_phi[1:, :, 0])
