@@ -116,24 +116,24 @@ class CalibrationResult:
 
 
 def build_predictions(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
-                      phi: PhiTensor | None = None) -> PredictionTensor:
+                      phi: PhiTensor) -> PredictionTensor:
     """Classify every target death with each base model independently.
 
-    Rows hold the labeled deaths first, then the unlabeled ones, each part in
-    target order: the layout `fit_calibration` expects. Every model runs
-    through `fit_single_model`; causes it does not cover get probability 0.
+    `phi` is `build_phi(reg, target)`, scored by the caller; each model reads
+    its column through `fit_single_model`, and causes it does not cover get
+    probability 0. Rows hold the labeled deaths first, then the unlabeled
+    ones, each part in target order: the layout `fit_calibration` expects.
     Target labels decide only the row order; they belong to the calibration
-    step. `phi`, when given, is `build_phi(reg, target)`, already computed by
-    the caller; each model then reads its column instead of scoring again.
+    step.
     """
     if target.n == 0:
         return PredictionTensor(a=np.zeros((0, len(target.cause_list), reg.M)), death_ids=())
-    if phi is not None and (phi.M != reg.M or phi.death_ids != target.death_ids):
+    if phi.M != reg.M or phi.death_ids != target.death_ids:
         raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
     order = np.argsort(~target.labeled_mask, kind="stable")
     target = target.subset(order)
     a = np.stack([
-        fit_single_model(s, target, cfg, None if phi is None else phi.log_phi[order, :, m])[1]
+        fit_single_model(s, target, cfg, phi.log_phi[order, :, m])[1]
         for m, s in enumerate(reg.summaries)
     ], axis=2)
     return PredictionTensor(a=a, death_ids=target.death_ids)

@@ -25,7 +25,7 @@ from .data import (
     load_dataset,
     load_symptom_dictionary,
 )
-from .ensemble import run_variant
+from .ensemble import build_phi, run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
 from .exchange import import_summary, make_registry, summary_bytes
 from .lcm import train_lcm
@@ -128,7 +128,7 @@ def _run_ensemble(cfg: RunConfig, variant_override: str | None):
     if variant_override:
         ens_cfg = replace(ens_cfg, variant=variant_override)
     post, cls, csmf = run_variant(
-        reg, target, ens_cfg,
+        reg, target, ens_cfg, build_phi(reg, target),
         local_hyper=cfg.base_model,
         workers=cfg.workers,
     )
@@ -158,7 +158,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> None:
     cl, sd = _load_coords(cfg)
     target = _target_dataset(cfg, cl, sd)
     reg = _registry_for_target(cfg, cl, sd, target.domain_id)
-    preds = build_predictions(reg, target, cfg.ensemble)
+    preds = build_predictions(reg, target, cfg.ensemble, build_phi(reg, target))
     labels = target.y[target.labeled_mask]
     result = fit_calibration(preds, labels, cfg.calibration, domain_ids=reg.domain_ids)
     text = calibration_text(result, cl)

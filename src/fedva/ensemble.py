@@ -200,14 +200,15 @@ class Classification:
 
 
 def build_phi(reg: FederationRegistry, target: Dataset) -> PhiTensor:
-    """Evaluate every summary's conditional log-likelihood on every death."""
+    """Evaluate every summary's conditional log-likelihood on every death.
+
+    A cause no summary covers stays -inf in every column: calibration reads
+    such a tensor, `run_variant` refuses to fit one.
+    """
     if target.symptom_dict.fingerprint != reg.dict_fingerprint:
         raise FingerprintMismatch("target symptom dictionary differs from the registry's")
     if target.cause_list.fingerprint != reg.cause_list_fingerprint:
         raise FingerprintMismatch("target cause list differs from the registry's")
-    if not reg.complete:
-        uncovered = np.flatnonzero(reg.coverage == 0).tolist()
-        raise IncompleteRegistry(f"no summary covers cause indices {uncovered}")
     log_phi = np.stack([cond_loglik_matrix(s, target.x) for s in reg.summaries], axis=2)
     present = np.stack([s.present for s in reg.summaries], axis=1)
     return PhiTensor(log_phi=log_phi, present=present, death_ids=target.death_ids)
@@ -576,18 +577,16 @@ def _classify_log_space(log_phi: np.ndarray, pi: np.ndarray, lam: np.ndarray) ->
 
 
 def fit_single_model(summary: BaseModelSummary, target: Dataset, cfg: EnsembleConfig,
-                     log_lik: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     log_lik: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One summary applied alone: the plain variant over the causes it covers.
 
-    Returns the posterior-mean CSMF (C,) and the cause probabilities of every
-    target death (n, C), both 0 at causes the summary does not cover. Target
-    labels are not read. `log_lik`, when given, is the summary's
-    `cond_loglik_matrix` on the target's rows, already scored by the caller.
+    `log_lik` is the summary's `cond_loglik_matrix` on the target's rows,
+    scored by the caller. Returns the posterior-mean CSMF (C,) and the cause
+    probabilities of every target death (n, C), both 0 at causes the summary
+    does not cover. Target labels are not read.
     """
     C = len(target.cause_list)
-    if log_lik is None:
-        log_lik = cond_loglik_matrix(summary, target.x)
-    elif log_lik.shape != (target.n, C):
+    if log_lik.shape != (target.n, C):
         raise DimensionMismatch(f"log_lik must have shape {(target.n, C)}, got {log_lik.shape}")
     covered = np.flatnonzero(summary.present)
     phi = PhiTensor(
@@ -635,24 +634,21 @@ def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
 
 
 def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
+                phi: PhiTensor,
                 local_hyper: LcmHyper | None = None,
-                local_cfg: GibbsConfig | None = None,
-                workers: int = 1,
-                phi: PhiTensor | None = None) -> tuple[GlobalPosterior, Classification, np.ndarray]:
+                workers: int = 1) -> tuple[GlobalPosterior, Classification, np.ndarray]:
     """Fit one fine-tuning variant on a partially labeled target.
 
-    Returns the posterior, a classification of every target death (known
-    labels become one-hot rows except under plain, which ignores labels),
-    and the CSMF estimate. When tie_pi holds, the estimate refers to the
-    full target and blends in held-out label counts; otherwise it is the
+    `phi` is `build_phi(reg, target)`, scored by the caller. The fit reads its
+    rows; only the local model that the domain and mix variants train here is
+    scored. Returns the posterior, a classification of every target death
+    (known labels become one-hot rows except under plain, which ignores
+    labels), and the CSMF estimate. When tie_pi holds, the estimate refers to
+    the full target and blends in held-out label counts; otherwise it is the
     CSMF of the unlabeled deaths the sampler saw.
-
-    `phi`, when given, is `build_phi(reg, target)`, already computed by the
-    caller: the fit reads its rows, and only the local model that the domain
-    and mix variants train here is scored.
     """
     cfg.validate()
-    if phi is not None and (phi.M != reg.M or phi.death_ids != target.death_ids):
+    if phi.M != reg.M or phi.death_ids != target.death_ids:
         raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
     C = len(target.cause_list)
     labeled_idx = np.flatnonzero(target.labeled_mask)
@@ -685,23 +681,18 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
             heldout_idx = np.sort(labeled_idx[perm[:n_local]])
             partial_idx = np.sort(labeled_idx[perm[n_local:]])
         local_data = target.subset(heldout_idx, domain_id=f"{target.domain_id}-local")
-        if local_cfg is None:
-            local_cfg = GibbsConfig(
-                iterations=cfg.iterations,
-                burn_in=cfg.burn_in,
-                thin=cfg.thin,
-                seed=derive_seed("local-model", target.domain_id, cfg.seed),
-            )
-        local_summary = train_lcm(local_data, local_hyper or LcmHyper(), local_cfg)
+        local_summary = train_lcm(local_data, local_hyper or LcmHyper(), GibbsConfig(
+            iterations=cfg.iterations, burn_in=cfg.burn_in, thin=cfg.thin,
+            seed=derive_seed("local-model", target.domain_id, cfg.seed),
+        ))
         reg = reg.extend(local_summary)
         fit_idx = np.concatenate([partial_idx, unlabeled_idx])
         fit_labels = target.y[partial_idx] if partial_idx.size else None
+    if not reg.complete:
+        uncovered = np.flatnonzero(reg.coverage == 0).tolist()
+        raise IncompleteRegistry(f"no summary covers cause indices {uncovered}")
 
-    fit_data = target.subset(fit_idx)
-    if phi is None:
-        phi = build_phi(reg, fit_data)
-    else:
-        phi = _phi_rows(phi, fit_idx, fit_data, local_summary)
+    phi = _phi_rows(phi, fit_idx, target.subset(fit_idx), local_summary)
     post = fit_global(phi, fit_labels, cfg, domain_ids=reg.domain_ids, workers=workers)
     fitted = classify(phi, post)
 

@@ -24,8 +24,10 @@ alone, not on the method or the label mask. So each cell scores every
 source summary once (`build_phi` on the masked dataset), and every method
 reads its rows from that array: the BFL variants, local-avg's single-model
 fits and the calibration predictions. Only models trained inside the cell
-are scored again. The shared step runs before any method's clock starts,
-so `runtime_s` charges it to no row.
+are scored again; a local-self-only cell scores no source summary. The
+shared step runs before any method's clock starts, so `runtime_s` charges
+it to no row. The `ensemble`, `classify` and `calibrate` commands follow
+the same rule on their target.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from .errors import (
     InsufficientLocalLabels,
 )
 from .exchange import make_registry
-from .lcm import GibbsConfig, LcmHyper, train_lcm
+from .lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from .scenarios import make_scenario
 from .utils import derive_seed, parallel_map
@@ -209,9 +211,9 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             skip(method, f"{type(exc).__name__}: {exc}")
         return rows, skips
     masked = real.dataset
-    # Shared by every method below. run_lodo builds cells only for complete
+    # Read by every method but local-self. run_lodo builds cells only for
     # registries with the target's fingerprints, so this does not raise.
-    phi = build_phi(reg, masked)
+    phi = build_phi(reg, masked) if set(requested) - {"local-self"} else None
     truth = real.truth
     random_sample = scenario_kind == "random_sample"
     csmf_true = truth.full_csmf if random_sample else truth.unlabeled_csmf
@@ -249,7 +251,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             return adjust_csmf(pi_est, masked.n, labeled_counts)
         return pi_est
 
-    def single(summary, method, started, log_lik=None):
+    def single(summary, method, started, log_lik):
         pi, probs = fit_single_model(summary, unlabeled, cell_cfg, log_lik)
         return finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
 
@@ -260,7 +262,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
         try:
             if method in BFL_METHODS:
                 cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
-                _, cls, csmf = run_variant(reg, masked, cfg, local_hyper=lcm_hyper, phi=phi)
+                _, cls, csmf = run_variant(reg, masked, cfg, phi, local_hyper=lcm_hyper)
                 finish(method, csmf, cls.top[unlabeled_pos], started)
             elif method == "local-self":
                 if labeled_pos.size == 0:
@@ -270,7 +272,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
                     lcm_hyper,
                     replace(lcm_cfg, seed=derive_seed("lodo-self", target.domain_id, seed)),
                 )
-                single(local, method, started)
+                single(local, method, started, cond_loglik_matrix(local, unlabeled.x))
             elif method == "local-avg":
                 # one local-one:<id> row per training model, then their mean
                 parts = []

@@ -240,7 +240,7 @@ def test_04_single_summary_ensemble_reduces_to_semi_supervised_model():
 
     cfg = EnsembleConfig(variant="partial", tie_pi=True, chains=4,
                          iterations=8000, burn_in=4000, seed=11)
-    post, cls, _ = run_variant(reg, target, cfg, workers=4)
+    post, cls, _ = run_variant(reg, target, cfg, build_phi(reg, target), workers=4)
     pkg_pi = post.pi_mean()
     pkg_pred = cls.probs[n_L:].mean(axis=0)
     pkg_pi_se = _batch_se(post.pi_draws)
@@ -302,7 +302,8 @@ def test_05_recovers_known_prevalence_and_domain_weights_from_synthetic_data():
         reg = make_registry(summaries, sim.cause_list, sim.symptom_dict)
         cfg = EnsembleConfig(variant="plain", chains=4, iterations=800,
                              burn_in=400, seed=seed)
-        post, _, csmf = run_variant(reg, sim.target.without_labels(), cfg, workers=4)
+        target = sim.target.without_labels()
+        post, _, csmf = run_variant(reg, target, cfg, build_phi(reg, target), workers=4)
         accs.append(csmf_accuracy(csmf, np.asarray(PI_T)))
         lam_errs.append(float(np.abs(post.lambda_mean() - np.asarray(LAM)).max()))
     elapsed = time.monotonic() - started

@@ -13,7 +13,7 @@ from fedva.calibration import (
     gamma_prior_mean,
 )
 from fedva.data import UNLABELED
-from fedva.ensemble import EnsembleConfig, PhiTensor, classify, fit_global
+from fedva.ensemble import EnsembleConfig, PhiTensor, build_phi, classify, fit_global
 from fedva.errors import (
     DimensionMismatch,
     EmptyPredictions,
@@ -361,7 +361,7 @@ def single_model_registry(seed=0, causes=(0, 1, 2)):
 def test_build_predictions_single_model_delegates_to_classifier():
     reg, target = single_model_registry()
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=600, burn_in=300, seed=3)
-    tensor = build_predictions(reg, target, cfg)
+    tensor = build_predictions(reg, target, cfg, build_phi(reg, target))
     assert tensor.death_ids == target.death_ids
     s = reg.summaries[0]
     phi = PhiTensor(
@@ -376,7 +376,7 @@ def test_build_predictions_single_model_delegates_to_classifier():
 def test_build_predictions_absent_cause_gets_zero():
     reg, target = single_model_registry(seed=1, causes=(0, 1))
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=150, burn_in=75, seed=0)
-    tensor = build_predictions(reg, target, cfg)
+    tensor = build_predictions(reg, target, cfg, build_phi(reg, target))
     assert np.all(tensor.a[:, 2, 0] == 0.0)
     assert np.allclose(tensor.a.sum(axis=1), 1.0, atol=1e-9)
 
@@ -388,11 +388,12 @@ def test_build_predictions_puts_labeled_deaths_first():
     y[labeled] = target.y[labeled]
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=0)
-    tensor = build_predictions(reg, mixed, cfg)
+    tensor = build_predictions(reg, mixed, cfg, build_phi(reg, mixed))
     order = labeled + [i for i in range(target.n) if i not in labeled]
     assert tensor.death_ids == tuple(target.death_ids[i] for i in order)
     # already in that order: the rows are the same fit
-    again = build_predictions(reg, mixed.subset(order), cfg)
+    reordered = mixed.subset(order)
+    again = build_predictions(reg, reordered, cfg, build_phi(reg, reordered))
     assert again.death_ids == tensor.death_ids and np.array_equal(again.a, tensor.a)
 
 
@@ -400,5 +401,5 @@ def test_build_predictions_empty_target():
     reg, target = single_model_registry()
     empty = target.subset(np.array([], dtype=np.int64))
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=100, burn_in=50, seed=0)
-    tensor = build_predictions(reg, empty, cfg)
+    tensor = build_predictions(reg, empty, cfg, build_phi(reg, empty))
     assert tensor.n == 0 and tensor.C == 3 and tensor.M == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from fedva import ensemble, lcm
 from fedva.cli import main
 from fedva.data import (
     UNLABELED,
@@ -178,6 +179,25 @@ def test_calibrate_outputs(ws):
     text = read(out / "calibration.txt").decode()
     assert "hard-classification" in text
     assert "confusion" in text
+
+
+def test_each_source_summary_is_scored_once_per_command(ws, tmp_path, monkeypatch):
+    """ensemble and calibrate score every source summary once, on all 30
+    target deaths; the domain variant scores its local model once more, on
+    the 18 unlabeled deaths it fits."""
+    scored = []
+
+    def spy(s, x):
+        scored.append((s.domain_id, len(x)))
+        return lcm.cond_loglik_matrix(s, x)
+
+    monkeypatch.setattr(ensemble, "cond_loglik_matrix", spy)
+    assert run_cli("ensemble", "--config", ws["cfg"], "--variant", "domain",
+                   "--out", tmp_path / "ens") == 0
+    assert scored == [("domain_1", 30), ("domain_2", 30), ("target-local", 18)]
+    scored.clear()
+    assert run_cli("calibrate", "--config", ws["cfg"], "--out", tmp_path / "cal") == 0
+    assert scored == [("domain_1", 30), ("domain_2", 30)]
 
 
 def test_lodo_and_report_round_trip(ws):

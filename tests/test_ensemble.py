@@ -314,7 +314,7 @@ def federation(seed=0, n_per=120):
     return make_registry(summaries, CL3, SD4), target
 
 
-def test_build_phi_requires_coverage():
+def test_run_variant_requires_coverage():
     reg, target = federation()
     thin = make_registry([s for s in reg.summaries][:1], CL3, SD4)
     phi = build_phi(thin, target)
@@ -324,9 +324,18 @@ def test_build_phi_requires_coverage():
     ds = make_dataset("partial_dom", rng.integers(0, 2, (20, 4)).astype(np.uint8), y)
     s = train_lcm(ds, LcmHyper(K=1), GibbsConfig(iterations=40, burn_in=20, thin=1, seed=0))
     reg2 = make_registry([s], CL3, SD4)
+    # scoring an incomplete registry is fine (calibration reads it) ...
+    phi2 = build_phi(reg2, target)
+    assert np.all(phi2.log_phi[:, 2, 0] == -np.inf) and phi2.present[2, 0] == 0
+    # ... but an ensemble fit needs every cause covered
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=100, burn_in=50, seed=0)
     with pytest.raises(IncompleteRegistry) as ei:
-        build_phi(reg2, target)
+        run_variant(reg2, target, cfg, phi2)
     assert "trauma" in str(ei.value) or "2" in str(ei.value)
+    # a local model trained on the target's labels can complete the registry
+    post, _, _ = run_variant(reg2, target, replace(cfg, variant="domain"), phi2,
+                             local_hyper=LcmHyper(K=1))
+    assert post.domain_ids == ("partial_dom", "target-local")
 
 
 def test_fit_single_model_covers_only_the_summary_causes():
@@ -336,7 +345,7 @@ def test_fit_single_model_covers_only_the_summary_causes():
     ds = make_dataset("partial_dom", rng.integers(0, 2, (20, 4)).astype(np.uint8), y)
     s = train_lcm(ds, LcmHyper(K=2), GibbsConfig(iterations=40, burn_in=20, thin=1, seed=0))
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=600, burn_in=300, seed=4)
-    pi, probs = fit_single_model(s, target, cfg)
+    pi, probs = fit_single_model(s, target, cfg, cond_loglik_matrix(s, target.x))
     assert pi.shape == (3,) and probs.shape == (60, 3)
     assert pi[2] == 0.0 and np.all(probs[:, 2] == 0.0)
     assert abs(pi.sum() - 1.0) < 1e-12
@@ -354,7 +363,7 @@ def test_fit_single_model_covers_only_the_summary_causes():
 def test_run_variant_plain_equals_fit_global():
     reg, target = federation()
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(reg, target, cfg)
+    post, cls, csmf = run_variant(reg, target, cfg, build_phi(reg, target))
     direct = fit_global(build_phi(reg, target), None, cfg, domain_ids=reg.domain_ids)
     assert np.array_equal(post.pi_draws, direct.pi_draws)
     assert cls.death_ids == target.death_ids
@@ -367,7 +376,7 @@ def test_run_variant_partial_uses_labels_in_original_order():
     y[::2] = UNLABELED  # label every other death
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(reg, mixed, cfg)
+    post, cls, csmf = run_variant(reg, mixed, cfg, build_phi(reg, mixed))
     assert cls.death_ids == mixed.death_ids
     lab = np.flatnonzero(mixed.y != UNLABELED)
     assert np.allclose(cls.probs[lab, mixed.y[lab]], 1.0)
@@ -377,11 +386,8 @@ def test_run_variant_partial_uses_labels_in_original_order():
 def test_run_variant_domain_adds_model_and_holds_out():
     reg, target = federation()
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(
-        reg, target, cfg,
-        local_hyper=LcmHyper(K=1),
-        local_cfg=GibbsConfig(iterations=60, burn_in=30, thin=1, seed=0),
-    )
+    post, cls, csmf = run_variant(reg, target, cfg, build_phi(reg, target),
+                                  local_hyper=LcmHyper(K=1))
     assert post.lambda_draws.shape[2] == reg.M + 1
     assert post.domain_ids[-1] == "target-local"
     assert cls.death_ids == target.death_ids
@@ -393,10 +399,9 @@ def test_run_variant_mix_split_is_seeded_partition():
     reg, target = federation()
     cfg = EnsembleConfig(variant="mix", chains=2, iterations=300, burn_in=150,
                          seed=5, mix_split_fraction=0.5)
-    post1, _, _ = run_variant(reg, target, cfg, local_hyper=LcmHyper(K=1),
-                              local_cfg=GibbsConfig(iterations=60, burn_in=30, thin=1, seed=0))
-    post2, _, _ = run_variant(reg, target, cfg, local_hyper=LcmHyper(K=1),
-                              local_cfg=GibbsConfig(iterations=60, burn_in=30, thin=1, seed=0))
+    phi = build_phi(reg, target)
+    post1, _, _ = run_variant(reg, target, cfg, phi, local_hyper=LcmHyper(K=1))
+    post2, _, _ = run_variant(reg, target, cfg, phi, local_hyper=LcmHyper(K=1))
     assert np.array_equal(post1.pi_draws, post2.pi_draws)
     assert post1.lambda_draws.shape[2] == reg.M + 1
 
@@ -406,7 +411,7 @@ def test_run_variant_guards_small_label_sets():
     few = target.subset(np.arange(5))  # 5 < 2 * C
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=100, burn_in=50, seed=0)
     with pytest.raises(InsufficientLocalLabels):
-        run_variant(reg, few, cfg, local_hyper=LcmHyper(K=1))
+        run_variant(reg, few, cfg, build_phi(reg, few), local_hyper=LcmHyper(K=1))
     with pytest.raises(InvalidHyper):
         EnsembleConfig(variant="nope").validate()
 

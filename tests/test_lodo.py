@@ -9,7 +9,7 @@ from fedva.calibration import CalibConfig, build_predictions
 from fedva.cli import main
 from fedva.data import CauseList, Dataset
 from fedva.ensemble import EnsembleConfig, build_phi, fit_single_model, run_variant
-from fedva import ensemble, lodo
+from fedva import calibration, ensemble, lodo
 from fedva.errors import (
     ConfigError,
     DimensionMismatch,
@@ -268,6 +268,16 @@ def test_malformed_results_csv_names_file_and_line(tmp_path, row, message):
     assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+def _spy_scoring(monkeypatch, events):
+    """Record (domain id, rows) of every likelihood evaluation, wherever it is bound."""
+    def spy_loglik(s, x):
+        events.append(("score", s.domain_id, len(x)))
+        return cond_loglik_matrix(s, x)
+
+    monkeypatch.setattr(ensemble, "cond_loglik_matrix", spy_loglik)
+    monkeypatch.setattr(lodo, "cond_loglik_matrix", spy_loglik)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
 def test_each_source_summary_is_scored_once_per_cell(monkeypatch, scenario):
@@ -280,12 +290,8 @@ def test_each_source_summary_is_scored_once_per_cell(monkeypatch, scenario):
         events.append(("cell", target.domain_id, real.dataset.n))
         return real
 
-    def spy_loglik(s, x):
-        events.append(("score", s.domain_id, len(x)))
-        return cond_loglik_matrix(s, x)
-
     monkeypatch.setattr(lodo, "make_scenario", spy_scenario)
-    monkeypatch.setattr(ensemble, "cond_loglik_matrix", spy_loglik)
+    _spy_scoring(monkeypatch, events)
     rep = run_small(list(KNOWN_METHODS), scenario=scenario, seeds=(0, 1))
     # severe_shift may label too few deaths for a local model in some cells
     assert all("InsufficientLocalLabels" in s.reason for s in rep.skipped)
@@ -301,6 +307,14 @@ def test_each_source_summary_is_scored_once_per_cell(monkeypatch, scenario):
         assert {d for d, _ in scored} - sources <= {f"{target}-self", f"{target}-local"}
 
 
+def test_local_self_alone_scores_no_source_summary(monkeypatch):
+    events = []
+    _spy_scoring(monkeypatch, events)
+    rep = run_small(["local-self"], seeds=(0, 1))
+    assert len(rep.rows) == 3 * 2 and not rep.skipped
+    assert sorted(d for _, d, _ in events) == sorted([f"dom{d}-self" for d in range(3)] * 2)
+
+
 def _cell(scenario, seed=3):
     doms = toy_domains()
     # the narrow summary leaves cause 2 uncovered, so its phi column has -inf cells
@@ -313,37 +327,91 @@ def _cell(scenario, seed=3):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
 @pytest.mark.parametrize("variant", ["plain", "partial", "domain", "mix"])
-def test_run_variant_on_shared_phi_matches_its_own(scenario, variant):
+def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant):
+    """The tensor handed to fit_global is build_phi on the deaths the variant
+    fits, in fit order, with the local model (if any) appended."""
     reg, masked = _cell(scenario)
     cfg = replace(TINY_ENS, variant=variant, tie_pi=scenario == "random_sample")
-    kw = dict(local_hyper=LcmHyper(K=1))
-    post, cls, csmf = run_variant(reg, masked, cfg, **kw)
-    shared_post, shared_cls, shared_csmf = run_variant(
-        reg, masked, cfg, phi=build_phi(reg, masked), **kw)
-    assert np.array_equal(shared_cls.top, cls.top)
-    assert np.abs(shared_post.pi_mean() - post.pi_mean()).max() < 1e-9
-    assert np.abs(shared_csmf - csmf).max() < 1e-9
-    assert shared_post.domain_ids == post.domain_ids
+    seen = {}
+    real_fit = ensemble.fit_global
+
+    def spy_train(data, hyper, cfg):
+        seen["local"] = train_lcm(data, hyper, cfg)
+        seen["local_ids"] = data.death_ids
+        return seen["local"]
+
+    def spy_fit(phi, labels, cfg, **kw):
+        seen["phi"], seen["labels"] = phi, labels
+        return real_fit(phi, labels, cfg, **kw)
+
+    monkeypatch.setattr(ensemble, "train_lcm", spy_train)
+    monkeypatch.setattr(ensemble, "fit_global", spy_fit)
+    post, cls, _ = run_variant(reg, masked, cfg, build_phi(reg, masked),
+                               local_hyper=LcmHyper(K=1))
+    phi = seen["phi"]
+    where = {d: i for i, d in enumerate(masked.death_ids)}
+    fit_idx = np.array([where[d] for d in phi.death_ids])
+    labeled = np.flatnonzero(masked.labeled_mask)
+    unlabeled = np.flatnonzero(~masked.labeled_mask)
+    n_fit_labeled = fit_idx.size - unlabeled.size
+    if variant == "plain":
+        assert np.array_equal(fit_idx, np.arange(masked.n)) and seen["labels"] is None
+    else:
+        # labeled deaths the sampler sees come first, then every unlabeled one
+        assert np.array_equal(fit_idx[n_fit_labeled:], unlabeled)
+        partial_rows = fit_idx[:n_fit_labeled]
+        if variant == "partial":
+            assert np.array_equal(partial_rows, labeled)
+        elif variant == "domain":
+            assert partial_rows.size == 0
+        else:  # mix: a part of the labeled deaths, in target order
+            assert np.all(np.diff(partial_rows) > 0) and np.isin(partial_rows, labeled).all()
+        if n_fit_labeled:
+            assert np.array_equal(seen["labels"], masked.y[partial_rows])
+        else:
+            assert seen["labels"] is None
+    fit_reg = reg
+    if variant in ("domain", "mix"):
+        # the local model learns from exactly the labeled deaths the fit leaves out
+        held = sorted(set(labeled.tolist()) - set(fit_idx.tolist()))
+        assert seen["local_ids"] == tuple(masked.death_ids[i] for i in held)
+        fit_reg = reg.extend(seen["local"])
+    else:
+        assert "local" not in seen
+    ref = build_phi(fit_reg, masked.subset(fit_idx))
+    assert np.array_equal(phi.log_phi, ref.log_phi)
+    assert np.array_equal(phi.present, ref.present)
+    assert phi.death_ids == ref.death_ids
+    assert post.domain_ids == fit_reg.domain_ids
+    assert cls.death_ids == masked.death_ids
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
-def test_single_model_fits_on_shared_phi_match_their_own(scenario):
+def test_single_model_fits_read_rows_of_the_callers_phi(monkeypatch, scenario):
+    """local-avg's columns at the unlabeled rows, and build_predictions'
+    columns in labeled-first order, are each model's own likelihoods there."""
     reg, masked = _cell(scenario)
     phi = build_phi(reg, masked)
-    unlabeled_pos = np.flatnonzero(~masked.labeled_mask)
-    unlabeled = masked.subset(unlabeled_pos)
+    unlabeled = masked.subset(np.flatnonzero(~masked.labeled_mask))
     for m, s in enumerate(reg.summaries):
-        pi, probs = fit_single_model(s, unlabeled, TINY_ENS)
-        shared_pi, shared_probs = fit_single_model(
-            s, unlabeled, TINY_ENS, phi.log_phi[unlabeled_pos, :, m])
-        assert np.array_equal(np.argmax(shared_probs, axis=1), np.argmax(probs, axis=1))
-        assert np.abs(shared_pi - pi).max() < 1e-9
-    preds = build_predictions(reg, masked, TINY_ENS)
-    shared = build_predictions(reg, masked, TINY_ENS, phi)
-    assert shared.death_ids == preds.death_ids
-    assert np.array_equal(shared.top(), preds.top())
-    assert np.abs(shared.a - preds.a).max() < 1e-9
+        rows = phi.log_phi[~masked.labeled_mask, :, m]
+        assert np.array_equal(rows, cond_loglik_matrix(s, unlabeled.x))
+    seen = []
+
+    def spy_single(summary, target, cfg, log_lik):
+        seen.append((summary, target, log_lik))
+        return fit_single_model(summary, target, cfg, log_lik)
+
+    monkeypatch.setattr(calibration, "fit_single_model", spy_single)
+    preds = build_predictions(reg, masked, TINY_ENS, phi)
+    assert [s.domain_id for s, _, _ in seen] == list(reg.domain_ids)
+    order = np.argsort(~masked.labeled_mask, kind="stable")
+    assert preds.death_ids == tuple(masked.death_ids[i] for i in order)
+    for m, (s, target, log_lik) in enumerate(seen):
+        assert target.death_ids == preds.death_ids
+        assert np.array_equal(log_lik, cond_loglik_matrix(s, target.x))
+        assert np.array_equal(preds.a[:, :, m], fit_single_model(s, target, TINY_ENS, log_lik)[1])
 
 
 def test_shared_phi_must_match_registry_and_target():
