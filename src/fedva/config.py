@@ -4,7 +4,9 @@ Each block is built from its dataclass: the fields name the allowed keys and
 each default gives the type a value must have. Unknown keys and values a cast
 would change (``"false"`` for a bool, ``2.5`` for an int) fail loudly before
 any work starts. Command-line flags (--seed, --workers, --out) override the
-matching leaves.
+matching leaves; then the base-model, Gibbs, ensemble and calibration blocks
+each run their own ``validate()``, so a value a sampler would refuse also
+fails before any data is read.
 """
 from __future__ import annotations
 
@@ -175,6 +177,8 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
         if generator is not None:
             generator = replace(generator, seed=seed_override)
         seeds = [seed_override]
+    for block in (hyper, gibbs, ensemble, calibration):
+        block.validate()
     if workers_override is not None:
         workers = workers_override
     if workers < 1:

@@ -72,9 +72,11 @@ from .utils import (
     derive_rng,
     derive_seed,
     gumbel_argmax,
+    inverse_cdf,
     log_dirichlet,
     parallel_map,
     round_half_up,
+    running_sums,
 )
 
 VARIANTS = ("plain", "partial", "domain", "mix")
@@ -254,34 +256,6 @@ def _exp_shifted(log_w: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _running_sums(a: np.ndarray) -> np.ndarray:
-    """Running sums down the rows of a (K, deaths) array, in place.
-
-    One vectorized add per row: the same left fold as a cumsum over each
-    death's K entries, without cumsum's strided walk down the columns.
-    """
-    rows = list(a)
-    for prev, row in zip(rows, rows[1:]):
-        np.add(prev, row, out=row)
-    return a
-
-
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per death, the index of the first row whose cumulative weight exceeds u.
-
-    cum holds (K, deaths) running sums of non-negative weights, the total in
-    its last row, and u lies in [0, total] up to rounding. A point that
-    reaches the total is moved just below it, so a row of zero weight, whose
-    cumulative value equals its predecessor's, is never returned. The move
-    is one multiply by 1 - 2**-53, which lands on the next float down for
-    every total above _TINY; at _TINY and below it may keep the total
-    itself, and the fallback redraws those deaths. The last row is never
-    compared, so the index is at most K - 1 even where the total is 0.
-    """
-    u = np.minimum(u, cum[-1] * (1.0 - 2.0 ** -53))
-    return (cum[:-1] <= u).sum(axis=0)
-
-
 def _redraw_underflowed(rng, draw, total, log_phi, log_w) -> None:
     """Redraw in log space every death whose weights sum to at most _TINY.
 
@@ -312,9 +286,9 @@ def _draw_cells(rng, phi_exp, w, cum, log_phi, log_w) -> np.ndarray:
         np.multiply(phi_exp[0], w, out=mass)
     else:
         np.matmul(w[:, None, :], phi_exp.transpose(1, 0, 2), out=mass[:, None, :])
-    total = _running_sums(mass)[-1]
+    total = running_sums(mass)[-1]
     u = rng.random(n) * total
-    cell = _inverse_cdf(mass, u)
+    cell = inverse_cdf(mass, u)
     if M > 1:
         at = cell * n
         at += np.arange(n)
@@ -322,7 +296,7 @@ def _draw_cells(rng, phi_exp, w, cum, log_phi, log_w) -> np.ndarray:
         dom = phi_exp.reshape(M, C * n).take(at, axis=1)
         dom *= w.T.take(cell, axis=1)
         cell *= M
-        cell += _inverse_cdf(_running_sums(dom), u)
+        cell += inverse_cdf(running_sums(dom), u)
     _redraw_underflowed(rng, cell, total, log_phi, log_w)
     return cell
 
@@ -334,8 +308,8 @@ def _draw_domains(rng, phi_exp, w, log_phi, log_w) -> np.ndarray:
     w is overwritten.
     """
     np.multiply(phi_exp, w, out=w)
-    total = _running_sums(w)[-1]
-    h = _inverse_cdf(w, rng.random(total.shape[0]) * total)
+    total = running_sums(w)[-1]
+    h = inverse_cdf(w, rng.random(total.shape[0]) * total)
     _redraw_underflowed(rng, h, total, log_phi, log_w)
     return h
 

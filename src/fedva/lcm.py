@@ -28,7 +28,7 @@ from .errors import (
     InvalidSummary,
     NotFullyLabeled,
 )
-from .utils import derive_rng, gumbel_argmax
+from .utils import derive_rng, inverse_cdf, running_sums
 
 from . import TOOL_VERSION
 
@@ -194,6 +194,20 @@ def _indicators(x: np.ndarray) -> np.ndarray:
     return obs
 
 
+def _draw_classes(rng: np.random.Generator, logw: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One class per row of logw (n, K), drawn proportional to exp(logw).
+
+    The weights exp(logw - row max) go into the (K, n) work array w, so the
+    largest weight of each row is exactly 1 and no row underflows; a class
+    at -inf has weight 0 and is never drawn. Each row then takes the inverse
+    CDF at one uniform point.
+    """
+    np.copyto(w, logw.T)  # a max down K rows is far cheaper than along each short row
+    np.subtract(w, w.max(axis=0), out=w)
+    np.exp(w, out=w)
+    return inverse_cdf(running_sums(w), rng.random(logw.shape[0]) * w[-1])
+
+
 def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.ndarray,
                  bounds: np.ndarray, p: int, hyper: LcmHyper, cfg: GibbsConfig):
     """Posterior means (nu (T, K), theta (T, K, p)) of the T sampled causes.
@@ -203,14 +217,25 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
     reuses freed heap memory the way small arrays do, where one (n, 2p)
     block would take fresh pages and raise the peak resident size.
 
-    Every iteration draws all causes at once, in this order: stick breaks
-    (T, K-1) when K > 1; theta (T, K, p), or on the sparse path the
-    inclusion uniforms, slab (T, K, p), base rate (T, p) and inclusion rate
-    (T,); then one Gumbel draw over all records for the latent classes when
-    K > 1. With K = 1 every class is 0.
+    Every iteration draws all causes at once, in this order:
+
+    - stick breaks (T, K-1) when K > 1;
+    - theta (T, K, p). When every (cause, class) row holds a record, and
+      always at K = 1, this is one Beta draw over all rows. Otherwise it is
+      one Beta draw over the occupied rows in C order, then one draw from
+      the prior for the empty rows (an empty class's full conditional),
+      uniforms when theta_prior is (1, 1). The sparse path draws instead
+      the inclusion uniforms, slab (T, K, p), base rate (T, p) and
+      inclusion rate (T,);
+    - when K > 1, one uniform per record for its latent class
+      (`_draw_classes`). With K = 1 every class is 0.
+
+    Before the first iteration the classes start at one uniform integer
+    draw per record, in the `_cause_layout` order.
     """
     n, T, K = rec_cause.shape[0], len(obs), hyper.K
     a_th, b_th = hyper.theta_prior
+    uniform_prior = (a_th, b_th) == (1.0, 1.0)
     oa, ob = hyper.spike_omega_prior
     ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
@@ -232,6 +257,7 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
         z = rng.integers(0, K, size=n)
         zoh[rows, z] = 1.0
         logw = np.empty((n, K))
+        w = np.empty((K, n))  # class weights, then their running sums
     class_counts()
 
     nu = np.ones((T, K))
@@ -273,7 +299,16 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
                             _THETA_EPS, 1.0 - _THETA_EPS)
             theta = np.where(delta, slab, mu[:, None, :])
         else:
-            theta = rng.beta(cnt[..., :p], cnt[..., p:])
+            if K == 1 or counts.all():
+                theta = rng.beta(cnt[..., :p], cnt[..., p:])
+            else:
+                held = counts > 0
+                shapes = cnt[held]
+                theta = np.empty((T, K, p))
+                theta[held] = rng.beta(shapes[:, :p], shapes[:, p:])
+                size = (T * K - shapes.shape[0], p)
+                theta[~held] = (rng.random(size) if uniform_prior
+                                else rng.beta(a_th, b_th, size=size))
             np.clip(theta, _THETA_EPS, 1.0 - _THETA_EPS, out=theta)
 
         if K > 1:
@@ -282,8 +317,8 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
             for t, (s, e) in enumerate(ranges):
                 np.matmul(obs[t], cnt[t].T, out=logw[s:e])
             with np.errstate(divide="ignore"):
-                logw += np.log(nu)[rec_cause]
-            z = gumbel_argmax(rng, logw)
+                logw += np.log(nu).take(rec_cause, axis=0)
+            z = _draw_classes(rng, logw, w)
             zoh.fill(0.0)
             zoh[rows, z] = 1.0
             class_counts()

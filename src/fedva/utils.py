@@ -22,6 +22,8 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "gumbel_argmax",
+    "running_sums",
+    "inverse_cdf",
     "log_dirichlet",
     "log_dirichlet_pdf",
     "is_simplex",
@@ -74,6 +76,35 @@ def gumbel_argmax(rng: np.random.Generator, logw: np.ndarray, axis: int = -1) ->
     """
     g = rng.gumbel(size=logw.shape)
     return np.argmax(logw + g, axis=axis)
+
+
+def running_sums(a: np.ndarray) -> np.ndarray:
+    """Running sums down the rows of a (K, draws) array, in place.
+
+    One vectorized add per row: the same left fold as a cumsum over each
+    draw's K entries, without cumsum's strided walk down the columns.
+    """
+    rows = list(a)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
+    return a
+
+
+def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw, the index of the first row whose cumulative weight exceeds u.
+
+    cum holds (K, draws) running sums of non-negative weights, the total in
+    its last row, and u lies in [0, total] up to rounding. A point that
+    reaches the total is moved just below it, so a row of zero weight, whose
+    cumulative value equals its predecessor's, is never returned. The move
+    is one multiply by 1 - 2**-53, which lands on the next float down for
+    every total above the smallest normal float; at or below it the total
+    itself may be kept, so callers redraw such draws or keep totals above
+    it. The last row is never compared, so the index is at most K - 1 even
+    where the total is 0.
+    """
+    u = np.minimum(u, cum[-1] * (1.0 - 2.0 ** -53))
+    return (cum[:-1] <= u).sum(axis=0)
 
 
 def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedva import ensemble, lcm
+from fedva import calibration, ensemble, lcm
 from fedva.cli import main
 from fedva.data import (
     UNLABELED,
@@ -277,6 +277,29 @@ def test_validation_failures_exit_1(ws, tmp_path):
         assert run_cli("ensemble", "--config", ws["cfg"], "--workers", workers,
                        "--out", tmp_path / "w") == 1
         assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("command, block", [
+    ("calibrate", {"calibration": {"iterations": 10, "burn_in": 20}}),
+    ("ensemble", {"ensemble": {"chains": 0}}),
+    ("ensemble", {"gibbs": {"iterations": 5, "burn_in": 5}}),
+    ("train", {"base_model": {"K": 0}}),
+])
+def test_invalid_sampler_block_exits_1_before_any_sampler_runs(ws, tmp_path, monkeypatch,
+                                                                command, block):
+    """Every sampler block is validated at load, whether or not the command
+    reads it, so no fit or training runs before the exit."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a sampler ran before the config was rejected")
+
+    monkeypatch.setattr(ensemble, "fit_global", boom)
+    monkeypatch.setattr(calibration, "fit_calibration", boom)
+    monkeypatch.setattr(lcm, "_gibbs_means", boom)
+    p = tmp_path / "bad_block.yaml"
+    p.write_text(yaml.safe_dump(dict(ws["cfg_dict"], **block)))
+    extra = ("--domain", "domain_1") if command == "train" else ()
+    assert run_cli(command, "--config", p, *extra, "--out", tmp_path / "o") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_runtime_failures_exit_2(ws, tmp_path):

@@ -34,7 +34,7 @@ def test_empty_config_takes_every_dataclass_default():
 def test_values_take_the_type_of_their_default():
     cfg = config_from_dict({
         "base_model": {"alpha_sb": 2, "theta_prior": [1, 3]},
-        "gibbs": {"iterations": 400.0},
+        "gibbs": {"iterations": 400.0, "burn_in": 200},
         "ensemble": {"lambda_prior": {"kind": "logistic_normal", "sigma": 2}},
         "generator": {"pi_target": [1, 0, 0], "nu_conc": 3},
     })

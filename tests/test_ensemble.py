@@ -25,7 +25,6 @@ from fedva.ensemble import (
     _draw_cells,
     _draw_domains,
     _exp_shifted,
-    _inverse_cdf,
     run_variant,
     split_rhat,
 )
@@ -597,31 +596,6 @@ def test_cause_covered_by_one_domain_keeps_weight_one():
         assert np.all(post.lambda_draws[:, 1] == [1.0, 0.0])
         assert np.all(post.lambda_draws[:, 2] == [0.0, 1.0])
         assert np.unique(post.lambda_draws[:, 0, 0]).size > 1
-
-
-def test_inverse_cdf_never_picks_a_zero_weight_cell():
-    w = np.array([
-        [0.5, 0.5, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 3.0],
-        [0.1, 0.0, 0.2, 0.0],
-    ])
-    cum = np.cumsum(w, axis=1).T  # (cells, deaths)
-    total = cum[-1]
-    assert _inverse_cdf(cum, total).tolist() == [1, 1, 3, 2]  # u rounded up to the total
-    assert _inverse_cdf(cum, np.zeros(4)).tolist() == [0, 1, 3, 0]
-    u = np.nextafter(total, 0.0)
-    assert _inverse_cdf(cum, u).tolist() == [1, 1, 3, 2]
-    # A point past the total (a leftover that rounding carried beyond its
-    # cause's domain sums) still lands on the last cell of positive weight.
-    assert _inverse_cdf(cum, total * 1.5).tolist() == [1, 1, 3, 2]
-
-
-def test_inverse_cdf_of_a_zero_total_stays_in_range():
-    """A death whose weights all underflowed gets the last index, never K."""
-    cum = np.zeros((4, 3))
-    assert _inverse_cdf(cum, np.zeros(3)).tolist() == [3, 3, 3]
-    assert _inverse_cdf(np.zeros((1, 2)), np.zeros(2)).tolist() == [0, 0]
 
 
 def _two_level_args(log_phi, log_w):

@@ -1,12 +1,18 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import softmax
 
 from conftest import make_dataset
 from fedva import lcm
 from fedva.data import CauseList, Dataset, SymptomDictionary, SymptomValue
+from fedva.exchange import summary_bytes
 from fedva.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -353,10 +359,99 @@ def test_k1_never_draws_a_latent_class(monkeypatch, labeled_ds, sparse):
     def boom(*args, **kwargs):
         raise AssertionError("K=1 drew a latent class")
 
-    monkeypatch.setattr(lcm, "gumbel_argmax", boom)
+    monkeypatch.setattr(lcm, "_draw_classes", boom)
     s = train_lcm(labeled_ds, LcmHyper(K=1, sparse=sparse),
                   GibbsConfig(iterations=20, burn_in=10, thin=1, seed=0))
     assert np.array_equal(s.nu_bar, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("hyper, digest", [
+    (LcmHyper(K=1), "68f3cebf5d80c65bf09ddc6288c99b6580173de8ba2666d3ff5c2115a34de952"),
+    (LcmHyper(K=1, theta_prior=(2.0, 0.5)),
+     "dec8a703b43ae2fab38e21f54b0caabb7c8137dca82297a8a5e3a8680cdf9f42"),
+    (LcmHyper(K=1, sparse=True),
+     "12773cd27d2a97a16ffe31651292cc4a85c948e43213cf24add94744ba530e47"),
+])
+def test_k1_stream_is_pinned(hyper, digest):
+    """K=1 summaries keep their exact bytes: every K=1 theta draw is one Beta
+    call over all cells, and no class is drawn. The digests also cover the
+    summary format and TOOL_VERSION, so a change to either re-pins them."""
+    ds = grouped_dataset((40, 25, 3), p=12, seed=11)
+    s = train_lcm(ds, hyper, GibbsConfig(iterations=60, burn_in=20, thin=2, seed=5))
+    assert hashlib.sha256(summary_bytes(s)).hexdigest() == digest
+
+
+def first_sweep(sizes, p, hyper, seed):
+    """theta of one `_gibbs_means` iteration and the class counts it drew from.
+
+    The Yes/No counts (T, K, p) and record counts (T, K) are those of the
+    initial classes, one uniform integer per record from the same seed.
+    """
+    rng = np.random.default_rng(100 + seed)
+    rec_cause = np.repeat(np.arange(len(sizes)), sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    obs = lcm._indicators(rng.integers(0, 3, size=(rec_cause.size, p)).astype(np.uint8))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    onehot = np.eye(hyper.K)[np.random.default_rng(seed).integers(0, hyper.K, rec_cause.size)]
+    per_cause = np.stack([onehot[s:e].T @ obs[s:e] for s, e in spans])
+    counts = np.stack([onehot[s:e].sum(axis=0) for s, e in spans]).astype(np.int64)
+    _, theta = lcm._gibbs_means(np.random.default_rng(seed), [obs[s:e] for s, e in spans],
+                                rec_cause, bounds, p, hyper,
+                                GibbsConfig(iterations=1, burn_in=0, thin=1, seed=0))
+    return theta, per_cause[..., :p], per_cause[..., p:], counts
+
+
+@pytest.mark.parametrize("prior", [(1.0, 1.0), (2.0, 0.5)])
+def test_empty_class_rows_draw_theta_from_the_prior(prior):
+    """Probability integral transforms of theta under its full conditional,
+    Beta(a + Yes, b + No), are uniform: the prior itself on the rows of empty
+    classes, the count-updated Beta on occupied rows."""
+    a, b = prior
+    theta, yes, no, counts = first_sweep((3,) * 40, p=25, hyper=LcmHyper(K=5, theta_prior=prior),
+                                         seed=4)
+    empty = counts == 0
+    assert empty.sum() >= 80
+    pit = stats.beta.cdf(theta, a + yes, b + no)
+    assert stats.kstest(pit[empty].ravel(), "uniform").pvalue > 1e-3
+    assert stats.kstest(pit[~empty].ravel(), "uniform").pvalue > 1e-3
+
+
+def test_theta_draw_without_empty_rows_is_one_beta_over_all_cells():
+    """With every class occupied, theta is one rng.beta over all (T, K, p)
+    cells, right after the stick breaks, as at K = 1."""
+    hyper = LcmHyper(K=3, alpha_sb=0.7, theta_prior=(2.0, 0.5))
+    theta, yes, no, counts = first_sweep((30, 30, 30), p=6, hyper=hyper, seed=2)
+    assert counts.min() > 0
+    rng = np.random.default_rng(2)
+    rng.integers(0, 3, size=90)
+    tail = counts[:, ::-1].cumsum(axis=1)[:, ::-1] - counts
+    rng.beta(1.0 + counts[:, :-1], hyper.alpha_sb + tail[:, :-1])
+    want = np.clip(rng.beta(2.0 + yes, 0.5 + no), 1e-12, 1.0 - 1e-12)
+    assert np.array_equal(theta, want)
+
+
+def test_class_draw_frequencies_match_softmax():
+    """Rows with classes of weight exactly 0 (nu = 0, the last class too), with
+    every log-weight below exp's range and with spreads above 745 nats."""
+    rows = np.array([
+        [0.0, np.log(2.0), -np.inf, np.log(3.0), -np.inf],
+        [-1000.0, -1000.0 + np.log(2.0), -1000.0 + np.log(0.5), -1000.0, -1001.0],
+        [0.0, -800.0, -0.5, -760.0, np.log(0.25)],
+        [-np.inf, -np.inf, -900.0, -np.inf, -np.inf],
+        [-np.inf, -np.inf, -np.inf, -np.inf, 5.0],
+    ])
+    reps = 20000
+    logw = np.repeat(rows, reps, axis=0)
+    z = lcm._draw_classes(np.random.default_rng(8), logw, np.empty(logw.shape[::-1]))
+    for r, row in enumerate(rows):
+        got = np.bincount(z[r * reps : (r + 1) * reps], minlength=row.size)
+        want = softmax(row)  # exp(-760) and below round to weight 0
+        assert np.all(got[want == 0] == 0)
+        live = want > 0
+        if live.sum() > 1:
+            assert stats.chisquare(got[live], reps * want[live]).pvalue > 1e-3
+        else:
+            assert got[live].tolist() == [reps]
 
 
 def test_cond_loglik_matrix_matches_per_cause_form():
@@ -386,6 +481,51 @@ def test_cond_loglik_matrix_matches_per_cause_form():
         assert np.all(got[::7][:, present == 1] == 0.0)
         finite = np.isfinite(want)
         assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cond_loglik_matrix_at_the_theta_clip(data):
+    """theta on the 1e-12 clip, nu with exact zeros, all-Missing records: every
+    present cause scores finite and each record matches the reference. At
+    p = 40 one record's log-likelihood reaches about -1,105, beyond exp's
+    range."""
+    C, K, p = (data.draw(st.integers(1, hi)) for hi in (4, 4, 40))
+    n = data.draw(st.integers(0, 12))
+    present = np.array(data.draw(st.lists(st.booleans(), min_size=C, max_size=C)
+                                 .filter(any)), dtype=np.uint8)
+    clip = st.sampled_from([1e-12, 1.0 - 1e-12])
+    # each (cause, class) row all on one side of the clip, or mixed cell by cell
+    theta = np.array([data.draw(st.one_of(clip.map(lambda v: [v] * p),
+                                          st.lists(st.one_of(clip, st.just(0.3)),
+                                                   min_size=p, max_size=p)))
+                      for _ in range(C * K)]).reshape(C, K, p)
+    weights = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, 3.0]), min_size=K, max_size=K)
+        .filter(any), min_size=C, max_size=C)))
+    nu = weights / weights.sum(axis=1, keepdims=True)
+    nu[present == 0] = np.nan
+    theta[present == 0] = np.nan
+    # each record all Yes, all No, all Missing, or mixed cell by cell
+    cell = st.sampled_from([0, 1, 2])
+    x = np.array([data.draw(st.one_of(cell.map(lambda v: [v] * p),
+                                      st.lists(cell, min_size=p, max_size=p)))
+                  for _ in range(n)], dtype=np.uint8).reshape(n, p)
+    s = BaseModelSummary(
+        domain_id="clip", nu_bar=nu, theta_bar=theta, present=present,
+        n_by_cause=present.astype(np.int64), cause_list_fingerprint="c",
+        dict_fingerprint="d", hyper=LcmHyper(K=K),
+        provenance=Provenance(tool_version="t", seed=0, iterations=2, burn_in=1),
+    )
+    s.validate()
+    got = cond_loglik_matrix(s, x)
+    want = cond_loglik_matrix_reference(s, x)
+    assert got.shape == (n, C)
+    assert np.all(np.isfinite(got[:, present == 1]))
+    assert np.all(got[:, present == 0] == -np.inf)
+    assert np.all(got[(x == MISSING).all(axis=1)][:, present == 1] == 0.0)
+    for i in range(n):
+        assert np.allclose(got[i], want[i], rtol=1e-13, atol=1e-12), (i, got[i], want[i])
 
 
 def traced_peak(fn, *args, **kwargs):

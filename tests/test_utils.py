@@ -13,6 +13,7 @@ from fedva.utils import (
     derive_seed,
     fingerprint_ids,
     gumbel_argmax,
+    inverse_cdf,
     is_simplex,
     largest_remainder_counts,
     log_dirichlet,
@@ -64,6 +65,31 @@ def test_gumbel_argmax_ignores_minus_inf():
     rng = derive_rng("gumbel-test-inf")
     logw = np.array([[-np.inf, 0.0, -np.inf]] * 50)
     assert np.all(gumbel_argmax(rng, logw, axis=1) == 1)
+
+
+def test_inverse_cdf_never_picks_a_zero_weight_cell():
+    w = np.array([
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 3.0],
+        [0.1, 0.0, 0.2, 0.0],
+    ])
+    cum = np.cumsum(w, axis=1).T  # (cells, deaths)
+    total = cum[-1]
+    assert inverse_cdf(cum, total).tolist() == [1, 1, 3, 2]  # u rounded up to the total
+    assert inverse_cdf(cum, np.zeros(4)).tolist() == [0, 1, 3, 0]
+    u = np.nextafter(total, 0.0)
+    assert inverse_cdf(cum, u).tolist() == [1, 1, 3, 2]
+    # A point past the total (a leftover that rounding carried beyond its
+    # cause's domain sums) still lands on the last cell of positive weight.
+    assert inverse_cdf(cum, total * 1.5).tolist() == [1, 1, 3, 2]
+
+
+def test_inverse_cdf_of_a_zero_total_stays_in_range():
+    """A death whose weights all underflowed gets the last index, never K."""
+    cum = np.zeros((4, 3))
+    assert inverse_cdf(cum, np.zeros(3)).tolist() == [3, 3, 3]
+    assert inverse_cdf(np.zeros((1, 2)), np.zeros(2)).tolist() == [0, 0]
 
 
 def test_log_dirichlet_moderate_shapes_match_moments():
