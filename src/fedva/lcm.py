@@ -220,13 +220,14 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
     Every iteration draws all causes at once, in this order:
 
     - stick breaks (T, K-1) when K > 1;
-    - theta (T, K, p). When every (cause, class) row holds a record, and
-      always at K = 1, this is one Beta draw over all rows. Otherwise it is
-      one Beta draw over the occupied rows in C order, then one draw from
-      the prior for the empty rows (an empty class's full conditional),
-      uniforms when theta_prior is (1, 1). The sparse path draws instead
-      the inclusion uniforms, slab (T, K, p), base rate (T, p) and
-      inclusion rate (T,);
+    - theta (T, K, p). At K = 1 this is one Beta draw over all rows.
+      Otherwise it is one Beta draw over the occupied (cause, class) rows in
+      C order, then one draw from the prior for the empty rows (an empty
+      class's full conditional), uniforms when theta_prior is (1, 1). When
+      every row holds a record, that is the same one Beta draw over all
+      rows, since a draw of size 0 takes nothing from rng. The sparse path
+      draws instead the inclusion uniforms, slab (T, K, p), base rate
+      (T, p) and inclusion rate (T,);
     - when K > 1, one uniform per record for its latent class
       (`_draw_classes`). With K = 1 every class is 0.
 
@@ -299,7 +300,7 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
                             _THETA_EPS, 1.0 - _THETA_EPS)
             theta = np.where(delta, slab, mu[:, None, :])
         else:
-            if K == 1 or counts.all():
+            if K == 1:
                 theta = rng.beta(cnt[..., :p], cnt[..., p:])
             else:
                 held = counts > 0
