@@ -21,6 +21,11 @@ over the pattern's cause weights. A sum of i.i.d. categorical draws is
 multinomial, so this is exact in distribution, and an iteration costs one
 weight row per distinct pattern rather than one draw per death.
 
+Labels are None or one vector over the prediction rows, in row order, with
+UNLABELED where the cause is unknown (as in `Dataset.y`). The fit reads
+only their split (`data.split_labels`), so any row permutation of
+(predictions, labels) gives the same result.
+
 The baseline estimates prevalence only. It cannot assign causes to
 individual deaths.
 """
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper, InvalidLabels
+from .data import Dataset, split_labels
+from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper
 from .exchange import FederationRegistry
 from .ensemble import EnsembleConfig, PhiTensor, fit_single_model
 from .lcm import GibbsConfig
@@ -110,10 +115,6 @@ class CalibrationResult:
     def pi_mean(self) -> np.ndarray:
         return self.pi_draws.mean(axis=0)
 
-    def pi_interval(self, level: float = 0.95) -> np.ndarray:
-        lo = (1.0 - level) / 2.0
-        return np.quantile(self.pi_draws, [lo, 1.0 - lo], axis=0)
-
 
 def build_predictions(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
                       phi: PhiTensor) -> PredictionTensor:
@@ -121,19 +122,15 @@ def build_predictions(reg: FederationRegistry, target: Dataset, cfg: EnsembleCon
 
     `phi` is `build_phi(reg, target)`, scored by the caller; each model reads
     its column through `fit_single_model`, and causes it does not cover get
-    probability 0. Rows hold the labeled deaths first, then the unlabeled
-    ones, each part in target order: the layout `fit_calibration` expects.
-    Target labels decide only the row order; they belong to the calibration
-    step.
+    probability 0. Rows stay in target order; target labels are not read,
+    as they belong to the calibration step.
     """
     if target.n == 0:
         return PredictionTensor(a=np.zeros((0, len(target.cause_list), reg.M)), death_ids=())
     if phi.M != reg.M or phi.death_ids != target.death_ids:
         raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
-    order = np.argsort(~target.labeled_mask, kind="stable")
-    target = target.subset(order)
     a = np.stack([
-        fit_single_model(s, target, cfg, phi.log_phi[order, :, m])[1]
+        fit_single_model(s, target, cfg, phi.log_phi[:, :, m])[1]
         for m, s in enumerate(reg.summaries)
     ], axis=2)
     return PredictionTensor(a=a, death_ids=target.death_ids)
@@ -144,9 +141,10 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
                     domain_ids: tuple[str, ...] = ()) -> CalibrationResult:
     """Gibbs sampler for the calibrated CSMF.
 
-    The first len(labels) deaths are labeled; their (true cause, predicted
-    cause) pairs are the only evidence the confusion matrices see. Unlabeled
-    deaths carry latent true causes that inform pi alone.
+    `labels` is a label vector over the rows of `a` (see the module
+    docstring). The labeled deaths' (true cause, predicted cause) pairs are
+    the only evidence the confusion matrices see. Unlabeled deaths carry
+    latent true causes that inform pi alone.
 
     Given the confusion rows, each gamma[m, c] depends on its own row only,
     and given gamma the rows are independent, so every iteration updates all
@@ -161,15 +159,8 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     cfg.validate()
     if a.n == 0:
         raise EmptyPredictions("no predictions to calibrate")
-    n, C, M = a.n, a.C, a.M
-    n_L = 0 if labels is None else len(labels)
-    if n_L > n:
-        raise InvalidLabels("more labels than deaths")
-    y_lab = None
-    if n_L:
-        y_lab = np.asarray(labels, dtype=np.int64)
-        if y_lab.min() < 0 or y_lab.max() >= C:
-            raise InvalidLabels("label index out of range")
+    C, M = a.C, a.M
+    unlabeled, labeled, y_lab = split_labels(labels, a.n, C)
 
     top = a.top()
     # Two independent streams so the confusion side of the model is a pure
@@ -181,8 +172,7 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     # Labeled confusion counts are fixed for the whole run (no feedback).
     models = np.arange(M)
     counts = np.zeros((M, C, C))
-    if n_L:
-        np.add.at(counts, (models, y_lab[:, None], top[:n_L]), 1.0)
+    np.add.at(counts, (models, y_lab[:, None], top[labeled]), 1.0)
 
     eye_eps = np.eye(C) + cfg.epsilon  # row c of the prior is gamma * eye_eps[c]
 
@@ -198,7 +188,7 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     log_g = np.full((M, C), np.log(cfg.alpha / cfg.beta_rate))
     _, log_conf = log_dirichlet(rng_cut, np.exp(log_g)[..., None] * eye_eps + counts)
 
-    patterns, sizes = np.unique(top[n_L:], axis=0, return_counts=True)
+    patterns, sizes = np.unique(top[unlabeled], axis=0, return_counts=True)
     keep = cfg.iterations - cfg.burn_in
     pi_out = np.empty((keep, C))
     conf_sum = np.zeros((M, C, C))

@@ -159,8 +159,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> None:
     target = _target_dataset(cfg, cl, sd)
     reg = _registry_for_target(cfg, cl, sd, target.domain_id)
     preds = build_predictions(reg, target, cfg.ensemble, build_phi(reg, target))
-    labels = target.y[target.labeled_mask]
-    result = fit_calibration(preds, labels, cfg.calibration, domain_ids=reg.domain_ids)
+    result = fit_calibration(preds, target.y, cfg.calibration, domain_ids=reg.domain_ids)
     text = calibration_text(result, cl)
     _write_outputs(cfg, "calibrate", {
         "calibration.txt": text,

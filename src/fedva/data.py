@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DuplicateDeathId,
     InvalidIdentifiers,
+    InvalidLabels,
     MalformedCell,
     UnknownCause,
     UnknownSymptomColumn,
@@ -28,6 +29,26 @@ from .errors import (
 from .utils import atomic_write_text, fingerprint_ids
 
 UNLABELED = -1
+
+
+def split_labels(labels, n: int, C: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unlabeled rows, labeled rows, their causes) of a label vector, rows in order.
+
+    `labels` is None (no death labeled) or an integer vector with one entry
+    per death: a cause index in [0, C), or UNLABELED where it is unknown.
+    Anything else (another length or rank, floats, booleans) raises
+    InvalidLabels.
+    """
+    if labels is None:
+        return np.arange(n), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu" or y.shape != (n,):
+        raise InvalidLabels(f"labels must be an integer vector with one entry per death ({n})")
+    if n and (y.min() < UNLABELED or y.max() >= C):
+        raise InvalidLabels(f"labels must lie in [{UNLABELED}, {C})")
+    known = y != UNLABELED
+    labeled = np.flatnonzero(known)
+    return np.flatnonzero(~known), labeled, y[labeled].astype(np.int64)
 
 
 class SymptomValue(enum.IntEnum):

@@ -14,6 +14,11 @@ labeled subset is a random sample of the target (tie_pi); otherwise the
 labeled deaths' own cause distribution is not sampled, as no other block
 would read it.
 
+Labels are None or one vector over the tensor's rows, in row order, with
+UNLABELED where the cause is unknown (as in `Dataset.y`), so labeled and
+unlabeled deaths may interleave. A fit splits the rows by it once
+(`data.split_labels`); each part keeps its row order.
+
 The sweep works in probability space. Each chain exponentiates the
 likelihoods once, shifted by every death's maximum, and keeps them in one
 domain-major (M, C, deaths) array. A sweep draws each death's (cause,
@@ -54,7 +59,7 @@ from functools import partial
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Dataset
+from .data import Dataset, split_labels
 from .errors import (
     CountOverflow,
     DimensionMismatch,
@@ -63,7 +68,6 @@ from .errors import (
     IncompleteRegistry,
     InsufficientLocalLabels,
     InvalidHyper,
-    InvalidLabels,
     NotASimplex,
 )
 from .exchange import FederationRegistry
@@ -220,27 +224,24 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
                     labels: np.ndarray | None = None) -> float:
     """Exact log-likelihood of the mixture, latent assignments summed out.
 
-    The first len(labels) deaths are treated as labeled: each is scored at
-    its known cause, through pi and that cause's lambda row.
+    `labels` is a label vector over phi's deaths (see the module docstring):
+    each labeled death is scored at its known cause, through pi and that
+    cause's lambda row.
     """
     pi = np.asarray(pi, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if pi.shape != (phi.C,) or lam.shape != (phi.C, phi.M):
         raise DimensionMismatch("pi / lambda shapes disagree with phi")
-    n_L = 0 if labels is None else len(labels)
-    if n_L > phi.n:
-        raise DimensionMismatch("more labels than deaths")
+    unlabeled, labeled, y = split_labels(labels, phi.n, phi.C)
     with np.errstate(divide="ignore"):
         log_pi = np.log(pi)
         log_lam = np.log(lam)
     total = 0.0
-    if n_L < phi.n:
-        w = phi.log_phi[n_L:] + log_pi[None, :, None] + log_lam[None, :, :]
-        total += float(logsumexp(w.reshape(phi.n - n_L, -1), axis=1).sum())
-    if n_L:
-        y = np.asarray(labels, dtype=np.int64)
-        rows = np.arange(n_L)
-        w = phi.log_phi[rows, y, :] + log_lam[y, :]
+    if unlabeled.size:
+        w = phi.log_phi[unlabeled] + log_pi[None, :, None] + log_lam[None, :, :]
+        total += float(logsumexp(w.reshape(unlabeled.size, -1), axis=1).sum())
+    if labeled.size:
+        w = phi.log_phi[labeled, y, :] + log_lam[y, :]
         total += float((logsumexp(w, axis=1) + log_pi[y]).sum())
     return total
 
@@ -321,13 +322,27 @@ def _log_softmax(b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out - np.log(np.exp(out).sum(axis=1, keepdims=True))
 
 
-def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, chain: int):
+def _split_deaths(phi: PhiTensor, labels: np.ndarray | None) -> tuple:
+    """What every chain of a fit reads, each part in row order.
+
+    Unlabeled deaths range over all C*M cells: their (n_u, C*M)
+    log-likelihoods and domain-major (M, C, n_u) exp-shifted likelihoods.
+    Labeled ones range over the M domains of their known causes y: (n_L, M)
+    and (M, n_L). The log-likelihoods are read only by the fallback.
+    """
+    unlabeled, labeled, y = split_labels(labels, phi.n, phi.C)
+    log_phi_u = phi.log_phi[unlabeled]
+    log_phi_l = phi.log_phi[labeled, y, :]
+    return (phi.present, log_phi_u.reshape(unlabeled.size, phi.C * phi.M),
+            _exp_shifted(log_phi_u), y, log_phi_l, _exp_shifted(log_phi_l))
+
+
+def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
     """One MCMC chain; returns kept draws and acceptance bookkeeping."""
-    n, C, M = phi.n, phi.C, phi.M
-    n_L = 0 if labels is None else len(labels)
-    n_u = n - n_L
-    y_lab = np.asarray(labels, dtype=np.int64) if n_L else np.zeros(0, dtype=np.int64)
-    allowed = phi.present.astype(bool)
+    present, log_phi_u, phi_u, y_lab, log_phi_l, phi_l = deaths
+    C, M = present.shape
+    n_L = y_lab.size
+    allowed = present.astype(bool)
     multi = allowed.sum(axis=1) > 1  # causes with a real weight choice
     any_multi = bool(multi.any())
     multi_allowed = allowed[multi]
@@ -336,14 +351,7 @@ def _run_chain(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig, c
     sigma = cfg.lambda_prior.sigma
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
 
-    # Unlabeled deaths range over all C*M cells, kept once as domain-major
-    # (M, C, n_u) likelihoods; labeled ones over the M domains of their known
-    # cause, (M, n_L). The log-likelihoods stay death-major, read only by the
-    # fallback.
-    log_phi_u = phi.log_phi[n_L:].reshape(n_u, C * M)
-    log_phi_l = phi.log_phi[np.arange(n_L), y_lab, :]
-    phi_u, phi_l = _exp_shifted(phi.log_phi[n_L:]), _exp_shifted(log_phi_l)
-    cum_u = np.zeros((C + 1, n_u))
+    cum_u = np.zeros((C + 1, phi_u.shape[2]))
     cell_lab = y_lab * M
     # Labeled causes enter pi's conditional only when tied; the zeros added
     # when untied leave that concentration's floats as they are.
@@ -456,22 +464,13 @@ def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
 
 def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
                domain_ids: tuple[str, ...] = (), workers: int = 1) -> GlobalPosterior:
-    """Sample p(pi, lambda | phi, labels). Labels cover the first len(labels) deaths."""
+    """Sample p(pi, lambda | phi, labels); `labels` is a label vector over phi's deaths."""
     cfg.validate()
     if np.any(phi.present.sum(axis=1) < 1):
         uncovered = np.flatnonzero(phi.present.sum(axis=1) < 1).tolist()
         raise IncompletePhi(f"no domain covers cause indices {uncovered}")
-    if labels is not None:
-        y = np.asarray(labels, dtype=np.int64)
-        if y.ndim != 1 or len(y) > phi.n:
-            raise InvalidLabels("labels must be a vector no longer than the death count")
-        if y.size and (y.min() < 0 or y.max() >= phi.C):
-            raise InvalidLabels("label index out of range")
-        if len(y) == 0:
-            labels = None
-
-    results = parallel_map(partial(_run_chain, phi, labels, cfg), range(cfg.chains),
-                           workers=workers)
+    deaths = _split_deaths(phi, labels)
+    results = parallel_map(partial(_run_chain, deaths, cfg), range(cfg.chains), workers=workers)
 
     pi_by_chain = np.stack([r[0] for r in results])
     lambda_draws = np.concatenate([r[1] for r in results])
@@ -590,23 +589,6 @@ def adjust_csmf(pi_hat: np.ndarray, n0: int, heldout_counts: np.ndarray) -> np.n
     return ((n0 - n_h) / n0) * pi_hat + heldout / n0
 
 
-def _phi_rows(phi: PhiTensor, rows: np.ndarray, fit_data: Dataset,
-              local_summary: BaseModelSummary | None) -> PhiTensor:
-    """`phi` at `rows` (the deaths of fit_data), plus the local model's column if any."""
-    log_phi, present = phi.log_phi[rows], phi.present
-    if local_summary is not None:
-        local = cond_loglik_matrix(local_summary, fit_data.x)
-        log_phi = np.concatenate([log_phi, local[:, :, None]], axis=2)
-        present = np.concatenate([present, local_summary.present[:, None]], axis=1)
-    return PhiTensor(log_phi=log_phi, present=present, death_ids=fit_data.death_ids)
-
-
-def _one_hot(labels: np.ndarray, C: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], C))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
                 phi: PhiTensor,
                 local_hyper: LcmHyper | None = None,
@@ -614,32 +596,27 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
     """Fit one fine-tuning variant on a partially labeled target.
 
     `phi` is `build_phi(reg, target)`, scored by the caller. The fit reads its
-    rows; only the local model that the domain and mix variants train here is
-    scored. Returns the posterior, a classification of every target death
-    (known labels become one-hot rows except under plain, which ignores
-    labels), and the CSMF estimate. When tie_pi holds, the estimate refers to
-    the full target and blends in held-out label counts; otherwise it is the
-    CSMF of the unlabeled deaths the sampler saw.
+    rows in target order, less the labeled deaths that train a local model
+    (all of them under domain, a seeded part under mix), with `target.y` at
+    those rows as its labels (none under plain). Only that local model is
+    scored here; plain and partial fit `phi` itself. Returns the posterior, a
+    classification of every target death (known labels become one-hot rows
+    except under plain, which ignores labels), and the CSMF estimate. When
+    tie_pi holds, the estimate refers to the full target and blends in
+    held-out label counts; otherwise it is the CSMF of the unlabeled deaths
+    the sampler saw.
     """
     cfg.validate()
     if phi.M != reg.M or phi.death_ids != target.death_ids:
         raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
     C = len(target.cause_list)
     labeled_idx = np.flatnonzero(target.labeled_mask)
-    unlabeled_idx = np.flatnonzero(~target.labeled_mask)
     n_L = labeled_idx.shape[0]
 
-    local_summary = None
+    labels = None if cfg.variant == "plain" else target.y
     heldout_idx = np.array([], dtype=np.int64)
-    partial_idx = np.array([], dtype=np.int64)
-    if cfg.variant == "plain":
-        fit_idx = np.arange(target.n)
-        fit_labels = None
-    elif cfg.variant == "partial":
-        partial_idx = labeled_idx
-        fit_idx = np.concatenate([partial_idx, unlabeled_idx])
-        fit_labels = target.y[partial_idx]
-    elif cfg.variant in ("domain", "mix"):
+    local_summary = None
+    if cfg.variant in ("domain", "mix"):
         if n_L < 2 * C:
             raise InsufficientLocalLabels(
                 f"variant {cfg.variant!r} needs at least {2 * C} labeled deaths, got {n_L}"
@@ -651,31 +628,34 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
             n_local = round_half_up(cfg.mix_split_fraction * n_L)
             if n_local == 0 or n_local == n_L:
                 raise InsufficientLocalLabels("mix split left one part empty")
-            perm = rng.permutation(n_L)
-            heldout_idx = np.sort(labeled_idx[perm[:n_local]])
-            partial_idx = np.sort(labeled_idx[perm[n_local:]])
+            heldout_idx = np.sort(labeled_idx[rng.permutation(n_L)[:n_local]])
         local_data = target.subset(heldout_idx, domain_id=f"{target.domain_id}-local")
         local_summary = train_lcm(local_data, local_hyper or LcmHyper(), GibbsConfig(
             iterations=cfg.iterations, burn_in=cfg.burn_in, thin=cfg.thin,
             seed=derive_seed("local-model", target.domain_id, cfg.seed),
         ))
         reg = reg.extend(local_summary)
-        fit_idx = np.concatenate([partial_idx, unlabeled_idx])
-        fit_labels = target.y[partial_idx] if partial_idx.size else None
     if not reg.complete:
         uncovered = np.flatnonzero(reg.coverage == 0).tolist()
         raise IncompleteRegistry(f"no summary covers cause indices {uncovered}")
 
-    phi = _phi_rows(phi, fit_idx, target.subset(fit_idx), local_summary)
-    post = fit_global(phi, fit_labels, cfg, domain_ids=reg.domain_ids, workers=workers)
-    fitted = classify(phi, post)
+    fit_rows = np.arange(target.n)
+    if local_summary is not None:
+        fit_rows = np.delete(fit_rows, heldout_idx)
+        local = cond_loglik_matrix(local_summary, target.x[fit_rows])
+        phi = PhiTensor(
+            log_phi=np.concatenate([phi.log_phi[fit_rows], local[:, :, None]], axis=2),
+            present=np.concatenate([phi.present, local_summary.present[:, None]], axis=1),
+            death_ids=tuple(target.death_ids[i] for i in fit_rows),
+        )
+        labels = target.y[fit_rows]
+    post = fit_global(phi, labels, cfg, domain_ids=reg.domain_ids, workers=workers)
 
     probs = np.empty((target.n, C))
-    probs[fit_idx] = fitted.probs
-    if cfg.variant != "plain":
-        known = np.concatenate([partial_idx, heldout_idx])
-        if known.size:
-            probs[known] = _one_hot(target.y[known], C)
+    probs[fit_rows] = classify(phi, post).probs
+    if cfg.variant != "plain":  # known causes become one-hot rows
+        probs[labeled_idx] = 0.0
+        probs[labeled_idx, target.y[labeled_idx]] = 1.0
     top = np.argmax(probs, axis=1).astype(np.int64)
     classification = Classification(probs=probs, top=top, death_ids=target.death_ids)
 

@@ -396,7 +396,9 @@ def cond_loglik_matrix(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:
     """Batch form: (n, C) of log p(x_i | Y=c), -inf at absent causes.
 
     Rows go through in blocks of _ROW_BLOCK, each block with one product
-    against the log-profiles of every covered (cause, class) pair.
+    against the log-profiles of every covered (cause, class) pair. The max
+    over classes runs down a class-major copy, far cheaper than along each
+    short row; the sum stays on the class axis, which fixes its float order.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != s.p:
@@ -412,8 +414,9 @@ def cond_loglik_matrix(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:
     for start in range(0, n, _ROW_BLOCK):
         obs = _indicators(x[start : start + _ROW_BLOCK])
         logw = (obs @ weights + log_nu).reshape(obs.shape[0], covered.shape[0], K)
-        top = logw.max(axis=2)
-        block = top + np.log(np.exp(logw - top[..., None]).sum(axis=2))
+        top = logw.transpose(2, 0, 1).copy().max(axis=0)
+        logw -= top[..., None]
+        block = top + np.log(np.exp(logw, out=logw).sum(axis=2))
         block[~obs.any(axis=1)] = 0.0  # all Missing: log 1, exactly
         out[start : start + obs.shape[0], covered] = block
     return out

@@ -5,6 +5,10 @@ label-shift scenario masks part of the target's labels, every requested
 method estimates the scenario's CSMF estimand and (where it can) classifies
 the unlabeled deaths, and metrics go into a long-format report.
 
+A cell's labels are `masked.y`, one vector in death order with UNLABELED
+where the scenario hides the cause; `run_variant` reads it from the masked
+dataset and `fit_calibration` takes it as it is.
+
 Estimand rule: under random_sample the labeled subset is representative, so
 methods report the full-target CSMF (blending held-out known labels back in
 via the finite-sample adjustment); under mild_shift / severe_shift the
@@ -40,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from .calibration import CalibConfig, build_predictions, fit_calibration
-from .data import UNLABELED
+from .data import cause_counts, split_labels
 from .ensemble import EnsembleConfig, adjust_csmf, build_phi, fit_single_model, run_variant
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
@@ -217,12 +221,9 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
     truth = real.truth
     random_sample = scenario_kind == "random_sample"
     csmf_true = truth.full_csmf if random_sample else truth.unlabeled_csmf
-    unlabeled_pos = np.flatnonzero(masked.y == UNLABELED)
-    labeled_pos = np.flatnonzero(masked.y != UNLABELED)
+    unlabeled_pos, labeled_pos, _ = split_labels(masked.y, masked.n, C)
     unlabeled = masked.subset(unlabeled_pos)  # what the single-model fits score
-    labeled_counts = np.bincount(
-        masked.y[labeled_pos], minlength=C
-    ).astype(np.int64) if labeled_pos.size else np.zeros(C, dtype=np.int64)
+    labeled_counts = cause_counts(masked)
     cell_cfg = replace(
         ens_cfg,
         tie_pi=random_sample,
@@ -307,8 +308,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
                     beta_rate=CALIB_RATES[method],
                     seed=derive_seed("lodo-calib", target.domain_id, seed),
                 )
-                result = fit_calibration(preds, masked.y[labeled_pos], ccfg,
-                                         domain_ids=reg.domain_ids)
+                result = fit_calibration(preds, masked.y, ccfg, domain_ids=reg.domain_ids)
                 finish(method, adjusted(result.pi_mean()), None, started - build_share)
         except FedvaError as exc:
             skip(method, f"{type(exc).__name__}: {exc}")

@@ -17,11 +17,14 @@ def _rows(names, table: np.ndarray) -> list[str]:
     return [",".join([name, *map(repr, row)]) for name, row in zip(names, table.tolist())]
 
 
+def pi_summary(pi_draws: np.ndarray) -> np.ndarray:
+    """(3, C): each cause's posterior mean, 2.5% and 97.5% quantile; every pi report's."""
+    return np.vstack([pi_draws.mean(axis=0), np.quantile(pi_draws, [0.025, 0.975], axis=0)])
+
+
 def pi_table_csv(pi_draws: np.ndarray, cause_list: CauseList) -> str:
     """Per-cause posterior mean with a central 95% interval."""
-    mean = pi_draws.mean(axis=0)
-    lo, hi = np.quantile(pi_draws, [0.025, 0.975], axis=0)
-    lines = ["cause,mean,q2.5,q97.5", *_rows(cause_list.causes, np.column_stack([mean, lo, hi]))]
+    lines = ["cause,mean,q2.5,q97.5", *_rows(cause_list.causes, pi_summary(pi_draws).T)]
     return "\n".join(lines) + "\n"
 
 
@@ -41,8 +44,7 @@ def classification_csv(cls: Classification, cause_list: CauseList) -> str:
 
 def posterior_text(post: GlobalPosterior, cause_list: CauseList) -> str:
     """Human-readable fit summary with convergence diagnostics."""
-    mean = post.pi_draws.mean(axis=0)
-    lo, hi = np.quantile(post.pi_draws, [0.025, 0.975], axis=0)
+    mean, lo, hi = pi_summary(post.pi_draws)
     out = [
         f"draws: {post.D} (chains: {post.config.chains})",
         f"variant: {post.config.variant}   lambda prior: {post.config.lambda_prior.kind}",
@@ -72,8 +74,7 @@ def calibration_text(result: CalibrationResult, cause_list: CauseList) -> str:
         f"rate={result.config.beta_rate}) (prior mean {gamma_prior_mean(result.config)})",
         "",
     ]
-    mean = result.pi_mean()
-    lo, hi = result.pi_interval()
+    mean, lo, hi = pi_summary(result.pi_draws)
     out.append(f"{'cause':<28}{'mean':>10}{'2.5%':>10}{'97.5%':>10}")
     for c, name in enumerate(cause_list.causes):
         out.append(f"{name:<28}{mean[c]:>10.4f}{lo[c]:>10.4f}{hi[c]:>10.4f}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedva.data import CauseList, Dataset, SymptomDictionary
+from fedva.data import UNLABELED, CauseList, Dataset, SymptomDictionary
 
 CL3 = CauseList(causes=("cardio", "infect", "trauma"))
 SD4 = SymptomDictionary(symptoms=("fever", "cough", "injury", "chest_pain"))
@@ -24,6 +24,12 @@ def make_dataset(domain_id, x, y, cl=CL3, sd=SD4, ids=None):
         ids = tuple(f"{domain_id}-{i:04d}" for i in range(x.shape[0]))
     return Dataset(domain_id=domain_id, death_ids=tuple(ids), x=x, y=y,
                    cause_list=cl, symptom_dict=sd)
+
+
+def labels_first(labels, n):
+    """The label vector of n deaths whose first len(labels) carry `labels`."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return np.concatenate([labels, np.full(n - labels.size, UNLABELED, dtype=np.int64)])
 
 
 def batch_se(draws, n_batches=40):

@@ -118,20 +118,19 @@ def run_chain_reference(phi: PhiTensor, labels: np.ndarray | None, cfg: Ensemble
     distribution only.
     """
     n, C, M = phi.n, phi.C, phi.M
-    n_L = 0 if labels is None else len(labels)
-    y_lab = None if labels is None else np.asarray(labels, dtype=np.int64)
+    y = np.full(n, UNLABELED) if labels is None else np.asarray(labels, dtype=np.int64)
+    lab_rows = np.flatnonzero(y != UNLABELED)
+    y_lab = y[lab_rows]
+    n_L = lab_rows.size
     allowed = phi.present.astype(bool)
     conc = cfg.lambda_prior.conc
     ln_prior = cfg.lambda_prior.kind == "logistic_normal"
     sigma = cfg.lambda_prior.sigma
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
 
-    log_phi_u = phi.log_phi[n_L:]
+    log_phi_u = phi.log_phi[y == UNLABELED]
     n_u = n - n_L
-    counts_lab = (
-        np.bincount(y_lab, minlength=C).astype(np.float64) if n_L else np.zeros(C)
-    )
-    lab_rows = np.arange(n_L)
+    counts_lab = np.bincount(y_lab, minlength=C).astype(np.float64)
 
     pi, log_pi = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
     if cfg.tie_pi or n_L == 0:
@@ -261,7 +260,7 @@ def log_posterior(phi: PhiTensor, post: GlobalPosterior,
             pi, lam = post.pi_draws[d], post.lambda_draws[d]
             lp = marginal_loglik(phi, pi, lam, labels=labels)
             if labels is not None and not cfg.tie_pi:
-                lp -= np.log(pi)[labels].sum()
+                lp -= np.log(pi)[labels[labels != UNLABELED]].sum()
             lp += log_dirichlet_pdf(np.log(pi), pi_alpha)
             for c in multi:
                 row = lam[c, allowed[c]]
@@ -483,16 +482,15 @@ def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
     (D, M, C, C) draws. Takes valid inputs only.
     """
     n, C, M = a.n, a.C, a.M
-    n_L = 0 if labels is None else len(labels)
-    y_lab = None if labels is None else np.asarray(labels, dtype=np.int64)
+    y = np.full(n, UNLABELED) if labels is None else np.asarray(labels, dtype=np.int64)
     top = a.top()
     rng = derive_rng("calibration", cfg.seed)
     rng_cut = derive_rng("calibration-cut", cfg.seed)
 
     counts = np.zeros((M, C, C))
-    if n_L:
+    for i in np.flatnonzero(y != UNLABELED):
         for m in range(M):
-            np.add.at(counts[m], (y_lab, top[:n_L, m]), 1.0)
+            counts[m, y[i], top[i, m]] += 1.0
 
     def log_target(g, log_row, counts_row, eye_row):
         return (
@@ -511,8 +509,8 @@ def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
                 rng_cut, gamma[m, c] * eye_eps[c] + counts[m, c]
             )
 
-    top_u = top[n_L:]
-    n_u = n - n_L
+    top_u = top[y == UNLABELED]
+    n_u = top_u.shape[0]
     keep = cfg.iterations - cfg.burn_in
     pi_out = np.empty((keep, C))
     gamma_out = np.empty((keep, M, C))

@@ -428,10 +428,11 @@ def _calibration_arm(C, R, pi, n_L, n_U, seed, iters=3000):
     tops = np.array([rng.choice(C, p=R[c]) for c in y])
     preds[np.arange(n_L + n_U), tops, 0] = 1.0
     a = PredictionTensor(a=preds, death_ids=tuple(f"d{i}" for i in range(n_L + n_U)))
+    labels = np.where(np.arange(n_L + n_U) < n_L, y, UNLABELED)  # the first n_L deaths
     errs = {}
     for rate in (0.5, 50.0):
         cfg = CalibConfig(beta_rate=rate, iterations=iters, burn_in=iters // 2, seed=seed)
-        errs[rate] = float(np.abs(fit_calibration(a, y_l, cfg).pi_mean() - pi).sum())
+        errs[rate] = float(np.abs(fit_calibration(a, labels, cfg).pi_mean() - pi).sum())
     return errs
 
 

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CL3, SD4, batch_se, make_dataset
+from conftest import CL3, SD4, batch_se, labels_first, make_dataset
 from fedva import calibration
 from fedva.calibration import (
     CalibConfig,
@@ -14,14 +16,10 @@ from fedva.calibration import (
 )
 from fedva.data import UNLABELED
 from fedva.ensemble import EnsembleConfig, PhiTensor, build_phi, classify, fit_global
-from fedva.errors import (
-    DimensionMismatch,
-    EmptyPredictions,
-    InvalidHyper,
-    InvalidLabels,
-)
+from fedva.errors import DimensionMismatch, EmptyPredictions, InvalidHyper
 from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from fedva.reports import pi_summary
 from fedva.utils import log_dirichlet
 from oracles import fit_calibration_reference
 
@@ -89,7 +87,7 @@ def test_identity_confusion_returns_unlabeled_top_frequencies():
     y_lab = np.repeat([0, 1, 2], 20)
     tops_unl = rng.choice(3, size=240, p=[0.25, 0.5, 0.25])
     tops = np.concatenate([y_lab, tops_unl])  # perfect on the labeled part
-    res = fit_calibration(hard_tensor(tops, C=3), y_lab, CFG)
+    res = fit_calibration(hard_tensor(tops, C=3), labels_first(y_lab, 300), CFG)
     freq = np.bincount(tops_unl, minlength=3) / 240
     assert np.abs(res.pi_mean() - freq).max() < 0.05
 
@@ -100,10 +98,10 @@ def test_uninformative_classifier_reverts_to_prior():
     # point the unlabeled tops carry no information about pi.
     tops = np.zeros(230, dtype=np.int64)  # always predicts the first cause
     y_lab = np.tile([0, 1], 100)
-    res = fit_calibration(hard_tensor(tops, C=2), y_lab,
+    res = fit_calibration(hard_tensor(tops, C=2), labels_first(y_lab, 230),
                           CalibConfig(iterations=20000, burn_in=5000, seed=0))
     assert res.confusion_mean[0, :, 0].min() > 0.85
-    lo, hi = res.pi_interval(0.95)[:, 0]
+    lo, hi = pi_summary(res.pi_draws)[1:, 0]
     assert hi - lo > 0.5
 
 
@@ -115,7 +113,7 @@ def test_confusion_side_never_sees_unlabeled_deaths():
     for block_seed in (10, 11):
         tops_unl = np.random.default_rng(block_seed).choice(3, size=150)
         tops = np.concatenate([tops_lab, tops_unl])
-        variants.append(fit_calibration(hard_tensor(tops, C=3), y_lab, CFG))
+        variants.append(fit_calibration(hard_tensor(tops, C=3), labels_first(y_lab, 195), CFG))
     a, b = variants
     assert np.array_equal(a.confusion_mean, b.confusion_mean)
     assert np.array_equal(a.gamma_mean, b.gamma_mean)
@@ -135,7 +133,7 @@ def test_recovery_with_known_miscalibrated_classifier():
     y_unl = rng.choice(3, size=2000, p=pi_true)
     tops_unl = np.array([rng.choice(3, p=Q[c]) for c in y_unl])
     tensor = hard_tensor(np.concatenate([tops_lab, tops_unl]), C=3)
-    res = fit_calibration(tensor, y_lab, CFG)
+    res = fit_calibration(tensor, labels_first(y_lab, 4000), CFG)
     assert np.abs(res.pi_mean() - pi_true).max() < 0.05
     naive = np.bincount(tops_unl, minlength=3) / 2000
     assert np.abs(naive - pi_true).max() > 0.05  # calibration had work to do
@@ -144,7 +142,7 @@ def test_recovery_with_known_miscalibrated_classifier():
 def test_draws_are_simplices_and_result_shapes():
     rng = np.random.default_rng(4)
     tops = rng.choice(3, size=(60, 2))
-    res = fit_calibration(hard_tensor(tops, C=3, M=2), np.repeat([0, 1, 2], 8),
+    res = fit_calibration(hard_tensor(tops, C=3, M=2), labels_first(np.repeat([0, 1, 2], 8), 60),
                           CalibConfig(iterations=200, burn_in=100, seed=1),
                           domain_ids=("u", "v"))
     assert res.pi_draws.shape == (100, 3)
@@ -161,17 +159,35 @@ def test_determinism_and_guards():
     tops = np.random.default_rng(5).choice(3, size=50)
     t = hard_tensor(tops, C=3)
     small = CalibConfig(iterations=100, burn_in=50, seed=9)
-    a = fit_calibration(t, np.array([0, 1, 2]), small)
-    b = fit_calibration(t, np.array([0, 1, 2]), small)
+    labels = labels_first([0, 1, 2], 50)
+    a = fit_calibration(t, labels, small)
+    b = fit_calibration(t, labels, small)
     assert np.array_equal(a.pi_draws, b.pi_draws)
-    c = fit_calibration(t, np.array([0, 1, 2]), CalibConfig(iterations=100, burn_in=50, seed=10))
+    c = fit_calibration(t, labels, CalibConfig(iterations=100, burn_in=50, seed=10))
     assert not np.array_equal(a.pi_draws, c.pi_draws)
     with pytest.raises(EmptyPredictions):
         fit_calibration(PredictionTensor(a=np.zeros((0, 3, 1)), death_ids=()), None, small)
-    with pytest.raises(InvalidLabels):
-        fit_calibration(t, np.zeros(51, dtype=np.int64), small)
-    with pytest.raises(InvalidLabels):
-        fit_calibration(t, np.array([3]), small)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "some", "all"]),
+       st.permutations(range(40)))
+def test_fit_calibration_is_invariant_to_row_order(seed, labeled, order):
+    """Any row permutation of (predictions, labels) gives a byte-identical result."""
+    rng = np.random.default_rng(seed)
+    n, C, M = 40, 4, 2
+    tops = rng.integers(0, C, size=(n, M))
+    y = rng.integers(0, C, size=n)
+    if labeled == "none":
+        y[:] = UNLABELED
+    elif labeled == "some":
+        y[rng.random(n) < 0.4] = UNLABELED
+    cfg = CalibConfig(iterations=40, burn_in=20, seed=seed % 1000)
+    a = fit_calibration(hard_tensor(tops, C=C, M=M), y, cfg)
+    b = fit_calibration(hard_tensor(tops[order], C=C, M=M), y[order], cfg)
+    for got, want in ((b.pi_draws, a.pi_draws), (b.confusion_mean, a.confusion_mean),
+                      (b.gamma_mean, a.gamma_mean)):
+        assert got.tobytes() == want.tobytes()
 
 
 def record_confusion_draws(monkeypatch):
@@ -202,7 +218,7 @@ def test_tiny_prior_concentrations_keep_draws_finite_simplices(monkeypatch, C, M
     rng = np.random.default_rng([C, M, n])
     y = rng.choice(C, size=n)
     tops = np.where(rng.random((n, M)) < 0.7, y[:, None], rng.choice(C, size=(n, M)))
-    labels = None if n_L is None else y[:n_L]
+    labels = None if n_L is None else labels_first(y[:n_L], n)
     if one_pattern:
         tops[n_L:] = tops[n_L]
     calls = record_confusion_draws(monkeypatch)
@@ -246,7 +262,7 @@ def test_latent_counts_sum_to_the_unlabeled_deaths(monkeypatch, tops, n_L, U):
     assert len(np.unique(tops[n_L:], axis=0)) == U
     calls = record_pi_concentrations(monkeypatch)
     cfg = CalibConfig(iterations=60, burn_in=30, seed=0)
-    fit_calibration(hard_tensor(tops, C=C, M=2), np.arange(n_L) % C, cfg)
+    fit_calibration(hard_tensor(tops, C=C, M=2), labels_first(np.arange(n_L) % C, len(tops)), cfg)
     assert len(calls) == cfg.iterations + 1
     assert np.array_equal(calls[0], np.ones(C))  # the starting draw
     for alpha in calls[1:]:
@@ -279,7 +295,7 @@ def routed_tensor(R, pi, n_L, n_U, seed):
     y = np.concatenate([rng.choice(C, size=n_L), rng.choice(C, size=n_U, p=pi)])
     u = rng.random((y.shape[0], R.shape[0], 1))
     tops = np.minimum((u > np.cumsum(R[:, y], axis=2).transpose(1, 0, 2)).sum(axis=2), C - 1)
-    return hard_tensor(tops, C=C, M=R.shape[0]), y[:n_L]
+    return hard_tensor(tops, C=C, M=R.shape[0]), labels_first(y[:n_L], y.shape[0])
 
 
 def calibration_cases():
@@ -324,7 +340,7 @@ def test_kernel_matches_per_pair_reference_within_monte_carlo_error(
     ref, ref_gamma, ref_conf = fit_calibration_reference(tensor, labels, replace(cfg, seed=1))
 
     kept = calls[1 + cfg.burn_in:]  # the first draw precedes the first iteration
-    n_c = np.bincount(labels, minlength=tensor.C)
+    n_c = np.bincount(labels[labels != UNLABELED], minlength=tensor.C)
     gamma = np.array([(alpha.sum(axis=-1) - n_c) / (1.0 + tensor.C * cfg.epsilon)
                       for alpha, _ in kept])
     conf = np.array([values for _, values in kept])
@@ -381,7 +397,7 @@ def test_build_predictions_absent_cause_gets_zero():
     assert np.allclose(tensor.a.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_build_predictions_puts_labeled_deaths_first():
+def test_build_predictions_keeps_target_order():
     reg, target = single_model_registry()
     labeled = [1, 4, 5, 9, 17]
     y = np.full(target.n, UNLABELED, dtype=np.int32)
@@ -389,11 +405,10 @@ def test_build_predictions_puts_labeled_deaths_first():
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=0)
     tensor = build_predictions(reg, mixed, cfg, build_phi(reg, mixed))
-    order = labeled + [i for i in range(target.n) if i not in labeled]
-    assert tensor.death_ids == tuple(target.death_ids[i] for i in order)
-    # already in that order: the rows are the same fit
-    reordered = mixed.subset(order)
-    again = build_predictions(reg, reordered, cfg, build_phi(reg, reordered))
+    assert tensor.death_ids == mixed.death_ids
+    # labels are not read: the same fit as on the target without them
+    bare = mixed.without_labels()
+    again = build_predictions(reg, bare, cfg, build_phi(reg, bare))
     assert again.death_ids == tensor.death_ids and np.array_equal(again.a, tensor.a)
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CL3, SD4, batch_se, make_dataset
+from conftest import CL3, SD4, batch_se, labels_first, make_dataset
+from fedva.calibration import CalibConfig, PredictionTensor, fit_calibration
 from fedva.data import UNLABELED
 from fedva.ensemble import (
     Classification,
@@ -99,7 +100,7 @@ def test_marginal_loglik_matches_direct_sum():
         ))
     want += math.log(sum(math.exp(log_phi[0, 1, m]) * lam[1, m] for m in range(2))
                      * pi[1])
-    got = marginal_loglik(phi, pi, lam, labels=np.array([1]))
+    got = marginal_loglik(phi, pi, lam, labels=np.array([1, UNLABELED, UNLABELED]))
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -119,7 +120,7 @@ def test_phi_tensor_validation():
         log_phi = np.full((2, 2, 1), -0.5)
         log_phi[row, 0, 0] = np.nan
         with pytest.raises(IncompletePhi):
-            fit_global(phi_of(log_phi), np.array([0]), FAST)
+            fit_global(phi_of(log_phi), np.array([0, UNLABELED]), FAST)
 
 
 def test_single_model_lambda_degenerates():
@@ -165,7 +166,7 @@ def test_fit_global_is_deterministic_and_worker_invariant():
 
 def test_labels_shift_posterior_and_draw_shapes():
     phi = bernoulli_phi(10, 10)
-    labels = np.zeros(6, dtype=np.int64)  # first 6 deaths known cause 0
+    labels = labels_first(np.zeros(6), 20)  # first 6 deaths known cause 0
     tied = fit_global(phi, labels, EnsembleConfig(variant="partial", tie_pi=True,
                                                   chains=2, iterations=400,
                                                   burn_in=200, seed=0))
@@ -195,7 +196,7 @@ def test_one_pi_conditional_per_sweep(monkeypatch, tie_pi, n_L):
     monkeypatch.setattr(ensemble, "log_dirichlet", recording)
     rng = np.random.default_rng(5)
     phi = phi_of(np.log(rng.uniform(0.05, 1.0, size=(12, 3, 2))))
-    labels = rng.integers(0, 3, size=n_L) if n_L else None
+    labels = labels_first(rng.integers(0, 3, size=n_L), 12) if n_L else None
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=50, burn_in=25, seed=0,
                          tie_pi=tie_pi, pi_prior_conc=0.5)
     fit_global(phi, labels, cfg)
@@ -209,23 +210,88 @@ def test_one_pi_conditional_per_sweep(monkeypatch, tie_pi, n_L):
             counts = alpha - 0.5
             assert np.array_equal(counts, np.round(counts)) and counts.sum() == seen
             if tie_pi and n_L:
-                assert np.all(counts >= np.bincount(labels, minlength=3))
+                assert np.all(counts >= np.bincount(labels[:n_L], minlength=3))
 
 
-def test_fit_global_label_guards():
-    phi = bernoulli_phi(5, 5)
+BAD_LABELS = {
+    "float": np.array([0.7, 1.2]),
+    "bool": np.array([True, False]),
+    "2-d": np.array([[0, 1]]),
+    "short": np.array([0]),
+    "long": np.array([0, 1, 0]),
+    "below UNLABELED": np.array([-2, 0]),
+    "cause out of range": np.array([0, 2]),
+}
+
+
+def _label_takers():
+    """Each function that takes a label vector, on two deaths and two causes."""
+    phi = bernoulli_phi(1, 1)
+    preds = PredictionTensor(a=np.full((2, 2, 1), 0.5), death_ids=("a", "b"))
+    return {
+        "fit_global": lambda labels: fit_global(phi, labels, FAST),
+        "marginal_loglik": lambda labels: marginal_loglik(
+            phi, np.array([0.5, 0.5]), np.ones((2, 1)), labels),
+        "fit_calibration": lambda labels: fit_calibration(
+            preds, labels, CalibConfig(iterations=4, burn_in=2)),
+    }
+
+
+@pytest.mark.parametrize("bad", list(BAD_LABELS), ids=list(BAD_LABELS))
+@pytest.mark.parametrize("taker", ["fit_global", "marginal_loglik", "fit_calibration"])
+def test_every_label_taker_refuses_a_malformed_vector(taker, bad):
     with pytest.raises(InvalidLabels):
-        fit_global(phi, np.array([2]), FAST)  # cause index out of range
-    with pytest.raises(InvalidLabels):
-        fit_global(phi, np.array([-1]), FAST)
-    with pytest.raises(InvalidLabels):
-        fit_global(phi, np.zeros(11, dtype=np.int64), FAST)  # more labels than deaths
+        _label_takers()[taker](BAD_LABELS[bad])
+
+
+@pytest.mark.parametrize("taker", ["fit_global", "marginal_loglik", "fit_calibration"])
+def test_every_label_taker_accepts_any_integer_label_vector(taker):
+    for good in (None, [UNLABELED, 1], np.array([0, UNLABELED], dtype=np.int32),
+                 np.array([1, 0], dtype=np.uint8)):
+        _label_takers()[taker](good)
+
+
+def test_fit_global_needs_every_cause_covered():
     with pytest.raises(IncompletePhi):
         present = np.array([[1], [0]], dtype=np.int8)
         log_phi = np.full((2, 2, 1), -np.inf)
         log_phi[:, 0, 0] = -1.0
         fit_global(PhiTensor(log_phi=log_phi, present=present, death_ids=("a", "b")),
                    None, FAST)  # a cause no domain covers
+
+
+@st.composite
+def interleaved_fits(draw):
+    """(phi, labels, cfg, where): labels on the first n_L rows of phi, and
+    `where`, an interleaving that keeps the labeled and the unlabeled rows
+    each in their order."""
+    C, M = draw(st.integers(2, 4)), draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(1, 14))
+    n_L = draw(st.sampled_from([0, n, draw(st.integers(0, n))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    spread = draw(st.sampled_from([1.0, 800.0]))  # 800: the log-space fallback runs
+    log_phi = -spread * rng.random((n, C, M))
+    cfg = EnsembleConfig(variant="partial", chains=2, iterations=8, burn_in=4,
+                         seed=draw(st.integers(0, 2**32)), tie_pi=draw(st.booleans()))
+    labeled_at = np.sort(rng.choice(n, size=n_L, replace=False))
+    where = np.concatenate([labeled_at, np.setdiff1d(np.arange(n), labeled_at)])
+    labels = labels_first(rng.integers(0, C, size=n_L), n)
+    return phi_of(log_phi), labels, cfg, where
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(interleaved_fits())
+def test_interleaved_labels_give_the_draws_of_the_labeled_first_layout(case):
+    phi, labels, cfg, where = case
+    first = fit_global(phi, labels, cfg)
+    moved_log_phi = np.empty_like(phi.log_phi)
+    moved_log_phi[where] = phi.log_phi
+    moved_labels = np.empty_like(labels)
+    moved_labels[where] = labels
+    moved = fit_global(phi_of(moved_log_phi), moved_labels, cfg)
+    assert moved.pi_draws.tobytes() == first.pi_draws.tobytes()
+    assert moved.lambda_draws.tobytes() == first.lambda_draws.tobytes()
 
 
 @pytest.mark.parametrize("burn_in", [300, 120])  # 120 ends burn-in mid adaptation window
@@ -431,7 +497,7 @@ def quadrature_instances():
 
 
 def untied_instances():
-    """Labels on the first deaths, tie_pi false: (seed, phi, labels).
+    """Labels on the first n_L deaths, tie_pi false: (seed, phi, labels).
 
     The reference kernel also draws the labeled deaths' own CSMF every
     sweep, which fedva.ensemble leaves out; (pi, lambda) must not change.
@@ -441,7 +507,7 @@ def untied_instances():
                                                       (24, 2, 2, 24))):
         r = np.random.default_rng(seed)
         phi = phi_of(np.log(r.uniform(0.02, 1.0, size=(n, C, M))))
-        out.append((seed, phi, r.integers(0, C, size=n_L)))
+        out.append((seed, phi, labels_first(r.integers(0, C, size=n_L), n)))
     return out
 
 
@@ -454,7 +520,7 @@ def logistic_normal_instances():
     log_phi = np.log(r.uniform(0.02, 1.0, size=(36, 3, 3)))
     log_phi[:, present == 0] = -np.inf
     return [(101, dict(quadrature_instances())[101], None),
-            (301, phi_of(log_phi, present), r.integers(0, 3, size=12))]
+            (301, phi_of(log_phi, present), labels_first(r.integers(0, 3, size=12), 36))]
 
 
 def test_kernel_matches_log_space_reference_within_monte_carlo_error():
@@ -509,7 +575,7 @@ def test_extreme_spread_and_tiny_concentration_fall_back_to_log_space(monkeypatc
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=100, seed=0,
                          tie_pi=False, pi_prior_conc=1e-3,
                          lambda_prior=LambdaPrior(conc=1e-3))
-    labels = np.array([0, 0, 0, 2, 2])
+    labels = labels_first([0, 0, 0, 2, 2], 40)
     post = fit_global(phi_of(log_phi), labels, cfg)
     assert calls, "the log-space fallback never ran"
     assert_finite_simplex_draws(post, np.ones((3, 2)))
@@ -538,7 +604,7 @@ def test_single_model_draws_no_lambda(monkeypatch):
 
     monkeypatch.setattr(ensemble, "log_dirichlet", recording)
     phi = bernoulli_phi(7, 3)
-    post = fit_global(phi, np.array([0, 1]), FAST)
+    post = fit_global(phi, labels_first([0, 1], 10), FAST)
     assert shapes and all(s == (2,) for s in shapes)
     assert np.all(post.lambda_draws == 1.0)
     assert_finite_simplex_draws(post, np.ones((2, 1)))
@@ -565,7 +631,7 @@ def extreme_fits(draw):
                          seed=draw(st.integers(0, 2**32)), tie_pi=draw(st.booleans()),
                          pi_prior_conc=draw(conc),
                          lambda_prior=LambdaPrior(kind=kind, conc=draw(conc)))
-    labels = rng.integers(0, C, size=n_L) if n_L else None
+    labels = labels_first(rng.integers(0, C, size=n_L), n) if n_L else None
     return phi_of(log_phi, present.astype(np.uint8)), labels, cfg
 
 
@@ -591,7 +657,7 @@ def test_cause_covered_by_one_domain_keeps_weight_one():
     for prior in (LambdaPrior(), LambdaPrior(kind="logistic_normal")):
         cfg = EnsembleConfig(variant="partial", chains=2, iterations=200, burn_in=100,
                              seed=0, lambda_prior=prior)
-        post = fit_global(phi, np.array([1, 2, 1]), cfg)
+        post = fit_global(phi, labels_first([1, 2, 1], 30), cfg)
         assert_finite_simplex_draws(post, present)
         assert np.all(post.lambda_draws[:, 1] == [1.0, 0.0])
         assert np.all(post.lambda_draws[:, 2] == [0.0, 1.0])
@@ -769,7 +835,7 @@ def test_classify_matches_per_draw_reference():
     reg, target = federation()
     phi = build_phi(reg, target)
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=100, seed=5)
-    post = fit_global(phi, target.y[:20], cfg, domain_ids=reg.domain_ids)
+    post = fit_global(phi, labels_first(target.y[:20], 60), cfg, domain_ids=reg.domain_ids)
     assert np.abs(classify(phi, post).probs - classify_reference(phi, post)).max() < 1e-12
 
 

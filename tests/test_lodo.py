@@ -329,7 +329,8 @@ def _cell(scenario, seed=3):
 @pytest.mark.parametrize("variant", ["plain", "partial", "domain", "mix"])
 def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant):
     """The tensor handed to fit_global is build_phi on the deaths the variant
-    fits, in fit order, with the local model (if any) appended."""
+    fits, in target order, with the local model (if any) appended, and its
+    labels are the target's at those rows."""
     reg, masked = _cell(scenario)
     cfg = replace(TINY_ENS, variant=variant, tie_pi=scenario == "random_sample")
     seen = {}
@@ -346,30 +347,23 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
 
     monkeypatch.setattr(ensemble, "train_lcm", spy_train)
     monkeypatch.setattr(ensemble, "fit_global", spy_fit)
-    post, cls, _ = run_variant(reg, masked, cfg, build_phi(reg, masked),
-                               local_hyper=LcmHyper(K=1))
+    callers_phi = build_phi(reg, masked)
+    post, cls, _ = run_variant(reg, masked, cfg, callers_phi, local_hyper=LcmHyper(K=1))
     phi = seen["phi"]
     where = {d: i for i, d in enumerate(masked.death_ids)}
     fit_idx = np.array([where[d] for d in phi.death_ids])
     labeled = np.flatnonzero(masked.labeled_mask)
     unlabeled = np.flatnonzero(~masked.labeled_mask)
-    n_fit_labeled = fit_idx.size - unlabeled.size
+    assert np.all(np.diff(fit_idx) > 0)  # target order
     if variant == "plain":
-        assert np.array_equal(fit_idx, np.arange(masked.n)) and seen["labels"] is None
+        assert phi is callers_phi and seen["labels"] is None
+    elif variant == "partial":
+        assert phi is callers_phi and np.array_equal(seen["labels"], masked.y)
     else:
-        # labeled deaths the sampler sees come first, then every unlabeled one
-        assert np.array_equal(fit_idx[n_fit_labeled:], unlabeled)
-        partial_rows = fit_idx[:n_fit_labeled]
-        if variant == "partial":
-            assert np.array_equal(partial_rows, labeled)
-        elif variant == "domain":
-            assert partial_rows.size == 0
-        else:  # mix: a part of the labeled deaths, in target order
-            assert np.all(np.diff(partial_rows) > 0) and np.isin(partial_rows, labeled).all()
-        if n_fit_labeled:
-            assert np.array_equal(seen["labels"], masked.y[partial_rows])
-        else:
-            assert seen["labels"] is None
+        # every unlabeled death; mix adds the labeled part it keeps out of the local model
+        assert np.isin(unlabeled, fit_idx).all()
+        assert np.array_equal(fit_idx, unlabeled) == (variant == "domain")
+        assert np.array_equal(seen["labels"], masked.y[fit_idx])
     fit_reg = reg
     if variant in ("domain", "mix"):
         # the local model learns from exactly the labeled deaths the fit leaves out
@@ -390,7 +384,7 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
 @pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
 def test_single_model_fits_read_rows_of_the_callers_phi(monkeypatch, scenario):
     """local-avg's columns at the unlabeled rows, and build_predictions'
-    columns in labeled-first order, are each model's own likelihoods there."""
+    columns in target order, are each model's own likelihoods there."""
     reg, masked = _cell(scenario)
     phi = build_phi(reg, masked)
     unlabeled = masked.subset(np.flatnonzero(~masked.labeled_mask))
@@ -406,8 +400,7 @@ def test_single_model_fits_read_rows_of_the_callers_phi(monkeypatch, scenario):
     monkeypatch.setattr(calibration, "fit_single_model", spy_single)
     preds = build_predictions(reg, masked, TINY_ENS, phi)
     assert [s.domain_id for s, _, _ in seen] == list(reg.domain_ids)
-    order = np.argsort(~masked.labeled_mask, kind="stable")
-    assert preds.death_ids == tuple(masked.death_ids[i] for i in order)
+    assert preds.death_ids == masked.death_ids
     for m, (s, target, log_lik) in enumerate(seen):
         assert target.death_ids == preds.death_ids
         assert np.array_equal(log_lik, cond_loglik_matrix(s, target.x))

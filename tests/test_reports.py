@@ -3,9 +3,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fedva import reports
+from fedva.calibration import CalibConfig, CalibrationResult
 from fedva.data import CauseList
-from fedva.ensemble import Classification
-from fedva.reports import classification_csv, lambda_matrix_csv, pi_table_csv
+from fedva.ensemble import Classification, EnsembleConfig
+from fedva.reports import (
+    calibration_text,
+    classification_csv,
+    lambda_matrix_csv,
+    pi_summary,
+    pi_table_csv,
+    posterior_text,
+)
 
 SPECIAL = [0.0, 1.0, 5e-324, 1e-300]
 
@@ -60,3 +69,28 @@ def test_float_tables_match_per_cell_formatting(cols):
     post = SimpleNamespace(lambda_mean=lambda: lam, domain_ids=("a", "b", "c"))
     assert lambda_matrix_csv(post, cl) == _per_cell_lambda_matrix(lam, post.domain_ids, cl)
     assert "5e-324" in classification_csv(cls, cl) and "1e-300" in lambda_matrix_csv(post, cl)
+
+
+def test_pi_summary_is_the_mean_and_central_95_percent_interval():
+    draws = np.random.default_rng(0).dirichlet(np.ones(4), size=200)
+    got = pi_summary(draws)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got[0], draws.mean(axis=0))
+    assert np.array_equal(got[1:], np.quantile(draws, [0.025, 0.975], axis=0))
+    lo, hi = got[1:]
+    assert np.all(lo <= got[0]) and np.all(got[0] <= hi)
+
+
+def test_every_pi_report_reads_pi_summary(monkeypatch):
+    cl = CauseList(("a", "b"))
+    draws = np.full((5, 2), 0.5)
+    monkeypatch.setattr(reports, "pi_summary",
+                        lambda d: np.array([[0.25, 0.75], [0.125, 0.625], [0.375, 0.875]]))
+    assert pi_table_csv(draws, cl).splitlines()[1] == "a,0.25,0.125,0.375"
+    post = SimpleNamespace(pi_draws=draws, D=5, config=EnsembleConfig(chains=1),
+                           acceptance_rate=None, rhat_pi=np.ones(2))
+    calib = CalibrationResult(pi_draws=draws, confusion_mean=np.full((1, 2, 2), 0.5),
+                              gamma_mean=np.ones((1, 2)), config=CalibConfig(), domain_ids=())
+    row = f"{'b':<28}{0.75:>10.4f}{0.625:>10.4f}{0.875:>10.4f}"
+    for text in (posterior_text(post, cl), calibration_text(calib, cl)):
+        assert any(line.startswith(row) for line in text.splitlines())
