@@ -26,6 +26,9 @@ UNLABELED where the cause is unknown (as in `Dataset.y`). The fit reads
 only their split (`data.split_labels`), so any row permutation of
 (predictions, labels) gives the same result.
 
+`build_predictions` fits each column of the ensemble's likelihood tensor
+alone; the predictions and the result keep the tensor's domain ids.
+
 The baseline estimates prevalence only. It cannot assign causes to
 individual deaths.
 """
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, split_labels
+from .data import split_labels
 from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper
-from .exchange import FederationRegistry
+from .exchange import distinct_ids
 from .ensemble import EnsembleConfig, PhiTensor, fit_single_model
 from .lcm import GibbsConfig
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
@@ -47,10 +50,11 @@ from .utils import derive_rng, log_dirichlet, log_dirichlet_pdf
 
 @dataclass(frozen=True)
 class PredictionTensor:
-    """a[i,c,m] = p_m(Y_i=c | x_i); each (i,m) slice sums to 1."""
+    """a[i,c,m] = p_m(Y_i=c | x_i) of source domain_ids[m]; each (i,m) slice sums to 1."""
 
     a: np.ndarray
     death_ids: tuple[str, ...]
+    domain_ids: tuple[str, ...]
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64)
@@ -65,6 +69,7 @@ class PredictionTensor:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "death_ids", tuple(self.death_ids))
+        object.__setattr__(self, "domain_ids", distinct_ids(self.domain_ids, a.shape[2]))
 
     @property
     def n(self) -> int:
@@ -116,35 +121,30 @@ class CalibrationResult:
         return self.pi_draws.mean(axis=0)
 
 
-def build_predictions(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
-                      phi: PhiTensor) -> PredictionTensor:
-    """Classify every target death with each base model independently.
+def build_predictions(phi: PhiTensor, cfg: EnsembleConfig) -> PredictionTensor:
+    """Classify every death of phi with each of its models independently.
 
-    `phi` is `build_phi(reg, target)`, scored by the caller; each model reads
-    its column through `fit_single_model`, and causes it does not cover get
-    probability 0. Rows stay in target order; target labels are not read,
-    as they belong to the calibration step.
+    Each model is one column of phi, fitted alone by `fit_single_model`;
+    causes it does not cover get probability 0. Rows, columns and their
+    names are phi's; no labels are read, as they belong to the calibration
+    step.
     """
-    if target.n == 0:
-        return PredictionTensor(a=np.zeros((0, len(target.cause_list), reg.M)), death_ids=())
-    if phi.M != reg.M or phi.death_ids != target.death_ids:
-        raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
-    a = np.stack([
-        fit_single_model(s, target, cfg, phi.log_phi[:, :, m])[1]
-        for m, s in enumerate(reg.summaries)
-    ], axis=2)
-    return PredictionTensor(a=a, death_ids=target.death_ids)
+    if phi.n == 0:  # nothing to fit
+        a = np.zeros((0, phi.C, phi.M))
+    else:
+        a = np.stack([fit_single_model(phi, m, cfg)[1] for m in range(phi.M)], axis=2)
+    return PredictionTensor(a=a, death_ids=phi.death_ids, domain_ids=phi.domain_ids)
 
 
 def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
-                    cfg: CalibConfig,
-                    domain_ids: tuple[str, ...] = ()) -> CalibrationResult:
+                    cfg: CalibConfig) -> CalibrationResult:
     """Gibbs sampler for the calibrated CSMF.
 
     `labels` is a label vector over the rows of `a` (see the module
-    docstring). The labeled deaths' (true cause, predicted cause) pairs are
-    the only evidence the confusion matrices see. Unlabeled deaths carry
-    latent true causes that inform pi alone.
+    docstring); the result's domain ids are those of `a`. The labeled
+    deaths' (true cause, predicted cause) pairs are the only evidence the
+    confusion matrices see. Unlabeled deaths carry latent true causes that
+    inform pi alone.
 
     Given the confusion rows, each gamma[m, c] depends on its own row only,
     and given gamma the rows are independent, so every iteration updates all
@@ -229,5 +229,5 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
         confusion_mean=conf_sum / keep,
         gamma_mean=gamma_sum / keep,
         config=cfg,
-        domain_ids=tuple(domain_ids),
+        domain_ids=a.domain_ids,
     )

@@ -128,7 +128,7 @@ def _run_ensemble(cfg: RunConfig, variant_override: str | None):
     if variant_override:
         ens_cfg = replace(ens_cfg, variant=variant_override)
     post, cls, csmf = run_variant(
-        reg, target, ens_cfg, build_phi(reg, target),
+        target, build_phi(reg, target), ens_cfg,
         local_hyper=cfg.base_model,
         workers=cfg.workers,
     )
@@ -158,8 +158,8 @@ def cmd_calibrate(cfg: RunConfig, args) -> None:
     cl, sd = _load_coords(cfg)
     target = _target_dataset(cfg, cl, sd)
     reg = _registry_for_target(cfg, cl, sd, target.domain_id)
-    preds = build_predictions(reg, target, cfg.ensemble, build_phi(reg, target))
-    result = fit_calibration(preds, target.y, cfg.calibration, domain_ids=reg.domain_ids)
+    preds = build_predictions(build_phi(reg, target), cfg.ensemble)
+    result = fit_calibration(preds, target.y, cfg.calibration)
     text = calibration_text(result, cl)
     _write_outputs(cfg, "calibrate", {
         "calibration.txt": text,

@@ -14,6 +14,9 @@ labeled subset is a random sample of the target (tie_pi); otherwise the
 labeled deaths' own cause distribution is not sampled, as no other block
 would read it.
 
+A `PhiTensor` names the source of each column (`domain_ids`), so every fit
+reads the tensor alone; `run_variant` appends the local model's column.
+
 Labels are None or one vector over the tensor's rows, in row order, with
 UNLABELED where the cause is unknown (as in `Dataset.y`), so labeled and
 unlabeled deaths may interleave. A fit splits the rows by it once
@@ -59,19 +62,18 @@ from functools import partial
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Dataset, split_labels
+from .data import UNLABELED, Dataset, split_labels
 from .errors import (
     CountOverflow,
     DimensionMismatch,
     FingerprintMismatch,
     IncompletePhi,
-    IncompleteRegistry,
     InsufficientLocalLabels,
     InvalidHyper,
     NotASimplex,
 )
-from .exchange import FederationRegistry
-from .lcm import BaseModelSummary, GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from .exchange import FederationRegistry, distinct_ids
+from .lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from .utils import (
     derive_rng,
     derive_seed,
@@ -89,11 +91,12 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class PhiTensor:
-    """log_phi[i,c,m] = log p_m(x_i | Y=c); -inf exactly where (c,m) absent."""
+    """log_phi[i,c,m] = log p_m(x_i | Y=c) under source domain_ids[m]; -inf iff (c,m) absent."""
 
     log_phi: np.ndarray
     present: np.ndarray
     death_ids: tuple[str, ...]
+    domain_ids: tuple[str, ...]
 
     def __post_init__(self):
         log_phi = np.asarray(self.log_phi, dtype=np.float64)
@@ -115,6 +118,13 @@ class PhiTensor:
         object.__setattr__(self, "log_phi", log_phi)
         object.__setattr__(self, "present", present)
         object.__setattr__(self, "death_ids", tuple(self.death_ids))
+        object.__setattr__(self, "domain_ids", distinct_ids(self.domain_ids, M))
+
+    def rows(self, idx: np.ndarray) -> "PhiTensor":
+        """The tensor over the deaths at positions idx, in that order."""
+        return PhiTensor(log_phi=self.log_phi[idx], present=self.present,
+                         death_ids=tuple(self.death_ids[i] for i in idx),
+                         domain_ids=self.domain_ids)
 
     @property
     def n(self) -> int:
@@ -208,8 +218,9 @@ class Classification:
 def build_phi(reg: FederationRegistry, target: Dataset) -> PhiTensor:
     """Evaluate every summary's conditional log-likelihood on every death.
 
-    A cause no summary covers stays -inf in every column: calibration reads
-    such a tensor, `run_variant` refuses to fit one.
+    Column m is summary m of the registry, named by its domain id. A cause
+    no summary covers stays -inf in every column: calibration reads such a
+    tensor, `fit_global` refuses to fit one.
     """
     if target.symptom_dict.fingerprint != reg.dict_fingerprint:
         raise FingerprintMismatch("target symptom dictionary differs from the registry's")
@@ -217,7 +228,8 @@ def build_phi(reg: FederationRegistry, target: Dataset) -> PhiTensor:
         raise FingerprintMismatch("target cause list differs from the registry's")
     log_phi = np.stack([cond_loglik_matrix(s, target.x) for s in reg.summaries], axis=2)
     present = np.stack([s.present for s in reg.summaries], axis=1)
-    return PhiTensor(log_phi=log_phi, present=present, death_ids=target.death_ids)
+    return PhiTensor(log_phi=log_phi, present=present, death_ids=target.death_ids,
+                     domain_ids=reg.domain_ids)
 
 
 def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
@@ -463,7 +475,7 @@ def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
 
 
 def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
-               domain_ids: tuple[str, ...] = (), workers: int = 1) -> GlobalPosterior:
+               workers: int = 1) -> GlobalPosterior:
     """Sample p(pi, lambda | phi, labels); `labels` is a label vector over phi's deaths."""
     cfg.validate()
     if np.any(phi.present.sum(axis=1) < 1):
@@ -490,7 +502,7 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
         lambda_draws=lambda_draws,
         acceptance_rate=acceptance,
         config=cfg,
-        domain_ids=tuple(domain_ids),
+        domain_ids=phi.domain_ids,
         rhat_pi=rhat,
     )
 
@@ -517,11 +529,10 @@ def classify(phi: PhiTensor, post: GlobalPosterior) -> Classification:
     # One max-subtraction per death keeps exp() in range; exp(-inf) = 0 drops
     # absent (c,m) cells from the sums.
     log_phi = phi.log_phi.reshape(n, C * M)
-    phi_exp = log_phi - log_phi.max(axis=1, keepdims=True)
-    np.exp(phi_exp, out=phi_exp)
+    shift = log_phi.max(axis=1, keepdims=True)
     probs = np.zeros((n, C))
     for i0 in range(0, n, _BLOCK):
-        e = phi_exp[i0:i0 + _BLOCK]
+        e = np.exp(log_phi[i0:i0 + _BLOCK] - shift[i0:i0 + _BLOCK])
         acc = np.zeros_like(e)
         for d0 in range(0, post.D, _BLOCK):
             pi = post.pi_draws[d0:d0 + _BLOCK]
@@ -549,29 +560,25 @@ def _classify_log_space(log_phi: np.ndarray, pi: np.ndarray, lam: np.ndarray) ->
     return num / num.sum(axis=1, keepdims=True)
 
 
-def fit_single_model(summary: BaseModelSummary, target: Dataset, cfg: EnsembleConfig,
-                     log_lik: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One summary applied alone: the plain variant over the causes it covers.
+def fit_single_model(phi: PhiTensor, m: int, cfg: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Column m of phi applied alone: the plain variant over the causes it covers.
 
-    `log_lik` is the summary's `cond_loglik_matrix` on the target's rows,
-    scored by the caller. Returns the posterior-mean CSMF (C,) and the cause
-    probabilities of every target death (n, C), both 0 at causes the summary
-    does not cover. Target labels are not read.
+    Returns the posterior-mean CSMF (C,) and the cause probabilities of every
+    death of phi (n, C), both 0 at causes column m does not cover. No labels
+    are read.
     """
-    C = len(target.cause_list)
-    if log_lik.shape != (target.n, C):
-        raise DimensionMismatch(f"log_lik must have shape {(target.n, C)}, got {log_lik.shape}")
-    covered = np.flatnonzero(summary.present)
-    phi = PhiTensor(
-        log_phi=log_lik[:, covered, None],
+    covered = np.flatnonzero(phi.present[:, m])
+    one = PhiTensor(
+        log_phi=phi.log_phi[:, covered, m, None],
         present=np.ones((covered.shape[0], 1), dtype=np.uint8),
-        death_ids=target.death_ids,
+        death_ids=phi.death_ids,
+        domain_ids=phi.domain_ids[m:m + 1],
     )
-    post = fit_global(phi, None, replace(cfg, variant="plain"), domain_ids=(summary.domain_id,))
-    pi = np.zeros(C)
+    post = fit_global(one, None, replace(cfg, variant="plain"))
+    pi = np.zeros(phi.C)
     pi[covered] = post.pi_mean()
-    probs = np.zeros((target.n, C))
-    probs[:, covered] = classify(phi, post).probs
+    probs = np.zeros((phi.n, phi.C))
+    probs[:, covered] = classify(one, post).probs
     return pi, probs
 
 
@@ -589,33 +596,34 @@ def adjust_csmf(pi_hat: np.ndarray, n0: int, heldout_counts: np.ndarray) -> np.n
     return ((n0 - n_h) / n0) * pi_hat + heldout / n0
 
 
-def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
-                phi: PhiTensor,
+def run_variant(target: Dataset, phi: PhiTensor, cfg: EnsembleConfig,
                 local_hyper: LcmHyper | None = None,
                 workers: int = 1) -> tuple[GlobalPosterior, Classification, np.ndarray]:
     """Fit one fine-tuning variant on a partially labeled target.
 
-    `phi` is `build_phi(reg, target)`, scored by the caller. The fit reads its
-    rows in target order, less the labeled deaths that train a local model
-    (all of them under domain, a seeded part under mix), with `target.y` at
-    those rows as its labels (none under plain). Only that local model is
-    scored here; plain and partial fit `phi` itself. Returns the posterior, a
-    classification of every target death (known labels become one-hot rows
-    except under plain, which ignores labels), and the CSMF estimate. When
-    tie_pi holds, the estimate refers to the full target and blends in
-    held-out label counts; otherwise it is the CSMF of the unlabeled deaths
-    the sampler saw.
+    `phi` holds the sources' likelihoods of the target's deaths in target
+    order (`build_phi`), scored by the caller. The fit reads its rows in
+    target order, less the labeled deaths that train a local model (all of
+    them under domain, a seeded part under mix), with `target.y` at those
+    rows as its labels (none under plain). Only that local model is scored
+    here, its column appended under its domain id `<target>-local`; plain
+    and partial fit `phi` itself. Returns the posterior, a classification of
+    every target death (known labels become one-hot rows except under plain,
+    which ignores labels; only the other rows are classified), and the CSMF
+    estimate. When tie_pi holds, the estimate refers to the full target and
+    blends in held-out label counts; otherwise it is the CSMF of the
+    unlabeled deaths the sampler saw.
     """
     cfg.validate()
-    if phi.M != reg.M or phi.death_ids != target.death_ids:
-        raise DimensionMismatch("phi must hold the registry's models on the target's deaths")
+    if phi.death_ids != target.death_ids:
+        raise DimensionMismatch("phi must hold the target's deaths in target order")
     C = len(target.cause_list)
     labeled_idx = np.flatnonzero(target.labeled_mask)
     n_L = labeled_idx.shape[0]
 
     labels = None if cfg.variant == "plain" else target.y
+    fit_rows = np.arange(target.n)
     heldout_idx = np.array([], dtype=np.int64)
-    local_summary = None
     if cfg.variant in ("domain", "mix"):
         if n_L < 2 * C:
             raise InsufficientLocalLabels(
@@ -630,31 +638,27 @@ def run_variant(reg: FederationRegistry, target: Dataset, cfg: EnsembleConfig,
                 raise InsufficientLocalLabels("mix split left one part empty")
             heldout_idx = np.sort(labeled_idx[rng.permutation(n_L)[:n_local]])
         local_data = target.subset(heldout_idx, domain_id=f"{target.domain_id}-local")
-        local_summary = train_lcm(local_data, local_hyper or LcmHyper(), GibbsConfig(
+        local = train_lcm(local_data, local_hyper or LcmHyper(), GibbsConfig(
             iterations=cfg.iterations, burn_in=cfg.burn_in, thin=cfg.thin,
             seed=derive_seed("local-model", target.domain_id, cfg.seed),
         ))
-        reg = reg.extend(local_summary)
-    if not reg.complete:
-        uncovered = np.flatnonzero(reg.coverage == 0).tolist()
-        raise IncompleteRegistry(f"no summary covers cause indices {uncovered}")
-
-    fit_rows = np.arange(target.n)
-    if local_summary is not None:
         fit_rows = np.delete(fit_rows, heldout_idx)
-        local = cond_loglik_matrix(local_summary, target.x[fit_rows])
+        local_log_phi = cond_loglik_matrix(local, target.x[fit_rows])[:, :, None]
         phi = PhiTensor(
-            log_phi=np.concatenate([phi.log_phi[fit_rows], local[:, :, None]], axis=2),
-            present=np.concatenate([phi.present, local_summary.present[:, None]], axis=1),
+            log_phi=np.concatenate([phi.log_phi[fit_rows], local_log_phi], axis=2),
+            present=np.concatenate([phi.present, local.present[:, None]], axis=1),
             death_ids=tuple(target.death_ids[i] for i in fit_rows),
+            domain_ids=phi.domain_ids + (local.domain_id,),
         )
         labels = target.y[fit_rows]
-    post = fit_global(phi, labels, cfg, domain_ids=reg.domain_ids, workers=workers)
+    post = fit_global(phi, labels, cfg, workers=workers)
 
-    probs = np.empty((target.n, C))
-    probs[fit_rows] = classify(phi, post).probs
-    if cfg.variant != "plain":  # known causes become one-hot rows
-        probs[labeled_idx] = 0.0
+    probs = np.zeros((target.n, C))
+    if labels is None:
+        probs[fit_rows] = classify(phi, post).probs
+    else:  # known causes become one-hot rows; only the others are classified
+        unknown = np.flatnonzero(labels == UNLABELED)
+        probs[fit_rows[unknown]] = classify(phi.rows(unknown), post).probs
         probs[labeled_idx, target.y[labeled_idx]] = 1.0
     top = np.argmax(probs, axis=1).astype(np.int64)
     classification = Classification(probs=probs, top=top, death_ids=target.death_ids)

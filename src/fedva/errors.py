@@ -64,15 +64,11 @@ class SchemaVersionUnsupported(FedvaError):
 
 
 class DuplicateDomainId(FedvaError):
-    """Two summaries in one registry claim the same domain id."""
+    """Two summaries in one registry, or two columns of one tensor, claim the same domain id."""
 
 
 class EmptyRegistry(FedvaError):
     """A registry needs at least one summary."""
-
-
-class IncompleteRegistry(FedvaError):
-    """Some cause is covered by no model in the registry."""
 
 
 # --- global ensemble ---

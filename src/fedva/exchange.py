@@ -5,8 +5,8 @@ round-trip float formatting, so exporting the same summary twice yields
 byte-identical files and a content checksum is meaningful. Absent-cause
 parameter rows are serialized as explicit nulls.
 
-A FederationRegistry collects the M summaries one global fit consumes.
-Order matters: domain-mixture weights are indexed by registry position.
+A FederationRegistry collects the M summaries that `ensemble.build_phi`
+scores into one likelihood tensor, in registry order, one column each.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import numpy as np
 from .data import CauseList, SymptomDictionary
 from .errors import (
     ChecksumMismatch,
+    DimensionMismatch,
     DuplicateDomainId,
     EmptyRegistry,
     FingerprintMismatch,
@@ -222,6 +223,16 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
     return summary
 
 
+def distinct_ids(ids, M: int) -> tuple[str, ...]:
+    """ids as a tuple, when it holds M distinct domain ids: one per model or column."""
+    ids = tuple(ids)
+    if len(ids) != M:
+        raise DimensionMismatch(f"expected {M} domain ids, got {len(ids)}")
+    if len(set(ids)) != M:
+        raise DuplicateDomainId(f"duplicate domain_id among {list(ids)}")
+    return ids
+
+
 @dataclass(frozen=True)
 class FederationRegistry:
     """Ordered collection of summaries sharing one coordinate system."""
@@ -235,9 +246,7 @@ class FederationRegistry:
     def __post_init__(self):
         if not self.summaries:
             raise EmptyRegistry("registry needs at least one summary")
-        ids = [s.domain_id for s in self.summaries]
-        if len(set(ids)) != len(ids):
-            raise DuplicateDomainId(f"duplicate domain_id among {ids}")
+        distinct_ids([s.domain_id for s in self.summaries], len(self.summaries))
         for s in self.summaries:
             if (s.cause_list_fingerprint != self.cause_list_fingerprint
                     or s.dict_fingerprint != self.dict_fingerprint):
@@ -261,14 +270,6 @@ class FederationRegistry:
     @property
     def domain_ids(self) -> tuple[str, ...]:
         return tuple(s.domain_id for s in self.summaries)
-
-    def extend(self, summary: BaseModelSummary) -> "FederationRegistry":
-        """New registry with `summary` appended (used for local-model fits)."""
-        return FederationRegistry(
-            summaries=self.summaries + (summary,),
-            cause_list_fingerprint=self.cause_list_fingerprint,
-            dict_fingerprint=self.dict_fingerprint,
-        )
 
 
 def make_registry(summaries, cause_list: CauseList, symptom_dict: SymptomDictionary) -> FederationRegistry:

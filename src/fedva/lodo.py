@@ -26,12 +26,13 @@ order `methods` lists them in; a method listed twice is an error.
 A source summary's likelihood of a death depends on the death's symptoms
 alone, not on the method or the label mask. So each cell scores every
 source summary once (`build_phi` on the masked dataset), and every method
-reads its rows from that array: the BFL variants, local-avg's single-model
-fits and the calibration predictions. Only models trained inside the cell
-are scored again; a local-self-only cell scores no source summary. The
-shared step runs before any method's clock starts, so `runtime_s` charges
-it to no row. The `ensemble`, `classify` and `calibrate` commands follow
-the same rule on their target.
+reads that tensor, which names its columns by source: the BFL variants,
+local-avg's single-model fits (one column each, at the unlabeled rows) and
+the calibration predictions. Only models trained inside the cell are
+scored again; a local-self-only cell scores no source summary. The shared
+step runs before any method's clock starts, so `runtime_s` charges it to
+no row. The `ensemble`, `classify` and `calibrate` commands follow the same
+rule on their target.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ from .errors import (
     InsufficientLocalLabels,
 )
 from .exchange import make_registry
-from .lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from .lcm import GibbsConfig, LcmHyper, train_lcm
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from .scenarios import make_scenario
 from .utils import derive_seed, parallel_map
@@ -222,7 +223,6 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
     random_sample = scenario_kind == "random_sample"
     csmf_true = truth.full_csmf if random_sample else truth.unlabeled_csmf
     unlabeled_pos, labeled_pos, _ = split_labels(masked.y, masked.n, C)
-    unlabeled = masked.subset(unlabeled_pos)  # what the single-model fits score
     labeled_counts = cause_counts(masked)
     cell_cfg = replace(
         ens_cfg,
@@ -252,8 +252,8 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             return adjust_csmf(pi_est, masked.n, labeled_counts)
         return pi_est
 
-    def single(summary, method, started, log_lik):
-        pi, probs = fit_single_model(summary, unlabeled, cell_cfg, log_lik)
+    def single(unlabeled_phi, m, method, started):
+        pi, probs = fit_single_model(unlabeled_phi, m, cell_cfg)
         return finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
 
     n_calib = sum(m in CALIB_RATES for m in requested)
@@ -263,7 +263,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
         try:
             if method in BFL_METHODS:
                 cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
-                _, cls, csmf = run_variant(reg, masked, cfg, phi, local_hyper=lcm_hyper)
+                _, cls, csmf = run_variant(masked, phi, cfg, local_hyper=lcm_hyper)
                 finish(method, csmf, cls.top[unlabeled_pos], started)
             elif method == "local-self":
                 if labeled_pos.size == 0:
@@ -273,15 +273,16 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
                     lcm_hyper,
                     replace(lcm_cfg, seed=derive_seed("lodo-self", target.domain_id, seed)),
                 )
-                single(local, method, started, cond_loglik_matrix(local, unlabeled.x))
+                own = make_registry([local], masked.cause_list, masked.symptom_dict)
+                single(build_phi(own, masked.subset(unlabeled_pos)), 0, method, started)
             elif method == "local-avg":
                 # one local-one:<id> row per training model, then their mean
+                unlabeled_phi = phi.rows(unlabeled_pos)
                 parts = []
-                for m, s in enumerate(reg.summaries):
-                    one = f"local-one:{s.domain_id}"
+                for m, name in enumerate(phi.domain_ids):
+                    one = f"local-one:{name}"
                     try:
-                        parts.append(single(s, one, time.perf_counter(),
-                                            phi.log_phi[unlabeled_pos, :, m]))
+                        parts.append(single(unlabeled_phi, m, one, time.perf_counter()))
                     except FedvaError as exc:
                         skip(one, f"{type(exc).__name__}: {exc}")
                 if parts:
@@ -300,7 +301,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
             else:
                 if preds is None:
                     # built once, charged to the calib rows in equal parts
-                    preds = build_predictions(reg, masked, cell_cfg, phi)
+                    preds = build_predictions(phi, cell_cfg)
                     build_share = (time.perf_counter() - started) / n_calib
                     started = time.perf_counter()
                 ccfg = replace(
@@ -308,7 +309,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
                     beta_rate=CALIB_RATES[method],
                     seed=derive_seed("lodo-calib", target.domain_id, seed),
                 )
-                result = fit_calibration(preds, masked.y, ccfg, domain_ids=reg.domain_ids)
+                result = fit_calibration(preds, masked.y, ccfg)
                 finish(method, adjusted(result.pi_mean()), None, started - build_share)
         except FedvaError as exc:
             skip(method, f"{type(exc).__name__}: {exc}")

@@ -79,10 +79,7 @@ def calibration_text(result: CalibrationResult, cause_list: CauseList) -> str:
     for c, name in enumerate(cause_list.causes):
         out.append(f"{name:<28}{mean[c]:>10.4f}{lo[c]:>10.4f}{hi[c]:>10.4f}")
     out.append("")
-    names = result.domain_ids or tuple(
-        f"model_{m + 1}" for m in range(result.confusion_mean.shape[0])
-    )
-    for m, dom in enumerate(names):
+    for m, dom in enumerate(result.domain_ids):
         out.append(f"posterior-mean confusion matrix, model {dom}")
         out.append("  rows: true cause; columns: predicted cause")
         for c in range(len(cause_list)):

@@ -116,8 +116,9 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
     (Gamma(a) = Gamma(a+1) * U^{1/a}), so log-values stay finite even when
     the linear values underflow to zero. A concentration of exactly 0 marks a
     structurally absent component: its value is 0 and its log-value -inf.
-    Every row needs at least one positive concentration. Both paths make the
-    same generator calls, so they differ only in rounding.
+    Every row needs at least one positive concentration. Both paths draw one
+    gamma variate per cell; the log-space path then draws one uniform per
+    cell as well, whether or not that cell's shape is below 0.1.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.min() >= 0.1:
@@ -128,9 +129,8 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
     boosted = np.where(small, alpha + 1.0, alpha)
     g = rng.gamma(shape=boosted)
     log_g = np.log(np.maximum(g, np.finfo(np.float64).tiny))
-    if np.any(small):
-        u = 1.0 - rng.random(size=alpha.shape)  # strictly in (0, 1]
-        log_g = np.where(small, log_g + np.log(u) / np.maximum(alpha, 1e-300), log_g)
+    u = 1.0 - rng.random(size=alpha.shape)  # strictly in (0, 1]
+    log_g = np.where(small, log_g + np.log(u) / np.maximum(alpha, 1e-300), log_g)
     log_g = np.where(alpha > 0, log_g, -np.inf)
     norm = _logsumexp_last(log_g)
     log_x = log_g - norm[..., None]

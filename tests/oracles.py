@@ -556,7 +556,7 @@ def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
         confusion_mean=conf_out.mean(axis=0),
         gamma_mean=gamma_out.mean(axis=0),
         config=cfg,
-        domain_ids=(),
+        domain_ids=a.domain_ids,
     )
     return result, gamma_out, conf_out
 

@@ -189,7 +189,8 @@ def test_03_global_sampler_matches_grid_quadrature():
     for seed, log_phi in instances:
         n, C, M = log_phi.shape
         phi = PhiTensor(log_phi=log_phi, present=np.ones((C, M), dtype=np.uint8),
-                        death_ids=tuple(f"d{i}" for i in range(n)))
+                        death_ids=tuple(f"d{i}" for i in range(n)),
+                        domain_ids=tuple(f"m{j}" for j in range(M)))
         cfg = EnsembleConfig(variant="plain", chains=4, iterations=16000,
                              burn_in=8000, seed=seed)
         post = fit_global(phi, None, cfg, workers=4)
@@ -240,7 +241,7 @@ def test_04_single_summary_ensemble_reduces_to_semi_supervised_model():
 
     cfg = EnsembleConfig(variant="partial", tie_pi=True, chains=4,
                          iterations=8000, burn_in=4000, seed=11)
-    post, cls, _ = run_variant(reg, target, cfg, build_phi(reg, target), workers=4)
+    post, cls, _ = run_variant(target, build_phi(reg, target), cfg, workers=4)
     pkg_pi = post.pi_mean()
     pkg_pred = cls.probs[n_L:].mean(axis=0)
     pkg_pi_se = _batch_se(post.pi_draws)
@@ -303,7 +304,7 @@ def test_05_recovers_known_prevalence_and_domain_weights_from_synthetic_data():
         cfg = EnsembleConfig(variant="plain", chains=4, iterations=800,
                              burn_in=400, seed=seed)
         target = sim.target.without_labels()
-        post, _, csmf = run_variant(reg, target, cfg, build_phi(reg, target), workers=4)
+        post, _, csmf = run_variant(target, build_phi(reg, target), cfg, workers=4)
         accs.append(csmf_accuracy(csmf, np.asarray(PI_T)))
         lam_errs.append(float(np.abs(post.lambda_mean() - np.asarray(LAM)).max()))
     elapsed = time.monotonic() - started
@@ -427,7 +428,8 @@ def _calibration_arm(C, R, pi, n_L, n_U, seed, iters=3000):
     preds = np.zeros((n_L + n_U, C, 1))
     tops = np.array([rng.choice(C, p=R[c]) for c in y])
     preds[np.arange(n_L + n_U), tops, 0] = 1.0
-    a = PredictionTensor(a=preds, death_ids=tuple(f"d{i}" for i in range(n_L + n_U)))
+    a = PredictionTensor(a=preds, death_ids=tuple(f"d{i}" for i in range(n_L + n_U)),
+                         domain_ids=("m0",))
     labels = np.where(np.arange(n_L + n_U) < n_L, y, UNLABELED)  # the first n_L deaths
     errs = {}
     for rate in (0.5, 50.0):

@@ -33,7 +33,8 @@ def hard_tensor(tops, C, M=1):
     a = np.full((n, C, M), 0.3 / (C - 1))
     for m in range(M):
         a[np.arange(n), tops[:, m], m] = 0.7
-    return PredictionTensor(a=a, death_ids=tuple(f"d{i}" for i in range(n)))
+    return PredictionTensor(a=a, death_ids=tuple(f"d{i}" for i in range(n)),
+                            domain_ids=tuple(f"m{j}" for j in range(M)))
 
 
 CFG = CalibConfig(iterations=1500, burn_in=750, seed=0)
@@ -41,13 +42,13 @@ CFG = CalibConfig(iterations=1500, burn_in=750, seed=0)
 
 def test_prediction_tensor_validation():
     with pytest.raises(DimensionMismatch):
-        PredictionTensor(a=np.ones((2, 2)), death_ids=("a", "b"))
+        PredictionTensor(a=np.ones((2, 2)), death_ids=("a", "b"), domain_ids=("m0",))
     with pytest.raises(DimensionMismatch):
-        PredictionTensor(a=np.full((1, 2, 1), 0.5), death_ids=())
+        PredictionTensor(a=np.full((1, 2, 1), 0.5), death_ids=(), domain_ids=("m0",))
+    with pytest.raises(DimensionMismatch):  # not a simplex
+        PredictionTensor(a=np.full((1, 2, 1), 0.6), death_ids=("a",), domain_ids=("m0",))
     with pytest.raises(DimensionMismatch):
-        PredictionTensor(a=np.full((1, 2, 1), 0.6), death_ids=("a",))  # not a simplex
-    with pytest.raises(DimensionMismatch):
-        PredictionTensor(a=np.array([[[1.5], [-0.5]]]), death_ids=("a",))
+        PredictionTensor(a=np.array([[[1.5], [-0.5]]]), death_ids=("a",), domain_ids=("m0",))
     t = hard_tensor([0, 1, 1], C=3)
     assert t.n == 3 and t.C == 3 and t.M == 1
     assert not t.a.flags.writeable
@@ -55,7 +56,7 @@ def test_prediction_tensor_validation():
 
 def test_top_breaks_ties_toward_lowest_index():
     a = np.full((1, 4, 2), 0.25)
-    t = PredictionTensor(a=a, death_ids=("only",))
+    t = PredictionTensor(a=a, death_ids=("only",), domain_ids=("u", "v"))
     assert t.top().tolist() == [[0, 0]]
 
 
@@ -142,9 +143,9 @@ def test_recovery_with_known_miscalibrated_classifier():
 def test_draws_are_simplices_and_result_shapes():
     rng = np.random.default_rng(4)
     tops = rng.choice(3, size=(60, 2))
-    res = fit_calibration(hard_tensor(tops, C=3, M=2), labels_first(np.repeat([0, 1, 2], 8), 60),
-                          CalibConfig(iterations=200, burn_in=100, seed=1),
-                          domain_ids=("u", "v"))
+    tensor = hard_tensor(tops, C=3, M=2)
+    res = fit_calibration(tensor, labels_first(np.repeat([0, 1, 2], 8), 60),
+                          CalibConfig(iterations=200, burn_in=100, seed=1))
     assert res.pi_draws.shape == (100, 3)
     assert np.all(res.pi_draws >= 0)
     assert np.allclose(res.pi_draws.sum(axis=1), 1.0, atol=1e-9)
@@ -152,7 +153,7 @@ def test_draws_are_simplices_and_result_shapes():
     assert np.allclose(res.confusion_mean.sum(axis=2), 1.0, atol=1e-9)
     assert res.gamma_mean.shape == (2, 3)
     assert np.all(res.gamma_mean > 0)
-    assert res.domain_ids == ("u", "v")
+    assert res.domain_ids == tensor.domain_ids == ("m0", "m1")
 
 
 def test_determinism_and_guards():
@@ -166,7 +167,8 @@ def test_determinism_and_guards():
     c = fit_calibration(t, labels, CalibConfig(iterations=100, burn_in=50, seed=10))
     assert not np.array_equal(a.pi_draws, c.pi_draws)
     with pytest.raises(EmptyPredictions):
-        fit_calibration(PredictionTensor(a=np.zeros((0, 3, 1)), death_ids=()), None, small)
+        fit_calibration(PredictionTensor(a=np.zeros((0, 3, 1)), death_ids=(), domain_ids=("m0",)),
+                        None, small)
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,22 +379,23 @@ def single_model_registry(seed=0, causes=(0, 1, 2)):
 def test_build_predictions_single_model_delegates_to_classifier():
     reg, target = single_model_registry()
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=600, burn_in=300, seed=3)
-    tensor = build_predictions(reg, target, cfg, build_phi(reg, target))
-    assert tensor.death_ids == target.death_ids
+    tensor = build_predictions(build_phi(reg, target), cfg)
+    assert tensor.death_ids == target.death_ids and tensor.domain_ids == ("solo",)
     s = reg.summaries[0]
     phi = PhiTensor(
         log_phi=cond_loglik_matrix(s, target.x)[:, :, None],
         present=np.ones((3, 1), dtype=np.uint8),
         death_ids=target.death_ids,
+        domain_ids=("solo",),
     )
-    probs = classify(phi, fit_global(phi, None, cfg, domain_ids=("solo",))).probs
+    probs = classify(phi, fit_global(phi, None, cfg)).probs
     assert np.array_equal(tensor.a[:, :, 0], probs)
 
 
 def test_build_predictions_absent_cause_gets_zero():
     reg, target = single_model_registry(seed=1, causes=(0, 1))
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=150, burn_in=75, seed=0)
-    tensor = build_predictions(reg, target, cfg, build_phi(reg, target))
+    tensor = build_predictions(build_phi(reg, target), cfg)
     assert np.all(tensor.a[:, 2, 0] == 0.0)
     assert np.allclose(tensor.a.sum(axis=1), 1.0, atol=1e-9)
 
@@ -404,11 +407,11 @@ def test_build_predictions_keeps_target_order():
     y[labeled] = target.y[labeled]
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=0)
-    tensor = build_predictions(reg, mixed, cfg, build_phi(reg, mixed))
+    tensor = build_predictions(build_phi(reg, mixed), cfg)
     assert tensor.death_ids == mixed.death_ids
     # labels are not read: the same fit as on the target without them
     bare = mixed.without_labels()
-    again = build_predictions(reg, bare, cfg, build_phi(reg, bare))
+    again = build_predictions(build_phi(reg, bare), cfg)
     assert again.death_ids == tensor.death_ids and np.array_equal(again.a, tensor.a)
 
 
@@ -416,5 +419,6 @@ def test_build_predictions_empty_target():
     reg, target = single_model_registry()
     empty = target.subset(np.array([], dtype=np.int64))
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=100, burn_in=50, seed=0)
-    tensor = build_predictions(reg, empty, cfg, build_phi(reg, empty))
+    tensor = build_predictions(build_phi(reg, empty), cfg)
     assert tensor.n == 0 and tensor.C == 3 and tensor.M == 1
+    assert tensor.domain_ids == ("solo",)

@@ -323,6 +323,30 @@ def test_runtime_failures_exit_2(ws, tmp_path):
     assert run_cli("ensemble", "--config", p2) == 2
 
 
+def test_cause_no_summary_covers_exits_2_before_any_chain_runs(ws, tmp_path, monkeypatch):
+    cl = load_cause_list(ws["sim"] / "cause_list.txt")
+    sd = load_symptom_dictionary(ws["sim"] / "symptom_dict.txt")
+    dom = load_dataset(ws["sim"] / "domain_1.csv", cl, sd, domain_id="domain_1")
+    assert np.any(dom.y == 2)
+    write_dataset(dom.subset(np.flatnonzero(dom.y != 2)), tmp_path / "narrow.csv")
+    paths = ws["cfg_dict"]["paths"]
+    cfg = dict(ws["cfg_dict"], paths=dict(
+        paths, summaries=str(tmp_path / "summaries"),
+        datasets=dict(paths["datasets"], domain_1=str(tmp_path / "narrow.csv"))))
+    p = tmp_path / "narrow.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    assert run_cli("train", "--config", p, "--domain", "domain_1", "--out", tmp_path) == 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a chain ran on a tensor with an uncovered cause")
+
+    monkeypatch.setattr(ensemble, "_run_chain", boom)
+    for variant in ("plain", "partial"):
+        assert run_cli("ensemble", "--config", p, "--variant", variant,
+                       "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, data", [
     ("cause_list", None),  # the simulated list with its first cause repeated
     ("cause_list", b"only_cause\n"),

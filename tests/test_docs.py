@@ -28,3 +28,6 @@ def test_readme_library_snippet_runs_on_a_small_federation():
     assert abs(float(names["csmf"].sum()) - 1.0) < 1e-9
     assert names["preds"].death_ids == target.death_ids
     assert isinstance(names["calibrated"], CalibrationResult)
+    ids = tuple(d.domain_id for d in sim.domains)  # the registry's, one per column
+    assert names["phi"].domain_ids == names["post"].domain_ids == ids
+    assert names["preds"].domain_ids == names["calibrated"].domain_ids == ids

@@ -32,8 +32,8 @@ from fedva.ensemble import (
 from fedva.errors import (
     CountOverflow,
     DimensionMismatch,
+    DuplicateDomainId,
     IncompletePhi,
-    IncompleteRegistry,
     InsufficientLocalLabels,
     InvalidHyper,
     InvalidLabels,
@@ -51,7 +51,8 @@ def phi_of(log_phi, present=None):
     if present is None:
         present = np.ones((C, M), dtype=np.int8)
     return PhiTensor(log_phi=log_phi, present=present,
-                     death_ids=tuple(f"d{i}" for i in range(n)))
+                     death_ids=tuple(f"d{i}" for i in range(n)),
+                     domain_ids=tuple(f"m{j}" for j in range(M)))
 
 
 def bernoulli_phi(n_yes, n_no, p_yes=(0.9, 0.1)):
@@ -110,10 +111,10 @@ def test_phi_tensor_validation():
         phi_of(np.log([[[0.5], [0.5]]]), present)  # finite where absent
     with pytest.raises(DimensionMismatch):
         PhiTensor(log_phi=np.zeros((2, 2)), present=np.ones((2, 1), dtype=np.int8),
-                  death_ids=("a", "b"))
+                  death_ids=("a", "b"), domain_ids=("m0",))
     with pytest.raises(DimensionMismatch):
         PhiTensor(log_phi=np.zeros((2, 2, 1)), present=np.ones((2, 2), dtype=np.int8),
-                  death_ids=("a", "b"))
+                  death_ids=("a", "b"), domain_ids=("m0",))
     with pytest.raises(IncompletePhi):
         phi_of(np.full((1, 2, 1), 0.5))  # positive log-likelihood
     for row in (0, 1):  # NaN at a present cell of the labeled death, then the unlabeled one
@@ -224,10 +225,28 @@ BAD_LABELS = {
 }
 
 
+def _named_tensor(kind, ids):
+    """A PhiTensor or a PredictionTensor of one death, two causes and two columns."""
+    if kind == "phi":
+        return PhiTensor(log_phi=np.full((1, 2, 2), -0.5), present=np.ones((2, 2), dtype=np.uint8),
+                         death_ids=("a",), domain_ids=ids)
+    return PredictionTensor(a=np.full((1, 2, 2), 0.5), death_ids=("a",), domain_ids=ids)
+
+
+@pytest.mark.parametrize("kind", ["phi", "predictions"])
+def test_tensors_name_each_column_once(kind):
+    assert _named_tensor(kind, ["u", "v"]).domain_ids == ("u", "v")
+    for ids in ((), ("u",), ("u", "v", "w")):
+        with pytest.raises(DimensionMismatch):
+            _named_tensor(kind, ids)
+    with pytest.raises(DuplicateDomainId):
+        _named_tensor(kind, ("u", "u"))
+
+
 def _label_takers():
     """Each function that takes a label vector, on two deaths and two causes."""
     phi = bernoulli_phi(1, 1)
-    preds = PredictionTensor(a=np.full((2, 2, 1), 0.5), death_ids=("a", "b"))
+    preds = PredictionTensor(a=np.full((2, 2, 1), 0.5), death_ids=("a", "b"), domain_ids=("m0",))
     return {
         "fit_global": lambda labels: fit_global(phi, labels, FAST),
         "marginal_loglik": lambda labels: marginal_loglik(
@@ -256,7 +275,8 @@ def test_fit_global_needs_every_cause_covered():
         present = np.array([[1], [0]], dtype=np.int8)
         log_phi = np.full((2, 2, 1), -np.inf)
         log_phi[:, 0, 0] = -1.0
-        fit_global(PhiTensor(log_phi=log_phi, present=present, death_ids=("a", "b")),
+        fit_global(PhiTensor(log_phi=log_phi, present=present, death_ids=("a", "b"),
+                             domain_ids=("m0",)),
                    None, FAST)  # a cause no domain covers
 
 
@@ -394,11 +414,11 @@ def test_run_variant_requires_coverage():
     assert np.all(phi2.log_phi[:, 2, 0] == -np.inf) and phi2.present[2, 0] == 0
     # ... but an ensemble fit needs every cause covered
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=100, burn_in=50, seed=0)
-    with pytest.raises(IncompleteRegistry) as ei:
-        run_variant(reg2, target, cfg, phi2)
+    with pytest.raises(IncompletePhi) as ei:
+        run_variant(target, phi2, cfg)
     assert "trauma" in str(ei.value) or "2" in str(ei.value)
-    # a local model trained on the target's labels can complete the registry
-    post, _, _ = run_variant(reg2, target, replace(cfg, variant="domain"), phi2,
+    # a local model trained on the target's labels can complete the tensor
+    post, _, _ = run_variant(target, phi2, replace(cfg, variant="domain"),
                              local_hyper=LcmHyper(K=1))
     assert post.domain_ids == ("partial_dom", "target-local")
 
@@ -410,7 +430,7 @@ def test_fit_single_model_covers_only_the_summary_causes():
     ds = make_dataset("partial_dom", rng.integers(0, 2, (20, 4)).astype(np.uint8), y)
     s = train_lcm(ds, LcmHyper(K=2), GibbsConfig(iterations=40, burn_in=20, thin=1, seed=0))
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=600, burn_in=300, seed=4)
-    pi, probs = fit_single_model(s, target, cfg, cond_loglik_matrix(s, target.x))
+    pi, probs = fit_single_model(build_phi(make_registry([s], CL3, SD4), target), 0, cfg)
     assert pi.shape == (3,) and probs.shape == (60, 3)
     assert pi[2] == 0.0 and np.all(probs[:, 2] == 0.0)
     assert abs(pi.sum() - 1.0) < 1e-12
@@ -419,8 +439,9 @@ def test_fit_single_model_covers_only_the_summary_causes():
         log_phi=cond_loglik_matrix(s, target.x)[:, :2, None],
         present=np.ones((2, 1), dtype=np.uint8),
         death_ids=target.death_ids,
+        domain_ids=("partial_dom",),
     )
-    post = fit_global(phi, None, replace(cfg, variant="plain"), domain_ids=("partial_dom",))
+    post = fit_global(phi, None, replace(cfg, variant="plain"))
     assert np.array_equal(pi[:2], post.pi_mean())
     assert np.array_equal(probs[:, :2], classify(phi, post).probs)
 
@@ -428,8 +449,8 @@ def test_fit_single_model_covers_only_the_summary_causes():
 def test_run_variant_plain_equals_fit_global():
     reg, target = federation()
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(reg, target, cfg, build_phi(reg, target))
-    direct = fit_global(build_phi(reg, target), None, cfg, domain_ids=reg.domain_ids)
+    post, cls, csmf = run_variant(target, build_phi(reg, target), cfg)
+    direct = fit_global(build_phi(reg, target), None, cfg)
     assert np.array_equal(post.pi_draws, direct.pi_draws)
     assert cls.death_ids == target.death_ids
     assert np.allclose(csmf, post.pi_mean())  # nothing held out
@@ -441,7 +462,7 @@ def test_run_variant_partial_uses_labels_in_original_order():
     y[::2] = UNLABELED  # label every other death
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(reg, mixed, cfg, build_phi(reg, mixed))
+    post, cls, csmf = run_variant(mixed, build_phi(reg, mixed), cfg)
     assert cls.death_ids == mixed.death_ids
     lab = np.flatnonzero(mixed.y != UNLABELED)
     assert np.allclose(cls.probs[lab, mixed.y[lab]], 1.0)
@@ -451,7 +472,7 @@ def test_run_variant_partial_uses_labels_in_original_order():
 def test_run_variant_domain_adds_model_and_holds_out():
     reg, target = federation()
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(reg, target, cfg, build_phi(reg, target),
+    post, cls, csmf = run_variant(target, build_phi(reg, target), cfg,
                                   local_hyper=LcmHyper(K=1))
     assert post.lambda_draws.shape[2] == reg.M + 1
     assert post.domain_ids[-1] == "target-local"
@@ -460,13 +481,27 @@ def test_run_variant_domain_adds_model_and_holds_out():
     assert abs(csmf.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["domain", "mix"])
+def test_local_model_column_takes_the_local_name_and_refuses_a_clash(variant):
+    reg, target = federation()
+    cfg = EnsembleConfig(variant=variant, chains=2, iterations=100, burn_in=50, seed=0)
+    phi = build_phi(reg, target)
+    post, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
+    assert post.domain_ids == phi.domain_ids + ("target-local",)
+    # a source already named <target>-local leaves the local column no distinct name
+    clash = replace(reg.summaries[1], domain_id="target-local")
+    named = build_phi(make_registry([reg.summaries[0], clash], CL3, SD4), target)
+    with pytest.raises(DuplicateDomainId):
+        run_variant(target, named, cfg, local_hyper=LcmHyper(K=1))
+
+
 def test_run_variant_mix_split_is_seeded_partition():
     reg, target = federation()
     cfg = EnsembleConfig(variant="mix", chains=2, iterations=300, burn_in=150,
                          seed=5, mix_split_fraction=0.5)
     phi = build_phi(reg, target)
-    post1, _, _ = run_variant(reg, target, cfg, phi, local_hyper=LcmHyper(K=1))
-    post2, _, _ = run_variant(reg, target, cfg, phi, local_hyper=LcmHyper(K=1))
+    post1, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
+    post2, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
     assert np.array_equal(post1.pi_draws, post2.pi_draws)
     assert post1.lambda_draws.shape[2] == reg.M + 1
 
@@ -476,7 +511,7 @@ def test_run_variant_guards_small_label_sets():
     few = target.subset(np.arange(5))  # 5 < 2 * C
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=100, burn_in=50, seed=0)
     with pytest.raises(InsufficientLocalLabels):
-        run_variant(reg, few, cfg, build_phi(reg, few), local_hyper=LcmHyper(K=1))
+        run_variant(few, build_phi(reg, few), cfg, local_hyper=LcmHyper(K=1))
     with pytest.raises(InvalidHyper):
         EnsembleConfig(variant="nope").validate()
 
@@ -835,7 +870,7 @@ def test_classify_matches_per_draw_reference():
     reg, target = federation()
     phi = build_phi(reg, target)
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=100, seed=5)
-    post = fit_global(phi, labels_first(target.y[:20], 60), cfg, domain_ids=reg.domain_ids)
+    post = fit_global(phi, labels_first(target.y[:20], 60), cfg)
     assert np.abs(classify(phi, post).probs - classify_reference(phi, post)).max() < 1e-12
 
 

@@ -206,9 +206,6 @@ def test_registry_validation_and_coverage():
     assert not reg.complete
     c = trained("gamma", seed=2)
     assert make_registry([a, b, c], CL3, SD4).complete
-    ext = reg.extend(c)
-    assert ext.domain_ids == ("alpha", "beta", "gamma")
-    assert reg.domain_ids == ("alpha", "beta")  # original untouched
     with pytest.raises(DuplicateDomainId):
         make_registry([a, a], CL3, SD4)
     with pytest.raises(EmptyRegistry):

@@ -275,7 +275,6 @@ def _spy_scoring(monkeypatch, events):
         return cond_loglik_matrix(s, x)
 
     monkeypatch.setattr(ensemble, "cond_loglik_matrix", spy_loglik)
-    monkeypatch.setattr(lodo, "cond_loglik_matrix", spy_loglik)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -330,7 +329,8 @@ def _cell(scenario, seed=3):
 def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant):
     """The tensor handed to fit_global is build_phi on the deaths the variant
     fits, in target order, with the local model (if any) appended, and its
-    labels are the target's at those rows."""
+    labels are the target's at those rows. Only its rows of unknown cause are
+    classified, all of them under plain."""
     reg, masked = _cell(scenario)
     cfg = replace(TINY_ENS, variant=variant, tie_pi=scenario == "random_sample")
     seen = {}
@@ -345,10 +345,16 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
         seen["phi"], seen["labels"] = phi, labels
         return real_fit(phi, labels, cfg, **kw)
 
+    def spy_classify(phi, post):
+        seen["classified"] = phi
+        return real_classify(phi, post)
+
+    real_classify = ensemble.classify
     monkeypatch.setattr(ensemble, "train_lcm", spy_train)
     monkeypatch.setattr(ensemble, "fit_global", spy_fit)
+    monkeypatch.setattr(ensemble, "classify", spy_classify)
     callers_phi = build_phi(reg, masked)
-    post, cls, _ = run_variant(reg, masked, cfg, callers_phi, local_hyper=LcmHyper(K=1))
+    post, cls, _ = run_variant(masked, callers_phi, cfg, local_hyper=LcmHyper(K=1))
     phi = seen["phi"]
     where = {d: i for i, d in enumerate(masked.death_ids)}
     fit_idx = np.array([where[d] for d in phi.death_ids])
@@ -369,15 +375,23 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
         # the local model learns from exactly the labeled deaths the fit leaves out
         held = sorted(set(labeled.tolist()) - set(fit_idx.tolist()))
         assert seen["local_ids"] == tuple(masked.death_ids[i] for i in held)
-        fit_reg = reg.extend(seen["local"])
+        fit_reg = make_registry(reg.summaries + (seen["local"],), CL3, SD4)
     else:
         assert "local" not in seen
     ref = build_phi(fit_reg, masked.subset(fit_idx))
     assert np.array_equal(phi.log_phi, ref.log_phi)
     assert np.array_equal(phi.present, ref.present)
     assert phi.death_ids == ref.death_ids
-    assert post.domain_ids == fit_reg.domain_ids
+    assert phi.domain_ids == post.domain_ids == fit_reg.domain_ids
     assert cls.death_ids == masked.death_ids
+    unknown = (np.arange(phi.n) if variant == "plain"
+               else np.flatnonzero(~masked.labeled_mask[fit_idx]))
+    assert seen["classified"].death_ids == tuple(phi.death_ids[i] for i in unknown)
+    # the same probabilities as classifying every fit row, up to rounding
+    assert np.allclose(cls.probs[fit_idx[unknown]], real_classify(phi, post).probs[unknown],
+                       rtol=0, atol=1e-12)
+    if variant != "plain":
+        assert np.array_equal(cls.probs[labeled], np.eye(3)[masked.y[labeled]])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -387,33 +401,32 @@ def test_single_model_fits_read_rows_of_the_callers_phi(monkeypatch, scenario):
     columns in target order, are each model's own likelihoods there."""
     reg, masked = _cell(scenario)
     phi = build_phi(reg, masked)
-    unlabeled = masked.subset(np.flatnonzero(~masked.labeled_mask))
+    unlabeled_pos = np.flatnonzero(~masked.labeled_mask)
+    unlabeled = phi.rows(unlabeled_pos)
+    assert unlabeled.death_ids == masked.subset(unlabeled_pos).death_ids
+    assert unlabeled.domain_ids == phi.domain_ids == reg.domain_ids
     for m, s in enumerate(reg.summaries):
-        rows = phi.log_phi[~masked.labeled_mask, :, m]
-        assert np.array_equal(rows, cond_loglik_matrix(s, unlabeled.x))
+        assert np.array_equal(unlabeled.log_phi[:, :, m],
+                              cond_loglik_matrix(s, masked.x[unlabeled_pos]))
     seen = []
 
-    def spy_single(summary, target, cfg, log_lik):
-        seen.append((summary, target, log_lik))
-        return fit_single_model(summary, target, cfg, log_lik)
+    def spy_single(phi, m, cfg):
+        seen.append((phi, m))
+        return fit_single_model(phi, m, cfg)
 
     monkeypatch.setattr(calibration, "fit_single_model", spy_single)
-    preds = build_predictions(reg, masked, TINY_ENS, phi)
-    assert [s.domain_id for s, _, _ in seen] == list(reg.domain_ids)
-    assert preds.death_ids == masked.death_ids
-    for m, (s, target, log_lik) in enumerate(seen):
-        assert target.death_ids == preds.death_ids
-        assert np.array_equal(log_lik, cond_loglik_matrix(s, target.x))
-        assert np.array_equal(preds.a[:, :, m], fit_single_model(s, target, TINY_ENS, log_lik)[1])
+    preds = build_predictions(phi, TINY_ENS)
+    assert [m for _, m in seen] == list(range(reg.M))
+    assert preds.death_ids == masked.death_ids and preds.domain_ids == reg.domain_ids
+    for (read, m), s in zip(seen, reg.summaries):
+        assert read is phi
+        assert np.array_equal(read.log_phi[:, :, m], cond_loglik_matrix(s, masked.x))
+        assert np.array_equal(preds.a[:, :, m], fit_single_model(phi, m, TINY_ENS)[1])
 
 
-def test_shared_phi_must_match_registry_and_target():
+def test_shared_phi_must_match_the_target():
     reg, masked = _cell("severe_shift")
     phi = build_phi(reg, masked)
     other = masked.subset(np.arange(masked.n)[::-1])
     with pytest.raises(DimensionMismatch):
-        run_variant(reg, other, TINY_ENS, phi=phi)
-    with pytest.raises(DimensionMismatch):
-        build_predictions(make_registry(reg.summaries[:1], CL3, SD4), masked, TINY_ENS, phi)
-    with pytest.raises(DimensionMismatch):
-        fit_single_model(reg.summaries[0], masked, TINY_ENS, phi.log_phi[1:, :, 0])
+        run_variant(other, phi, TINY_ENS)

@@ -6,7 +6,7 @@ import pytest
 from fedva import reports
 from fedva.calibration import CalibConfig, CalibrationResult
 from fedva.data import CauseList
-from fedva.ensemble import Classification, EnsembleConfig
+from fedva.ensemble import Classification, EnsembleConfig, PhiTensor, fit_global
 from fedva.reports import (
     calibration_text,
     classification_csv,
@@ -90,7 +90,19 @@ def test_every_pi_report_reads_pi_summary(monkeypatch):
     post = SimpleNamespace(pi_draws=draws, D=5, config=EnsembleConfig(chains=1),
                            acceptance_rate=None, rhat_pi=np.ones(2))
     calib = CalibrationResult(pi_draws=draws, confusion_mean=np.full((1, 2, 2), 0.5),
-                              gamma_mean=np.ones((1, 2)), config=CalibConfig(), domain_ids=())
+                              gamma_mean=np.ones((1, 2)), config=CalibConfig(), domain_ids=("m0",))
     row = f"{'b':<28}{0.75:>10.4f}{0.625:>10.4f}{0.875:>10.4f}"
     for text in (posterior_text(post, cl), calibration_text(calib, cl)):
         assert any(line.startswith(row) for line in text.splitlines())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # R-hat of a 40-sweep fit
+def test_lambda_matrix_of_a_fit_has_a_header_cell_per_column():
+    rng = np.random.default_rng(0)
+    phi = PhiTensor(log_phi=np.log(rng.uniform(0.05, 1.0, size=(30, 2, 3))),
+                    present=np.ones((2, 3), dtype=np.uint8),
+                    death_ids=tuple(f"d{i}" for i in range(30)), domain_ids=("u", "v", "w"))
+    post = fit_global(phi, None, EnsembleConfig(chains=2, iterations=40, burn_in=20))
+    lines = lambda_matrix_csv(post, CauseList(("a", "b"))).splitlines()
+    assert lines[0].split(",") == ["cause", "u", "v", "w"]
+    assert [len(line.split(",")) for line in lines[1:]] == [phi.M + 1] * 2
