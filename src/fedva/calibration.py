@@ -40,8 +40,7 @@ import numpy as np
 
 from .data import split_labels
 from .errors import DimensionMismatch, EmptyPredictions, InvalidHyper
-from .exchange import distinct_ids
-from .ensemble import EnsembleConfig, PhiTensor, fit_single_model
+from .ensemble import EnsembleConfig, PhiTensor, distinct_ids, fit_single_model
 from .lcm import GibbsConfig
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
@@ -113,7 +112,6 @@ def gamma_prior_mean(cfg: CalibConfig) -> float:
 class CalibrationResult:
     pi_draws: np.ndarray
     confusion_mean: np.ndarray
-    gamma_mean: np.ndarray
     config: CalibConfig
     domain_ids: tuple[str, ...]
 
@@ -192,7 +190,6 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     keep = cfg.iterations - cfg.burn_in
     pi_out = np.empty((keep, C))
     conf_sum = np.zeros((M, C, C))
-    gamma_sum = np.zeros((M, C))
     pi, log_pi = log_dirichlet(rng, np.ones(C))
     kept = 0
 
@@ -201,10 +198,9 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
         prop = log_g + 0.3 * rng_cut.normal(size=(M, C))
         cur, new = log_target(np.stack([log_g, prop]), log_conf)
         log_g = np.where(np.log(rng_cut.random(size=(M, C))) < new - cur, prop, log_g)
-        gamma = np.exp(log_g)
 
         # confusion rows | gamma (labeled counts only)
-        conf, log_conf = log_dirichlet(rng_cut, gamma[..., None] * eye_eps + counts)
+        conf, log_conf = log_dirichlet(rng_cut, np.exp(log_g)[..., None] * eye_eps + counts)
 
         # latent cause counts of unlabeled deaths | confusion, pi: pattern u
         # weighs cause c by log pi_c + sum_m log conf[m, c, patterns[u, m]],
@@ -221,13 +217,11 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
         if it >= cfg.burn_in:
             pi_out[kept] = pi
             conf_sum += conf
-            gamma_sum += gamma
             kept += 1
 
     return CalibrationResult(
         pi_draws=pi_out,
         confusion_mean=conf_sum / keep,
-        gamma_mean=gamma_sum / keep,
         config=cfg,
         domain_ids=a.domain_ids,
     )

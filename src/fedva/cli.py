@@ -27,7 +27,7 @@ from .data import (
 )
 from .ensemble import build_phi, run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
-from .exchange import import_summary, make_registry, summary_bytes
+from .exchange import import_summary, summary_bytes
 from .lcm import train_lcm
 from .lodo import ExperimentReport, run_lodo
 from .reports import (
@@ -82,7 +82,8 @@ def _target_dataset(cfg: RunConfig, cl, sd) -> Dataset:
     return _load_domain(cfg, cfg.target, cl, sd)
 
 
-def _registry_for_target(cfg: RunConfig, cl, sd, target_id: str):
+def _sources_for_target(cfg: RunConfig, cl, sd, target_id: str) -> list:
+    """The summaries under paths.summaries, in file-name order, less the target's own."""
     if not cfg.summaries_dir:
         raise ConfigError("paths.summaries is required for this command")
     if not os.path.isdir(cfg.summaries_dir):
@@ -96,7 +97,7 @@ def _registry_for_target(cfg: RunConfig, cl, sd, target_id: str):
     keep = [s for s in summaries if s.domain_id != target_id]
     if not keep:
         raise ConfigError(f"no usable summary files in {cfg.summaries_dir}")
-    return make_registry(keep, cl, sd)
+    return keep
 
 
 def cmd_train(cfg: RunConfig, args) -> None:
@@ -123,12 +124,12 @@ def cmd_export(cfg: RunConfig, args) -> None:
 def _run_ensemble(cfg: RunConfig, variant_override: str | None):
     cl, sd = _load_coords(cfg)
     target = _target_dataset(cfg, cl, sd)
-    reg = _registry_for_target(cfg, cl, sd, target.domain_id)
+    sources = _sources_for_target(cfg, cl, sd, target.domain_id)
     ens_cfg = cfg.ensemble
     if variant_override:
         ens_cfg = replace(ens_cfg, variant=variant_override)
     post, cls, csmf = run_variant(
-        target, build_phi(reg, target), ens_cfg,
+        target, build_phi(sources, target), ens_cfg,
         local_hyper=cfg.base_model,
         workers=cfg.workers,
     )
@@ -157,8 +158,8 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 def cmd_calibrate(cfg: RunConfig, args) -> None:
     cl, sd = _load_coords(cfg)
     target = _target_dataset(cfg, cl, sd)
-    reg = _registry_for_target(cfg, cl, sd, target.domain_id)
-    preds = build_predictions(build_phi(reg, target), cfg.ensemble)
+    sources = _sources_for_target(cfg, cl, sd, target.domain_id)
+    preds = build_predictions(build_phi(sources, target), cfg.ensemble)
     result = fit_calibration(preds, target.y, cfg.calibration)
     text = calibration_text(result, cl)
     _write_outputs(cfg, "calibrate", {

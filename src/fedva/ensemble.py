@@ -14,8 +14,10 @@ labeled subset is a random sample of the target (tie_pi); otherwise the
 labeled deaths' own cause distribution is not sampled, as no other block
 would read it.
 
-A `PhiTensor` names the source of each column (`domain_ids`), so every fit
-reads the tensor alone; `run_variant` appends the local model's column.
+`build_phi` assembles the federation: it scores each source summary on the
+target's deaths into one `PhiTensor`, whose columns it names by source
+(`domain_ids`). Every fit reads that tensor alone; `run_variant` appends
+the local model's column.
 
 Labels are None or one vector over the tensor's rows, in row order, with
 UNLABELED where the cause is unknown (as in `Dataset.y`), so labeled and
@@ -66,14 +68,15 @@ from .data import UNLABELED, Dataset, split_labels
 from .errors import (
     CountOverflow,
     DimensionMismatch,
+    DuplicateDomainId,
+    EmptyRegistry,
     FingerprintMismatch,
     IncompletePhi,
     InsufficientLocalLabels,
     InvalidHyper,
     NotASimplex,
 )
-from .exchange import FederationRegistry, distinct_ids
-from .lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from .lcm import BaseModelSummary, GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from .utils import (
     derive_rng,
     derive_seed,
@@ -87,6 +90,16 @@ from .utils import (
 
 VARIANTS = ("plain", "partial", "domain", "mix")
 _TINY = np.finfo(np.float64).tiny
+
+
+def distinct_ids(ids, M: int) -> tuple[str, ...]:
+    """ids as a tuple, when it holds M distinct domain ids: one per model or column."""
+    ids = tuple(ids)
+    if len(ids) != M:
+        raise DimensionMismatch(f"expected {M} domain ids, got {len(ids)}")
+    if len(set(ids)) != M:
+        raise DuplicateDomainId(f"duplicate domain_id among {list(ids)}")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -215,21 +228,25 @@ class Classification:
     death_ids: tuple[str, ...]
 
 
-def build_phi(reg: FederationRegistry, target: Dataset) -> PhiTensor:
-    """Evaluate every summary's conditional log-likelihood on every death.
+def build_phi(summaries: list[BaseModelSummary], target: Dataset) -> PhiTensor:
+    """The federation: every source summary scored on every target death.
 
-    Column m is summary m of the registry, named by its domain id. A cause
-    no summary covers stays -inf in every column: calibration reads such a
-    tensor, `fit_global` refuses to fit one.
+    Column m is summaries[m], named by its domain id; the ids must be
+    distinct, and every summary must share the target's cause list and
+    symptom dictionary. A cause no summary covers stays -inf in every
+    column: calibration reads such a tensor, `fit_global` refuses to fit one.
     """
-    if target.symptom_dict.fingerprint != reg.dict_fingerprint:
-        raise FingerprintMismatch("target symptom dictionary differs from the registry's")
-    if target.cause_list.fingerprint != reg.cause_list_fingerprint:
-        raise FingerprintMismatch("target cause list differs from the registry's")
-    log_phi = np.stack([cond_loglik_matrix(s, target.x) for s in reg.summaries], axis=2)
-    present = np.stack([s.present for s in reg.summaries], axis=1)
+    if not summaries:
+        raise EmptyRegistry("a federation needs at least one source summary")
+    for s in summaries:
+        if (s.cause_list_fingerprint != target.cause_list.fingerprint
+                or s.dict_fingerprint != target.symptom_dict.fingerprint):
+            raise FingerprintMismatch(
+                f"summary {s.domain_id!r} does not share the target's cause list and dictionary")
+    log_phi = np.stack([cond_loglik_matrix(s, target.x) for s in summaries], axis=2)
+    present = np.stack([s.present for s in summaries], axis=1)
     return PhiTensor(log_phi=log_phi, present=present, death_ids=target.death_ids,
-                     domain_ids=reg.domain_ids)
+                     domain_ids=[s.domain_id for s in summaries])
 
 
 def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,

@@ -64,11 +64,11 @@ class SchemaVersionUnsupported(FedvaError):
 
 
 class DuplicateDomainId(FedvaError):
-    """Two summaries in one registry, or two columns of one tensor, claim the same domain id."""
+    """Two summaries, domains or columns of one tensor claim the same domain id."""
 
 
 class EmptyRegistry(FedvaError):
-    """A registry needs at least one summary."""
+    """A federation needs at least one source summary."""
 
 
 # --- global ensemble ---

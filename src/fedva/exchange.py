@@ -1,26 +1,22 @@
-"""Versioned on-disk format for base-model summaries, plus registry assembly.
+"""Versioned on-disk format for base-model summaries.
 
 A summary file is a single JSON document with sorted keys and shortest
 round-trip float formatting, so exporting the same summary twice yields
 byte-identical files and a content checksum is meaningful. Absent-cause
 parameter rows are serialized as explicit nulls.
 
-A FederationRegistry collects the M summaries that `ensemble.build_phi`
-scores into one likelihood tensor, in registry order, one column each.
+The center imports the summaries and hands them to `ensemble.build_phi`,
+which scores them into one likelihood tensor, one column each.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import CauseList, SymptomDictionary
 from .errors import (
     ChecksumMismatch,
-    DimensionMismatch,
-    DuplicateDomainId,
-    EmptyRegistry,
     FingerprintMismatch,
     InvalidSummary,
     SchemaVersionUnsupported,
@@ -143,6 +139,15 @@ def _typed(doc, key, kind: type, path, where: str = "", length: int | None = Non
     return value
 
 
+def _rows(doc, key, C: int, path) -> list:
+    """doc[key]: a list of C parameter rows, one per cause (null where it is absent)."""
+    rows = doc[key]
+    if type(rows) is not list or len(rows) != C:
+        got = f"{len(rows)}" if type(rows) is list else type(rows).__name__
+        raise InvalidSummary(f"{path}: {key} must be a list of {C} rows, one per cause, got {got}")
+    return rows
+
+
 def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary) -> BaseModelSummary:
     """Read, verify checksum and fingerprints, re-validate all invariants."""
     with open(path, "rb") as fh:
@@ -173,7 +178,7 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
             raise InvalidSummary(f"{path}: C/p disagree with the supplied cause list / dictionary")
         nu_bar = np.full((C, K), np.nan)
         theta_bar = np.full((C, K, p), np.nan)
-        nu_rows, theta_rows = document["nu_bar"], document["theta_bar"]
+        nu_rows, theta_rows = (_rows(document, key, C, path) for key in ("nu_bar", "theta_bar"))
         for c in range(C):
             if nu_rows[c] is not None:
                 nu_bar[c] = _typed(nu_rows, c, float, path, "nu_bar", K)
@@ -221,60 +226,3 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
         raise InvalidSummary(f"{path}: hyper.K disagrees with array shape K")
     summary.validate()
     return summary
-
-
-def distinct_ids(ids, M: int) -> tuple[str, ...]:
-    """ids as a tuple, when it holds M distinct domain ids: one per model or column."""
-    ids = tuple(ids)
-    if len(ids) != M:
-        raise DimensionMismatch(f"expected {M} domain ids, got {len(ids)}")
-    if len(set(ids)) != M:
-        raise DuplicateDomainId(f"duplicate domain_id among {list(ids)}")
-    return ids
-
-
-@dataclass(frozen=True)
-class FederationRegistry:
-    """Ordered collection of summaries sharing one coordinate system."""
-
-    summaries: tuple[BaseModelSummary, ...]
-    cause_list_fingerprint: str
-    dict_fingerprint: str
-    coverage: np.ndarray = field(init=False)
-    complete: bool = field(init=False)
-
-    def __post_init__(self):
-        if not self.summaries:
-            raise EmptyRegistry("registry needs at least one summary")
-        distinct_ids([s.domain_id for s in self.summaries], len(self.summaries))
-        for s in self.summaries:
-            if (s.cause_list_fingerprint != self.cause_list_fingerprint
-                    or s.dict_fingerprint != self.dict_fingerprint):
-                raise FingerprintMismatch(
-                    f"summary {s.domain_id!r} does not share the registry fingerprints"
-                )
-        coverage = np.sum([s.present.astype(np.int64) for s in self.summaries], axis=0)
-        coverage.setflags(write=False)
-        object.__setattr__(self, "summaries", tuple(self.summaries))
-        object.__setattr__(self, "coverage", coverage)
-        object.__setattr__(self, "complete", bool(np.all(coverage >= 1)))
-
-    @property
-    def M(self) -> int:
-        return len(self.summaries)
-
-    @property
-    def C(self) -> int:
-        return self.summaries[0].C
-
-    @property
-    def domain_ids(self) -> tuple[str, ...]:
-        return tuple(s.domain_id for s in self.summaries)
-
-
-def make_registry(summaries, cause_list: CauseList, symptom_dict: SymptomDictionary) -> FederationRegistry:
-    return FederationRegistry(
-        summaries=tuple(summaries),
-        cause_list_fingerprint=cause_list.fingerprint,
-        dict_fingerprint=symptom_dict.fingerprint,
-    )

@@ -23,10 +23,13 @@ baseline under weak and strong shrinkage). Each cell runs the requested
 methods in this order, so its rows and skipped cells follow it whatever
 order `methods` lists them in; a method listed twice is an error.
 
-A source summary's likelihood of a death depends on the death's symptoms
-alone, not on the method or the label mask. So each cell scores every
-source summary once (`build_phi` on the masked dataset), and every method
-reads that tensor, which names its columns by source: the BFL variants,
+A cell's sources are the other domains' summaries, a plain list. Repeated
+domain ids are refused before anything trains, and a fold whose sources
+leave a cause uncovered is skipped whole before any cell runs. A source
+summary's likelihood of a death depends on the death's symptoms alone,
+not on the method or the label mask. So each cell scores every source
+summary once (`build_phi` on the masked dataset), and every method reads
+that tensor, which names its columns by source: the BFL variants,
 local-avg's single-model fits (one column each, at the unlabeled rows) and
 the calibration predictions. Only models trained inside the cell are
 scored again; a local-self-only cell scores no source summary. The shared
@@ -46,7 +49,8 @@ import numpy as np
 
 from .calibration import CalibConfig, build_predictions, fit_calibration
 from .data import cause_counts, split_labels
-from .ensemble import EnsembleConfig, adjust_csmf, build_phi, fit_single_model, run_variant
+from .ensemble import (EnsembleConfig, adjust_csmf, build_phi, distinct_ids, fit_single_model,
+                       run_variant)
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
 from .errors import (
@@ -56,7 +60,6 @@ from .errors import (
     FingerprintMismatch,
     InsufficientLocalLabels,
 )
-from .exchange import make_registry
 from .lcm import GibbsConfig, LcmHyper, train_lcm
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from .scenarios import make_scenario
@@ -198,7 +201,7 @@ def _result_row(cells: list, where: str) -> MethodResult:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
+def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
               ens_cfg, calib_cfg, lcm_hyper, lcm_cfg):
     """The requested methods for one (target domain, seed) cell, in report order."""
     C = len(target.cause_list)
@@ -217,8 +220,8 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
         return rows, skips
     masked = real.dataset
     # Read by every method but local-self. run_lodo builds cells only for
-    # registries with the target's fingerprints, so this does not raise.
-    phi = build_phi(reg, masked) if set(requested) - {"local-self"} else None
+    # sources with the target's fingerprints that cover every cause.
+    phi = build_phi(sources, masked) if set(requested) - {"local-self"} else None
     truth = real.truth
     random_sample = scenario_kind == "random_sample"
     csmf_true = truth.full_csmf if random_sample else truth.unlabeled_csmf
@@ -273,8 +276,7 @@ def _run_cell(reg, target, seed, *, methods, scenario_kind, label_fraction,
                     lcm_hyper,
                     replace(lcm_cfg, seed=derive_seed("lodo-self", target.domain_id, seed)),
                 )
-                own = make_registry([local], masked.cause_list, masked.symptom_dict)
-                single(build_phi(own, masked.subset(unlabeled_pos)), 0, method, started)
+                single(build_phi([local], masked.subset(unlabeled_pos)), 0, method, started)
             elif method == "local-avg":
                 # one local-one:<id> row per training model, then their mean
                 unlabeled_phi = phi.rows(unlabeled_pos)
@@ -342,6 +344,7 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
         if (d.cause_list.fingerprint != base.cause_list.fingerprint
                 or d.symptom_dict.fingerprint != base.symptom_dict.fingerprint):
             raise FingerprintMismatch("all domains must share cause list and dictionary")
+    distinct_ids([d.domain_id for d in domains], len(domains))
     lcm_hyper = lcm_hyper or LcmHyper()
     lcm_cfg = lcm_cfg or GibbsConfig()
     ens_cfg = ens_cfg or EnsembleConfig()
@@ -353,28 +356,26 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
         partial(train_lcm, hyper=lcm_hyper, cfg=lcm_cfg, min_count=min_count), domains,
         workers=workers,
     )
-    by_id = {d.domain_id: s for d, s in zip(domains, summaries)}
 
-    regs, targets, cell_seeds = [], [], []
+    cell_sources, targets, cell_seeds = [], [], []
     skipped: list[SkippedCell] = []
     for target in domains:
-        train = [by_id[d.domain_id] for d in domains if d.domain_id != target.domain_id]
-        reg = make_registry(train, target.cause_list, target.symptom_dict)
-        if not reg.complete:
-            uncovered = np.flatnonzero(reg.coverage == 0).tolist()
+        sources = [s for d, s in zip(domains, summaries) if d.domain_id != target.domain_id]
+        uncovered = np.flatnonzero(~np.any([s.present for s in sources], axis=0)).tolist()
+        if uncovered:
             skipped.extend(SkippedCell(target.domain_id, "*", seed,
                                        f"registry incomplete: cause indices {uncovered} uncovered")
                            for seed in seeds)
             continue
         for seed in seeds:
-            regs.append(reg)
+            cell_sources.append(sources)
             targets.append(target)
             cell_seeds.append(seed)
 
     cell = partial(_run_cell, methods=methods, scenario_kind=scenario_kind,
                    label_fraction=label_fraction, ens_cfg=ens_cfg, calib_cfg=calib_cfg,
                    lcm_hyper=lcm_hyper, lcm_cfg=lcm_cfg)
-    results = parallel_map(cell, regs, targets, cell_seeds, workers=workers)
+    results = parallel_map(cell, cell_sources, targets, cell_seeds, workers=workers)
 
     rows: list[MethodResult] = []
     for cell_rows, cell_skips in results:

@@ -554,7 +554,6 @@ def fit_calibration_reference(a: PredictionTensor, labels: np.ndarray | None,
     result = CalibrationResult(
         pi_draws=pi_out,
         confusion_mean=conf_out.mean(axis=0),
-        gamma_mean=gamma_out.mean(axis=0),
         config=cfg,
         domain_ids=a.domain_ids,
     )

@@ -32,7 +32,6 @@ from fedva.ensemble import (
     marginal_loglik,
     run_variant,
 )
-from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, train_lcm
 from fedva.lodo import run_lodo
 from fedva.metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
@@ -40,7 +39,7 @@ from fedva.scenarios import make_scenario
 from fedva.simulate import GeneratorSpec, simulate
 from fedva.utils import largest_remainder_counts, round_half_up
 
-from conftest import CL3, SD4, make_dataset
+from conftest import make_dataset
 from oracles import enumerate_mass
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -230,7 +229,6 @@ def test_04_single_summary_ensemble_reduces_to_semi_supervised_model():
     x_tr = (rng.random((90, 4)) < theta[y_tr]).astype(np.uint8)
     summary = train_lcm(make_dataset("solo", x_tr, y_tr), LcmHyper(K=2),
                         GibbsConfig(iterations=600, burn_in=300, thin=1, seed=7))
-    reg = make_registry([summary], CL3, SD4)
 
     y_t = (np.arange(40) % 3).astype(np.int32)
     x_t = (rng.random((40, 4)) < theta[y_t]).astype(np.uint8)
@@ -241,14 +239,14 @@ def test_04_single_summary_ensemble_reduces_to_semi_supervised_model():
 
     cfg = EnsembleConfig(variant="partial", tie_pi=True, chains=4,
                          iterations=8000, burn_in=4000, seed=11)
-    post, cls, _ = run_variant(target, build_phi(reg, target), cfg, workers=4)
+    post, cls, _ = run_variant(target, build_phi([summary], target), cfg, workers=4)
     pkg_pi = post.pi_mean()
     pkg_pred = cls.probs[n_L:].mean(axis=0)
     pkg_pi_se = _batch_se(post.pi_draws)
 
     # Reference: direct data augmentation on the same likelihood matrix,
     # written against the generative story rather than the package sampler.
-    g = np.exp(build_phi(reg, target).log_phi[:, :, 0])
+    g = np.exp(build_phi([summary], target).log_phi[:, :, 0])
     lab_counts = np.bincount(y_t[:n_L], minlength=3).astype(np.float64)
     ref = np.random.default_rng(99)
     pi = np.full(3, 1 / 3)
@@ -300,11 +298,10 @@ def test_05_recovers_known_prevalence_and_domain_weights_from_synthetic_data():
         sim = simulate(spec)
         gc = GibbsConfig(iterations=1500, burn_in=750, thin=1, seed=seed)
         summaries = [train_lcm(d, LcmHyper(K=4), gc) for d in sim.domains]
-        reg = make_registry(summaries, sim.cause_list, sim.symptom_dict)
         cfg = EnsembleConfig(variant="plain", chains=4, iterations=800,
                              burn_in=400, seed=seed)
         target = sim.target.without_labels()
-        post, _, csmf = run_variant(target, build_phi(reg, target), cfg, workers=4)
+        post, _, csmf = run_variant(target, build_phi(summaries, target), cfg, workers=4)
         accs.append(csmf_accuracy(csmf, np.asarray(PI_T)))
         lam_errs.append(float(np.abs(post.lambda_mean() - np.asarray(LAM)).max()))
     elapsed = time.monotonic() - started

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CL3, SD4, batch_se, labels_first, make_dataset
+from conftest import batch_se, labels_first, make_dataset
 from fedva import calibration
 from fedva.calibration import (
     CalibConfig,
@@ -17,10 +17,9 @@ from fedva.calibration import (
 from fedva.data import UNLABELED
 from fedva.ensemble import EnsembleConfig, PhiTensor, build_phi, classify, fit_global
 from fedva.errors import DimensionMismatch, EmptyPredictions, InvalidHyper
-from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from fedva.reports import pi_summary
-from fedva.utils import log_dirichlet
+from fedva.utils import log_dirichlet, log_dirichlet_pdf
 from oracles import fit_calibration_reference
 
 
@@ -117,7 +116,6 @@ def test_confusion_side_never_sees_unlabeled_deaths():
         variants.append(fit_calibration(hard_tensor(tops, C=3), labels_first(y_lab, 195), CFG))
     a, b = variants
     assert np.array_equal(a.confusion_mean, b.confusion_mean)
-    assert np.array_equal(a.gamma_mean, b.gamma_mean)
     assert not np.array_equal(a.pi_draws, b.pi_draws)
 
 
@@ -151,8 +149,6 @@ def test_draws_are_simplices_and_result_shapes():
     assert np.allclose(res.pi_draws.sum(axis=1), 1.0, atol=1e-9)
     assert res.confusion_mean.shape == (2, 3, 3)
     assert np.allclose(res.confusion_mean.sum(axis=2), 1.0, atol=1e-9)
-    assert res.gamma_mean.shape == (2, 3)
-    assert np.all(res.gamma_mean > 0)
     assert res.domain_ids == tensor.domain_ids == ("m0", "m1")
 
 
@@ -187,8 +183,7 @@ def test_fit_calibration_is_invariant_to_row_order(seed, labeled, order):
     cfg = CalibConfig(iterations=40, burn_in=20, seed=seed % 1000)
     a = fit_calibration(hard_tensor(tops, C=C, M=M), y, cfg)
     b = fit_calibration(hard_tensor(tops[order], C=C, M=M), y[order], cfg)
-    for got, want in ((b.pi_draws, a.pi_draws), (b.confusion_mean, a.confusion_mean),
-                      (b.gamma_mean, a.gamma_mean)):
+    for got, want in ((b.pi_draws, a.pi_draws), (b.confusion_mean, a.confusion_mean)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -204,6 +199,18 @@ def record_confusion_draws(monkeypatch):
 
     monkeypatch.setattr(calibration, "log_dirichlet", spy)
     return calls
+
+
+def record_walk_starts(monkeypatch):
+    """Confusion-row concentration at the current gamma of every Metropolis step."""
+    starts = []
+
+    def spy(logx, alpha):
+        starts.append(alpha[0])  # alpha stacks the current gamma's rows and the proposal's
+        return log_dirichlet_pdf(logx, alpha)
+
+    monkeypatch.setattr(calibration, "log_dirichlet_pdf", spy)
+    return starts
 
 
 @pytest.mark.parametrize("C, M, n, n_L, one_pattern", [
@@ -232,7 +239,7 @@ def test_tiny_prior_concentrations_keep_draws_finite_simplices(monkeypatch, C, M
     for rows in (res.pi_draws, res.confusion_mean):
         assert np.all(np.isfinite(rows)) and np.all(rows >= 0)
         assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.all(np.isfinite(res.gamma_mean)) and np.all(res.gamma_mean > 0)
+    assert all(np.all(np.isfinite(alpha)) and np.all(alpha > 0) for alpha, _ in calls)
 
 
 def record_pi_concentrations(monkeypatch):
@@ -332,12 +339,13 @@ def test_kernel_matches_per_pair_reference_within_monte_carlo_error(
     |z| < 4 with batch-means standard errors; each kernel on its own seed.
     The kept gamma and confusion draws of `fit_calibration` come from the
     arguments of its confusion draws: row sums of alpha are gamma (1 + C eps)
-    plus the labeled count of the row's cause. Those gammas must average to
-    `gamma_mean` exactly, as each row is drawn at the gamma its iteration
-    keeps; drawing at the gamma before the Metropolis step moves the
-    posterior too little for the z-scores to see.
+    plus the labeled count of the row's cause. Each confusion draw must be
+    made exactly at the gamma the next Metropolis step starts from, the
+    gamma its iteration keeps; drawing at the gamma before the Metropolis
+    step moves the posterior too little for the z-scores to see.
     """
     calls = record_confusion_draws(monkeypatch)
+    starts = record_walk_starts(monkeypatch)
     res = fit_calibration(tensor, labels, replace(cfg, seed=0))
     ref, ref_gamma, ref_conf = fit_calibration_reference(tensor, labels, replace(cfg, seed=1))
 
@@ -347,12 +355,13 @@ def test_kernel_matches_per_pair_reference_within_monte_carlo_error(
                       for alpha, _ in kept])
     conf = np.array([values for _, values in kept])
     assert np.allclose(conf.mean(axis=0), res.confusion_mean, rtol=0, atol=1e-12)
-    assert np.allclose(gamma.mean(axis=0), res.gamma_mean, rtol=1e-9, atol=0)
+    assert len(starts) == cfg.iterations
+    assert all(np.array_equal(alpha, start) for (alpha, _), start in zip(calls, starts))
 
     worst = {}
     for what, got, want, got_draws, want_draws in (
         ("pi", res.pi_mean(), ref.pi_mean(), res.pi_draws, ref.pi_draws),
-        ("gamma", res.gamma_mean, ref.gamma_mean, gamma, ref_gamma),
+        ("gamma", gamma.mean(axis=0), ref_gamma.mean(axis=0), gamma, ref_gamma),
         ("confusion", res.confusion_mean, ref.confusion_mean, conf, ref_conf),
     ):
         se = np.sqrt(batch_se(got_draws) ** 2 + batch_se(want_draws) ** 2)
@@ -360,7 +369,7 @@ def test_kernel_matches_per_pair_reference_within_monte_carlo_error(
     assert max(worst.values()) < 4.0, f"worst z {worst}"
 
 
-def single_model_registry(seed=0, causes=(0, 1, 2)):
+def single_model_source(seed=0, causes=(0, 1, 2)):
     rng = np.random.default_rng(seed)
     theta = np.array([
         [0.9, 0.8, 0.1, 0.2],
@@ -373,17 +382,16 @@ def single_model_registry(seed=0, causes=(0, 1, 2)):
                   GibbsConfig(iterations=150, burn_in=75, thin=1, seed=seed))
     y_t = np.tile([0, 1, 2], 8).astype(np.int32)
     x_t = (rng.random((24, 4)) < theta[y_t]).astype(np.uint8)
-    return make_registry([s], CL3, SD4), make_dataset("target", x_t, y_t)
+    return s, make_dataset("target", x_t, y_t)
 
 
 def test_build_predictions_single_model_delegates_to_classifier():
-    reg, target = single_model_registry()
+    source, target = single_model_source()
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=600, burn_in=300, seed=3)
-    tensor = build_predictions(build_phi(reg, target), cfg)
+    tensor = build_predictions(build_phi([source], target), cfg)
     assert tensor.death_ids == target.death_ids and tensor.domain_ids == ("solo",)
-    s = reg.summaries[0]
     phi = PhiTensor(
-        log_phi=cond_loglik_matrix(s, target.x)[:, :, None],
+        log_phi=cond_loglik_matrix(source, target.x)[:, :, None],
         present=np.ones((3, 1), dtype=np.uint8),
         death_ids=target.death_ids,
         domain_ids=("solo",),
@@ -393,32 +401,32 @@ def test_build_predictions_single_model_delegates_to_classifier():
 
 
 def test_build_predictions_absent_cause_gets_zero():
-    reg, target = single_model_registry(seed=1, causes=(0, 1))
+    source, target = single_model_source(seed=1, causes=(0, 1))
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=150, burn_in=75, seed=0)
-    tensor = build_predictions(build_phi(reg, target), cfg)
+    tensor = build_predictions(build_phi([source], target), cfg)
     assert np.all(tensor.a[:, 2, 0] == 0.0)
     assert np.allclose(tensor.a.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_build_predictions_keeps_target_order():
-    reg, target = single_model_registry()
+    source, target = single_model_source()
     labeled = [1, 4, 5, 9, 17]
     y = np.full(target.n, UNLABELED, dtype=np.int32)
     y[labeled] = target.y[labeled]
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=0)
-    tensor = build_predictions(build_phi(reg, mixed), cfg)
+    tensor = build_predictions(build_phi([source], mixed), cfg)
     assert tensor.death_ids == mixed.death_ids
     # labels are not read: the same fit as on the target without them
     bare = mixed.without_labels()
-    again = build_predictions(build_phi(reg, bare), cfg)
+    again = build_predictions(build_phi([source], bare), cfg)
     assert again.death_ids == tensor.death_ids and np.array_equal(again.a, tensor.a)
 
 
 def test_build_predictions_empty_target():
-    reg, target = single_model_registry()
+    source, target = single_model_source()
     empty = target.subset(np.array([], dtype=np.int64))
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=100, burn_in=50, seed=0)
-    tensor = build_predictions(build_phi(reg, empty), cfg)
+    tensor = build_predictions(build_phi([source], empty), cfg)
     assert tensor.n == 0 and tensor.C == 3 and tensor.M == 1
     assert tensor.domain_ids == ("solo",)

@@ -17,7 +17,7 @@ from fedva.data import (
     load_symptom_dictionary,
     write_dataset,
 )
-from fedva.utils import sha256_hex
+from fedva.utils import canonical_json, sha256_hex
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -238,6 +238,19 @@ def test_export_is_canonical_and_detects_tampering(ws):
                    "--out", ws["root"] / "out_bad") == 2
 
 
+def test_export_of_a_summary_short_of_a_row_per_cause_exits_2(ws, tmp_path, capsys):
+    doc = json.loads(read(ws["root"] / "summaries" / "domain_1.summary.json"))
+    del doc["checksum"]
+    doc["nu_bar"] = doc["nu_bar"][:2]  # two rows for C = 3 causes
+    doc["checksum"] = sha256_hex(canonical_json(doc))
+    bad = tmp_path / "short.summary.json"
+    bad.write_bytes(canonical_json(doc))
+    capsys.readouterr()
+    assert run_cli("export", "--config", ws["cfg"], "--summary", bad, "--out", tmp_path / "o") == 2
+    assert "InvalidSummary: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_then_export_reproduces_the_summary_byte_for_byte(ws, tmp_path):
     """A sparse model under a non-ASCII domain id; the absent cause row is null."""
     cfg = dict(ws["cfg_dict"], base_model={"K": 2, "sparse": True})
@@ -344,6 +357,28 @@ def test_cause_no_summary_covers_exits_2_before_any_chain_runs(ws, tmp_path, mon
     for variant in ("plain", "partial"):
         assert run_cli("ensemble", "--config", p, "--variant", variant,
                        "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_two_summaries_of_one_domain_exit_2_before_any_chain_runs(ws, tmp_path, monkeypatch,
+                                                                   capsys):
+    twins = tmp_path / "twins"
+    twins.mkdir()
+    summary = read(ws["root"] / "summaries" / "domain_1.summary.json")
+    for name in ("a", "b"):
+        (twins / f"{name}.summary.json").write_bytes(summary)
+    cfg = dict(ws["cfg_dict"], paths=dict(ws["cfg_dict"]["paths"], summaries=str(twins)))
+    p = tmp_path / "twins.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a chain ran on a federation with a repeated domain id")
+
+    monkeypatch.setattr(ensemble, "_run_chain", boom)
+    for command in ("ensemble", "calibrate"):
+        capsys.readouterr()
+        assert run_cli(command, "--config", p, "--out", tmp_path / "o") == 2
+        assert "DuplicateDomainId: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CL3, SD4, batch_se, labels_first, make_dataset
+from conftest import batch_se, labels_first, make_dataset
 from fedva.calibration import CalibConfig, PredictionTensor, fit_calibration
 from fedva.data import UNLABELED
 from fedva.ensemble import (
@@ -39,7 +39,6 @@ from fedva.errors import (
     InvalidLabels,
     NotASimplex,
 )
-from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
 from oracles import classify_reference, draw_cells_reference, fit_reference, log_posterior
@@ -396,21 +395,19 @@ def federation(seed=0, n_per=120):
     y_t = np.repeat([0, 1, 2], 20).astype(np.int32)
     x_t = (rng.random((60, 4)) < theta[y_t]).astype(np.uint8)
     target = make_dataset("target", x_t, y_t)
-    return make_registry(summaries, CL3, SD4), target
+    return summaries, target
 
 
 def test_run_variant_requires_coverage():
-    reg, target = federation()
-    thin = make_registry([s for s in reg.summaries][:1], CL3, SD4)
-    phi = build_phi(thin, target)
+    sources, target = federation()
+    phi = build_phi(sources[:1], target)
     assert phi.log_phi.shape == (60, 3, 1)
     rng = np.random.default_rng(1)
     y = np.repeat([0, 1], 10).astype(np.int32)  # cause 2 never trained
     ds = make_dataset("partial_dom", rng.integers(0, 2, (20, 4)).astype(np.uint8), y)
     s = train_lcm(ds, LcmHyper(K=1), GibbsConfig(iterations=40, burn_in=20, thin=1, seed=0))
-    reg2 = make_registry([s], CL3, SD4)
-    # scoring an incomplete registry is fine (calibration reads it) ...
-    phi2 = build_phi(reg2, target)
+    # scoring sources that leave a cause uncovered is fine (calibration reads it) ...
+    phi2 = build_phi([s], target)
     assert np.all(phi2.log_phi[:, 2, 0] == -np.inf) and phi2.present[2, 0] == 0
     # ... but an ensemble fit needs every cause covered
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=100, burn_in=50, seed=0)
@@ -430,7 +427,7 @@ def test_fit_single_model_covers_only_the_summary_causes():
     ds = make_dataset("partial_dom", rng.integers(0, 2, (20, 4)).astype(np.uint8), y)
     s = train_lcm(ds, LcmHyper(K=2), GibbsConfig(iterations=40, burn_in=20, thin=1, seed=0))
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=600, burn_in=300, seed=4)
-    pi, probs = fit_single_model(build_phi(make_registry([s], CL3, SD4), target), 0, cfg)
+    pi, probs = fit_single_model(build_phi([s], target), 0, cfg)
     assert pi.shape == (3,) and probs.shape == (60, 3)
     assert pi[2] == 0.0 and np.all(probs[:, 2] == 0.0)
     assert abs(pi.sum() - 1.0) < 1e-12
@@ -447,22 +444,22 @@ def test_fit_single_model_covers_only_the_summary_causes():
 
 
 def test_run_variant_plain_equals_fit_global():
-    reg, target = federation()
+    sources, target = federation()
     cfg = EnsembleConfig(variant="plain", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(target, build_phi(reg, target), cfg)
-    direct = fit_global(build_phi(reg, target), None, cfg)
+    post, cls, csmf = run_variant(target, build_phi(sources, target), cfg)
+    direct = fit_global(build_phi(sources, target), None, cfg)
     assert np.array_equal(post.pi_draws, direct.pi_draws)
     assert cls.death_ids == target.death_ids
     assert np.allclose(csmf, post.pi_mean())  # nothing held out
 
 
 def test_run_variant_partial_uses_labels_in_original_order():
-    reg, target = federation()
+    sources, target = federation()
     y = target.y.copy()
     y[::2] = UNLABELED  # label every other death
     mixed = make_dataset("target", target.x, y, ids=target.death_ids)
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(mixed, build_phi(reg, mixed), cfg)
+    post, cls, csmf = run_variant(mixed, build_phi(sources, mixed), cfg)
     assert cls.death_ids == mixed.death_ids
     lab = np.flatnonzero(mixed.y != UNLABELED)
     assert np.allclose(cls.probs[lab, mixed.y[lab]], 1.0)
@@ -470,11 +467,11 @@ def test_run_variant_partial_uses_labels_in_original_order():
 
 
 def test_run_variant_domain_adds_model_and_holds_out():
-    reg, target = federation()
+    sources, target = federation()
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=300, burn_in=150, seed=5)
-    post, cls, csmf = run_variant(target, build_phi(reg, target), cfg,
+    post, cls, csmf = run_variant(target, build_phi(sources, target), cfg,
                                   local_hyper=LcmHyper(K=1))
-    assert post.lambda_draws.shape[2] == reg.M + 1
+    assert post.lambda_draws.shape[2] == len(sources) + 1
     assert post.domain_ids[-1] == "target-local"
     assert cls.death_ids == target.death_ids
     assert np.allclose(cls.probs[target.labeled_mask, target.y[target.labeled_mask]], 1.0)
@@ -483,35 +480,35 @@ def test_run_variant_domain_adds_model_and_holds_out():
 
 @pytest.mark.parametrize("variant", ["domain", "mix"])
 def test_local_model_column_takes_the_local_name_and_refuses_a_clash(variant):
-    reg, target = federation()
+    sources, target = federation()
     cfg = EnsembleConfig(variant=variant, chains=2, iterations=100, burn_in=50, seed=0)
-    phi = build_phi(reg, target)
+    phi = build_phi(sources, target)
     post, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
     assert post.domain_ids == phi.domain_ids + ("target-local",)
     # a source already named <target>-local leaves the local column no distinct name
-    clash = replace(reg.summaries[1], domain_id="target-local")
-    named = build_phi(make_registry([reg.summaries[0], clash], CL3, SD4), target)
+    clash = replace(sources[1], domain_id="target-local")
+    named = build_phi([sources[0], clash], target)
     with pytest.raises(DuplicateDomainId):
         run_variant(target, named, cfg, local_hyper=LcmHyper(K=1))
 
 
 def test_run_variant_mix_split_is_seeded_partition():
-    reg, target = federation()
+    sources, target = federation()
     cfg = EnsembleConfig(variant="mix", chains=2, iterations=300, burn_in=150,
                          seed=5, mix_split_fraction=0.5)
-    phi = build_phi(reg, target)
+    phi = build_phi(sources, target)
     post1, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
     post2, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
     assert np.array_equal(post1.pi_draws, post2.pi_draws)
-    assert post1.lambda_draws.shape[2] == reg.M + 1
+    assert post1.lambda_draws.shape[2] == len(sources) + 1
 
 
 def test_run_variant_guards_small_label_sets():
-    reg, target = federation()
+    sources, target = federation()
     few = target.subset(np.arange(5))  # 5 < 2 * C
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=100, burn_in=50, seed=0)
     with pytest.raises(InsufficientLocalLabels):
-        run_variant(few, build_phi(reg, few), cfg, local_hyper=LcmHyper(K=1))
+        run_variant(few, build_phi(sources, few), cfg, local_hyper=LcmHyper(K=1))
     with pytest.raises(InvalidHyper):
         EnsembleConfig(variant="nope").validate()
 
@@ -867,8 +864,8 @@ def test_classify_matches_per_draw_reference():
     assert np.abs(got.probs - classify_reference(phi, post)).max() < 1e-12
     assert np.array_equal(got.top, np.argmax(got.probs, axis=1))
     # A fit with labeled deaths (n_L > 0) classifies every death, labeled ones too.
-    reg, target = federation()
-    phi = build_phi(reg, target)
+    sources, target = federation()
+    phi = build_phi(sources, target)
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=300, burn_in=100, seed=5)
     post = fit_global(phi, labels_first(target.y[:20], 60), cfg)
     assert np.abs(classify(phi, post).probs - classify_reference(phi, post)).max() < 1e-12

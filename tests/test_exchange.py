@@ -1,17 +1,20 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import CL3, SD4, make_dataset
 from oracles import summary_bytes_reference
-from fedva.data import CauseList
+from fedva.data import UNLABELED, CauseList
+from fedva.ensemble import EnsembleConfig, build_phi, fit_global
 from fedva.errors import (
     ChecksumMismatch,
     DuplicateDomainId,
     EmptyRegistry,
     FingerprintMismatch,
+    IncompletePhi,
     InvalidSummary,
     SchemaVersionUnsupported,
 )
@@ -20,7 +23,6 @@ from fedva.exchange import (
     _raw_checksum_matches,
     export_summary,
     import_summary,
-    make_registry,
     summary_bytes,
 )
 from fedva.lcm import GibbsConfig, LcmHyper, train_lcm
@@ -153,6 +155,9 @@ def test_malformed_documents(tmp_path):
     (("theta_bar",), 0, [[0.5, "0.5", 0.5, 0.5], [0.5] * 4]),
     (("theta_bar",), 1, [["0.25"] * 4, ["0.75"] * 4]),
     (("theta_bar",), 2, [[0.5] * 4, [0.5, 0.5, 0.5, {"v": 0.5}]]),
+    # one valid row per cause (C=3), less or more of them
+    ((), "nu_bar", [[0.5, 0.5]] * 2), ((), "nu_bar", [[0.5, 0.5]] * 4),
+    ((), "theta_bar", [[[0.5] * 4] * 2] * 2), ((), "theta_bar", [[[0.5] * 4] * 2] * 4),
 ])
 def test_ill_typed_fields_are_refused_not_coerced(tmp_path, where, key, value):
     path = tmp_path / "s.summary.json"
@@ -196,20 +201,25 @@ def test_exported_files_reimport_byte_identically(tmp_path):
         assert summary_bytes(import_summary(path, CL3, SD4)) == raw
 
 
-def test_registry_validation_and_coverage():
+def test_build_phi_checks_each_summary_and_leaves_coverage_to_the_fit():
     a = trained("alpha", drop_cause=2)
     b = trained("beta", drop_cause=2, seed=1)
-    reg = make_registry([a, b], CL3, SD4)
-    assert reg.M == 2 and reg.C == 3
-    assert reg.domain_ids == ("alpha", "beta")
-    assert reg.coverage.tolist() == [2, 2, 0]
-    assert not reg.complete
+    target = make_dataset("target", np.ones((5, 4)), np.full(5, UNLABELED))
+    phi = build_phi([a, b], target)
+    assert phi.M == 2 and phi.C == 3
+    assert phi.domain_ids == ("alpha", "beta")
+    assert phi.present.sum(axis=1).tolist() == [2, 2, 0]
+    with pytest.raises(IncompletePhi):
+        fit_global(phi, None, EnsembleConfig(chains=1, iterations=4, burn_in=2))
     c = trained("gamma", seed=2)
-    assert make_registry([a, b, c], CL3, SD4).complete
+    assert build_phi([a, b, c], target).present.sum(axis=1).tolist() == [3, 3, 1]
     with pytest.raises(DuplicateDomainId):
-        make_registry([a, a], CL3, SD4)
+        build_phi([a, a], target)
     with pytest.raises(EmptyRegistry):
-        make_registry([], CL3, SD4)
+        build_phi([], target)
+    for field in ("cause_list_fingerprint", "dict_fingerprint"):
+        with pytest.raises(FingerprintMismatch, match="'beta'"):
+            build_phi([a, replace(b, **{field: "0" * 64})], target)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import CL3, SD4, make_dataset
+from conftest import make_dataset
 from fedva.calibration import CalibConfig, build_predictions
 from fedva.cli import main
 from fedva.data import CauseList, Dataset
@@ -13,11 +13,11 @@ from fedva import calibration, ensemble, lodo
 from fedva.errors import (
     ConfigError,
     DimensionMismatch,
+    DuplicateDomainId,
     EmptyCauseForResample,
     FedvaError,
     FingerprintMismatch,
 )
-from fedva.exchange import make_registry
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
 from fedva.lodo import KNOWN_METHODS, ExperimentReport, MethodResult, run_lodo
 from fedva.scenarios import make_scenario
@@ -87,6 +87,18 @@ def test_input_validation():
     )
     with pytest.raises(FingerprintMismatch):
         run_lodo([doms[0], other], ["bfl-plain"], "random_sample", [0])
+
+
+def test_repeated_domain_ids_are_refused_before_any_training(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a base model trained before the domain ids were checked")
+
+    monkeypatch.setattr(lodo, "train_lcm", boom)
+    doms = toy_domains(3)
+    twin = replace(doms[2], domain_id="dom0")
+    for domains in ([doms[0], twin], [doms[0], doms[1], twin]):
+        with pytest.raises(DuplicateDomainId):
+            run_lodo(domains, ["bfl-plain"], "random_sample", [0])
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -317,10 +329,9 @@ def test_local_self_alone_scores_no_source_summary(monkeypatch):
 def _cell(scenario, seed=3):
     doms = toy_domains()
     # the narrow summary leaves cause 2 uncovered, so its phi column has -inf cells
-    summaries = [train_lcm(d, LcmHyper(K=1), TINY_LCM) for d in doms[1:] + [narrow_domain()]]
-    reg = make_registry(summaries, CL3, SD4)
+    sources = [train_lcm(d, LcmHyper(K=1), TINY_LCM) for d in doms[1:] + [narrow_domain()]]
     masked = make_scenario(doms[0], scenario, seed, label_fraction=0.4).dataset
-    return reg, masked
+    return sources, masked
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -331,7 +342,7 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
     fits, in target order, with the local model (if any) appended, and its
     labels are the target's at those rows. Only its rows of unknown cause are
     classified, all of them under plain."""
-    reg, masked = _cell(scenario)
+    sources, masked = _cell(scenario)
     cfg = replace(TINY_ENS, variant=variant, tie_pi=scenario == "random_sample")
     seen = {}
     real_fit = ensemble.fit_global
@@ -353,7 +364,7 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
     monkeypatch.setattr(ensemble, "train_lcm", spy_train)
     monkeypatch.setattr(ensemble, "fit_global", spy_fit)
     monkeypatch.setattr(ensemble, "classify", spy_classify)
-    callers_phi = build_phi(reg, masked)
+    callers_phi = build_phi(sources, masked)
     post, cls, _ = run_variant(masked, callers_phi, cfg, local_hyper=LcmHyper(K=1))
     phi = seen["phi"]
     where = {d: i for i, d in enumerate(masked.death_ids)}
@@ -370,19 +381,19 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
         assert np.isin(unlabeled, fit_idx).all()
         assert np.array_equal(fit_idx, unlabeled) == (variant == "domain")
         assert np.array_equal(seen["labels"], masked.y[fit_idx])
-    fit_reg = reg
+    fit_sources = sources
     if variant in ("domain", "mix"):
         # the local model learns from exactly the labeled deaths the fit leaves out
         held = sorted(set(labeled.tolist()) - set(fit_idx.tolist()))
         assert seen["local_ids"] == tuple(masked.death_ids[i] for i in held)
-        fit_reg = make_registry(reg.summaries + (seen["local"],), CL3, SD4)
+        fit_sources = sources + [seen["local"]]
     else:
         assert "local" not in seen
-    ref = build_phi(fit_reg, masked.subset(fit_idx))
+    ref = build_phi(fit_sources, masked.subset(fit_idx))
     assert np.array_equal(phi.log_phi, ref.log_phi)
     assert np.array_equal(phi.present, ref.present)
     assert phi.death_ids == ref.death_ids
-    assert phi.domain_ids == post.domain_ids == fit_reg.domain_ids
+    assert phi.domain_ids == post.domain_ids == tuple(s.domain_id for s in fit_sources)
     assert cls.death_ids == masked.death_ids
     unknown = (np.arange(phi.n) if variant == "plain"
                else np.flatnonzero(~masked.labeled_mask[fit_idx]))
@@ -399,13 +410,14 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
 def test_single_model_fits_read_rows_of_the_callers_phi(monkeypatch, scenario):
     """local-avg's columns at the unlabeled rows, and build_predictions'
     columns in target order, are each model's own likelihoods there."""
-    reg, masked = _cell(scenario)
-    phi = build_phi(reg, masked)
+    sources, masked = _cell(scenario)
+    phi = build_phi(sources, masked)
     unlabeled_pos = np.flatnonzero(~masked.labeled_mask)
     unlabeled = phi.rows(unlabeled_pos)
     assert unlabeled.death_ids == masked.subset(unlabeled_pos).death_ids
-    assert unlabeled.domain_ids == phi.domain_ids == reg.domain_ids
-    for m, s in enumerate(reg.summaries):
+    ids = tuple(s.domain_id for s in sources)
+    assert unlabeled.domain_ids == phi.domain_ids == ids
+    for m, s in enumerate(sources):
         assert np.array_equal(unlabeled.log_phi[:, :, m],
                               cond_loglik_matrix(s, masked.x[unlabeled_pos]))
     seen = []
@@ -416,17 +428,17 @@ def test_single_model_fits_read_rows_of_the_callers_phi(monkeypatch, scenario):
 
     monkeypatch.setattr(calibration, "fit_single_model", spy_single)
     preds = build_predictions(phi, TINY_ENS)
-    assert [m for _, m in seen] == list(range(reg.M))
-    assert preds.death_ids == masked.death_ids and preds.domain_ids == reg.domain_ids
-    for (read, m), s in zip(seen, reg.summaries):
+    assert [m for _, m in seen] == list(range(len(sources)))
+    assert preds.death_ids == masked.death_ids and preds.domain_ids == ids
+    for (read, m), s in zip(seen, sources):
         assert read is phi
         assert np.array_equal(read.log_phi[:, :, m], cond_loglik_matrix(s, masked.x))
         assert np.array_equal(preds.a[:, :, m], fit_single_model(phi, m, TINY_ENS)[1])
 
 
 def test_shared_phi_must_match_the_target():
-    reg, masked = _cell("severe_shift")
-    phi = build_phi(reg, masked)
+    sources, masked = _cell("severe_shift")
+    phi = build_phi(sources, masked)
     other = masked.subset(np.arange(masked.n)[::-1])
     with pytest.raises(DimensionMismatch):
         run_variant(other, phi, TINY_ENS)

@@ -90,7 +90,7 @@ def test_every_pi_report_reads_pi_summary(monkeypatch):
     post = SimpleNamespace(pi_draws=draws, D=5, config=EnsembleConfig(chains=1),
                            acceptance_rate=None, rhat_pi=np.ones(2))
     calib = CalibrationResult(pi_draws=draws, confusion_mean=np.full((1, 2, 2), 0.5),
-                              gamma_mean=np.ones((1, 2)), config=CalibConfig(), domain_ids=("m0",))
+                              config=CalibConfig(), domain_ids=("m0",))
     row = f"{'b':<28}{0.75:>10.4f}{0.625:>10.4f}{0.875:>10.4f}"
     for text in (posterior_text(post, cl), calibration_text(calib, cl)):
         assert any(line.startswith(row) for line in text.splitlines())
