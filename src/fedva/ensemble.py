@@ -8,7 +8,8 @@ target cause distribution pi and cause-specific domain weights lambda from
 
 by data-augmented Gibbs sampling: each death gets a latent (cause, domain)
 pair, then pi and lambda have Dirichlet conditionals; (pi, lambda) is the
-whole sampler state. A death with a known label draws only its domain and
+whole sampler state. A death with a known label is an unlabeled one whose
+likelihood is zero off that cause, so the same draw serves it, and it
 always informs lambda. Its cause enters pi's conditional only when the
 labeled subset is a random sample of the target (tie_pi); otherwise the
 labeled deaths' own cause distribution is not sampled, as no other block
@@ -21,25 +22,26 @@ the local model's column.
 
 Labels are None or one vector over the tensor's rows, in row order, with
 UNLABELED where the cause is unknown (as in `Dataset.y`), so labeled and
-unlabeled deaths may interleave. A fit splits the rows by it once
-(`data.split_labels`); each part keeps its row order.
+unlabeled deaths may interleave. A fit lays its rows out once, the
+unlabeled ones first and then the labeled ones (`data.split_labels`), each
+part in row order.
 
-The sweep works in probability space. Each chain exponentiates the
-likelihoods once, shifted by every death's maximum, and keeps them in one
-domain-major (M, C, deaths) array. A sweep draws each death's (cause,
-domain) cell, weighted phi[i,c,m] * pi_c * lambda_cm, in two levels from one
-uniform point u (the composition method): the cause c by an inverse CDF
-over the C cause masses, which one batched matrix product gives, then the
-domain by an inverse CDF over cause c's M weights at the leftover point u
-minus the mass of the causes below c. That takes C + M running sums and
-comparisons per death instead of C * M, and it draws from the same
-distribution with the same generator calls. A labeled death draws only the
-domain step, at its known cause. Running sums take one vectorized add per
-row across all deaths. Where a death's weights sum to at most the smallest
-normal (zero and every subnormal included), because exp() underflowed at a
-likelihood spread beyond ~745 nats or under tiny Dirichlet concentrations,
-that death is drawn instead by a Gumbel argmax over the log-weights of all
-its C * M cells; both give the same distribution.
+The sweep works in probability space. A fit exponentiates the likelihoods
+once, shifted by every death's maximum, and keeps them in one domain-major
+(M, C, deaths) array. A sweep draws each death's (cause, domain) cell,
+weighted phi[i,c,m] * pi_c * lambda_cm, in two levels from one uniform
+point u (the composition method): the cause c by an inverse CDF over the C
+cause masses, which one batched matrix product gives, then the domain by an
+inverse CDF over cause c's M weights at the leftover point u minus the mass
+of the causes below c. That takes C + M running sums and comparisons per
+death instead of C * M, and it draws from the same distribution with the
+same generator calls. A labeled death's masses off its known cause are
+exact zeros, so its cause level lands on that cause. Running sums take one
+vectorized add per row across all deaths. Where a death's weights sum to at
+most the smallest normal (zero and every subnormal included), because exp()
+underflowed at a likelihood spread beyond ~745 nats or under tiny Dirichlet
+concentrations, that death is drawn instead by a Gumbel argmax over the
+log-weights of all its C * M cells; both give the same distribution.
 
 Classification averages each draw's cause posterior over the pooled draws.
 With E the (n, C*M) exp-shifted likelihoods and W the (D, C*M) weights
@@ -275,40 +277,19 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
     return total
 
 
-def _exp_shifted(log_w: np.ndarray) -> np.ndarray:
-    """exp(log_w) of a (deaths, ...) array, returned with its axes reversed.
-
-    Each death is shifted so that its largest entry is 1; deaths end up on
-    the last axis, so an (n, C, M) array comes back domain-major (M, C, n).
-    """
-    top = log_w.max(axis=tuple(range(1, log_w.ndim)))
-    out = np.subtract(log_w.T, top, order="C")
-    return np.exp(out, out=out)
-
-
-def _redraw_underflowed(rng, draw, total, log_phi, log_w) -> None:
-    """Redraw in log space every death whose weights sum to at most _TINY.
-
-    Such a death lost its relative precision to underflow. log_phi holds
-    (deaths, K) log-likelihoods and log_w() log weights broadcasting against
-    them; log_w is called only when a death needs the redraw.
-    """
-    low = (total <= _TINY).nonzero()[0]
-    if low.size:
-        log_w_low = np.broadcast_to(log_w(), log_phi.shape)[low]
-        draw[low] = gumbel_argmax(rng, log_phi[low] + log_w_low, axis=1)
-
-
-def _draw_cells(rng, phi_exp, w, cum, log_phi, log_w) -> np.ndarray:
+def _draw_cells(rng, phi_exp, w, cum, log_w) -> np.ndarray:
     """One (cause, domain) draw per death, weighted phi_exp[m, c, i] * w[c, m].
 
-    phi_exp holds domain-major (M, C, deaths) likelihoods, cum is a
-    (C + 1, deaths) work array whose first row is 0, and log_phi, log_w are
-    as in _redraw_underflowed over the C*M cells. Returns cell c * M + m.
-    The draw takes two levels from each death's one uniform point u: the
-    cause c is the inverse CDF over the C cause masses (one batched matrix
-    product), and the domain the inverse CDF over cause c's M weights at the
-    leftover point u - cum[c], the mass of the causes below c.
+    phi_exp holds domain-major (M, C, deaths) likelihoods, exact zeros off a
+    labeled death's known cause, and cum is a (C + 1, deaths) work array
+    whose first row is 0. Returns cell c * M + m. The draw takes two levels
+    from each death's one uniform point u: the cause c is the inverse CDF
+    over the C cause masses (one batched matrix product), and the domain the
+    inverse CDF over cause c's M weights at the leftover point u - cum[c],
+    the mass of the causes below c. A death whose weights sum to at most
+    _TINY lost its relative precision to underflow; it is redrawn by a Gumbel
+    argmax over log_w(rows), the (rows, C*M) log-weights of those deaths,
+    which is called only when a death needs the redraw.
     """
     M, C, n = phi_exp.shape
     mass = cum[1:]
@@ -327,21 +308,10 @@ def _draw_cells(rng, phi_exp, w, cum, log_phi, log_w) -> np.ndarray:
         dom *= w.T.take(cell, axis=1)
         cell *= M
         cell += inverse_cdf(running_sums(dom), u)
-    _redraw_underflowed(rng, cell, total, log_phi, log_w)
+    low = (total <= _TINY).nonzero()[0]
+    if low.size:
+        cell[low] = gumbel_argmax(rng, log_w(low), axis=1)
     return cell
-
-
-def _draw_domains(rng, phi_exp, w, log_phi, log_w) -> np.ndarray:
-    """One domain draw per death over its M weights phi_exp * w, (M, deaths) each.
-
-    The domain step of _draw_cells at a known cause, on a uniform of its own;
-    w is overwritten.
-    """
-    np.multiply(phi_exp, w, out=w)
-    total = running_sums(w)[-1]
-    h = inverse_cdf(w, rng.random(total.shape[0]) * total)
-    _redraw_underflowed(rng, h, total, log_phi, log_w)
-    return h
 
 
 def _log_softmax(b: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -351,26 +321,37 @@ def _log_softmax(b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out - np.log(np.exp(out).sum(axis=1, keepdims=True))
 
 
-def _split_deaths(phi: PhiTensor, labels: np.ndarray | None) -> tuple:
-    """What every chain of a fit reads, each part in row order.
+def _off_cause(y: np.ndarray, C: int) -> np.ndarray:
+    """(deaths, C) mask of the causes other than each labeled death's known cause y."""
+    return (y[:, None] != UNLABELED) & (np.arange(C) != y[:, None])
 
-    Unlabeled deaths range over all C*M cells: their (n_u, C*M)
-    log-likelihoods and domain-major (M, C, n_u) exp-shifted likelihoods.
-    Labeled ones range over the M domains of their known causes y: (n_L, M)
-    and (M, n_L). The log-likelihoods are read only by the fallback.
+
+def _split_deaths(phi: PhiTensor, labels: np.ndarray | None) -> tuple:
+    """What every chain of a fit reads: its deaths in fit order, and their labels.
+
+    Fit order puts the unlabeled deaths first, then the labeled ones, each
+    block in row order. A labeled death is an unlabeled one whose likelihood
+    is zero off its known cause: its cells there are set to -inf before the
+    exp-shift, which makes each death's largest likelihood 1, so one
+    domain-major (M, C, n) array serves every death. The caller's
+    log-likelihoods, gathered by `order` only for the fallback, are not
+    copied.
     """
     unlabeled, labeled, y = split_labels(labels, phi.n, phi.C)
-    log_phi_u = phi.log_phi[unlabeled]
-    log_phi_l = phi.log_phi[labeled, y, :]
-    return (phi.present, log_phi_u.reshape(unlabeled.size, phi.C * phi.M),
-            _exp_shifted(log_phi_u), y, log_phi_l, _exp_shifted(log_phi_l))
+    order = np.concatenate([unlabeled, labeled])
+    fit_y = np.concatenate([np.full(unlabeled.size, UNLABELED), y])
+    phi_exp = np.empty((phi.M, phi.C, order.size))
+    for m, rows in enumerate(phi_exp):  # a domain at a time: no second full-size array
+        rows[...] = phi.log_phi[order, :, m].T
+    phi_exp[:, _off_cause(fit_y, phi.C).T] = -np.inf
+    phi_exp -= phi_exp.max(axis=(0, 1))
+    return phi.present, phi.log_phi, order, fit_y, np.exp(phi_exp, out=phi_exp)
 
 
 def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
     """One MCMC chain; returns kept draws and acceptance bookkeeping."""
-    present, log_phi_u, phi_u, y_lab, log_phi_l, phi_l = deaths
+    present, log_phi, order, fit_y, phi_exp = deaths
     C, M = present.shape
-    n_L = y_lab.size
     allowed = present.astype(bool)
     multi = allowed.sum(axis=1) > 1  # causes with a real weight choice
     any_multi = bool(multi.any())
@@ -380,12 +361,11 @@ def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
     sigma = cfg.lambda_prior.sigma
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
 
-    cum_u = np.zeros((C + 1, phi_u.shape[2]))
-    cell_lab = y_lab * M
+    cum = np.zeros((C + 1, order.size))
+    n_lab = np.bincount(fit_y[fit_y != UNLABELED], minlength=C)
     # Labeled causes enter pi's conditional only when tied; the zeros added
     # when untied leave that concentration's floats as they are.
-    counts_lab = (np.bincount(y_lab, minlength=C).astype(np.float64) if cfg.tie_pi
-                  else np.zeros(C))
+    counts_lab = n_lab.astype(np.float64) if cfg.tie_pi else np.zeros(C)
 
     pi, log_pi = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
 
@@ -410,23 +390,19 @@ def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
     lam_out = np.empty((keep, C, M))
     kept = 0
 
+    def log_w(rows):  # the fallback's log-weights of the deaths at `rows` of fit order
+        out = log_phi[order[rows]]
+        out[_off_cause(fit_y[rows], C)] = -np.inf
+        out += log_pi[:, None] + log_lam
+        return out.reshape(rows.size, C * M)
+
     for it in range(cfg.iterations):
-        # (Y, H) | pi, lambda. An unlabeled death draws its cause and then,
-        # on the same uniform, its domain within that cause; a labeled death
-        # draws only that domain step, at its known cause. A death whose
-        # weights sum to at most _TINY is redrawn by a Gumbel argmax over
-        # the log-weights of its cells (all C*M, or its cause's M). With no
-        # unlabeled deaths the cell draw runs on empty arrays and takes no
-        # generator output.
-        cell = _draw_cells(rng, phi_u, pi[:, None] * lam, cum_u, log_phi_u,
-                           lambda: (log_pi[:, None] + log_lam).ravel())
-        nm = np.bincount(cell, minlength=C * M)
-        counts_u = nm.reshape(C, M).sum(axis=1)
-        if n_L:
-            h_l = _draw_domains(rng, phi_l, lam.T[:, y_lab], log_phi_l,
-                                lambda: log_lam[y_lab])
-            nm += np.bincount(cell_lab + h_l, minlength=C * M)
-        nm = nm.reshape(C, M)
+        # (Y, H) | pi, lambda: each death draws its cause and then, on the
+        # same uniform, its domain within that cause; a labeled death's cause
+        # level lands on its known cause, its masses elsewhere being zero.
+        nm = np.bincount(_draw_cells(rng, phi_exp, pi[:, None] * lam, cum, log_w),
+                         minlength=C * M).reshape(C, M)
+        counts_u = nm.sum(axis=1) - n_lab
 
         # pi | Y
         pi, log_pi = log_dirichlet(rng, cfg.pi_prior_conc + counts_u + counts_lab)

@@ -78,9 +78,6 @@ def summary_bytes(s: BaseModelSummary) -> bytes:
     the first `"dict_fingerprint":` in the bytes is the top-level one.
     """
     s.validate()
-    for c in range(s.C):
-        if s.present[c] and (np.any(np.isnan(s.nu_bar[c])) or np.any(np.isnan(s.theta_bar[c]))):
-            raise InvalidSummary(f"present cause {c} has NaN parameters")
     body = _canonical_bytes(_summary_document(s))
     head, key, tail = body.partition(b'"dict_fingerprint":')
     member = b'"checksum":"%s",' % sha256_hex(body).encode("ascii")

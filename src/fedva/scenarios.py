@@ -8,11 +8,13 @@ see the masked Dataset, metrics see the ledger.
 Kinds:
   random_sample  -- the labeled part is a uniform without-replacement sample,
                     so labeled and unlabeled share the same expected CSMF.
-  mild_shift     -- labeled and unlabeled parts are rebuilt by per-cause
-                    with-replacement resampling to match two independently
-                    drawn Dirichlet(1) prevalence vectors.
+  mild_shift     -- labeled and unlabeled parts, label_fraction of the n
+                    deaths (rounded half up) and the rest, are rebuilt by
+                    per-cause with-replacement resampling to match two
+                    independently drawn Dirichlet(1) prevalence vectors.
   severe_shift   -- each cause's labeling fraction q_c ~ Beta(0.2, 0.2),
-                    pushing the two parts toward opposite extremes.
+                    pushing the two parts toward opposite extremes;
+                    label_fraction is not read.
 """
 from __future__ import annotations
 
@@ -140,8 +142,8 @@ def make_scenario(target: Dataset, kind: str, seed: int,
     # mild_shift: both parts are resampled multisets of the original deaths.
     pi_lab = rng.dirichlet(np.ones(C))
     pi_gen = rng.dirichlet(np.ones(C))
-    n_lab = round_half_up(0.2 * n)
-    n_unl = round_half_up(0.8 * n)
+    n_lab = round_half_up(label_fraction * n)
+    n_unl = n - n_lab
     lab_counts = largest_remainder_counts(pi_lab, n_lab)
     unl_counts = largest_remainder_counts(pi_gen, n_unl)
     pools = {c: np.flatnonzero(target.y == c) for c in range(C)}

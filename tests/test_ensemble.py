@@ -24,8 +24,7 @@ from fedva.ensemble import (
     fit_single_model,
     marginal_loglik,
     _draw_cells,
-    _draw_domains,
-    _exp_shifted,
+    _split_deaths,
     run_variant,
     split_rhat,
 )
@@ -697,42 +696,47 @@ def test_cause_covered_by_one_domain_keeps_weight_one():
 
 
 def _two_level_args(log_phi, log_w):
-    """(n, C, M) log-likelihoods and (C, M) log weights as _draw_cells takes them."""
+    """_draw_cells's arguments for (n, C, M) log-likelihoods and (C, M) log
+    weights, and the shifted (n, C*M) log-likelihoods of the reference draw."""
     n, C, M = log_phi.shape
     shifted = log_phi - log_phi.max(axis=(1, 2), keepdims=True)
-    return (_exp_shifted(log_phi), np.exp(log_w), np.zeros((C + 1, n)),
-            shifted.reshape(n, C * M), lambda: log_w.ravel())
+    phi_exp = np.ascontiguousarray(np.exp(shifted).T)  # domain-major (M, C, n)
+    shifted = shifted.reshape(n, C * M)
+    return (phi_exp, np.exp(log_w), np.zeros((C + 1, n)),
+            lambda rows: shifted[rows] + log_w.ravel()), shifted
+
+
+def _labeled_last(log_phi, y):
+    """log_phi with its last y.size deaths labeled y: -inf off their causes."""
+    log_phi = log_phi.copy()
+    labeled = log_phi[log_phi.shape[0] - y.size:]
+    labeled[np.arange(log_phi.shape[1]) != y[:, None]] = -np.inf
+    return log_phi
 
 
 def test_cell_draw_frequencies_match_weights_on_both_paths():
     """Linear weights and underflowed (log-space fallback) weights give the same law.
 
     Covers the two-level draw over (cause, domain) cells, a zero-weight cell
-    included, and the labeled deaths' domain draw at a known cause.
+    included, and labeled deaths, whose rows are -inf off their known cause 0.
     """
     n = 20000
     lik = np.array([[0.5, 1.0], [0.25, 0.5], [1.0, 0.125]])
-    log_phi = np.log(np.broadcast_to(lik, (n, 3, 2)))
+    log_phi = _labeled_last(np.log(np.broadcast_to(lik, (2 * n, 3, 2))), np.zeros(n, int))
     log_w = np.log([[1.0, 3.0], [1.0, 1.0], [2.0, 1.0]])
     log_w[1, 1] = -np.inf
     want = (lik * np.exp(log_w)).ravel()
     want /= want.sum()
-    want_l = lik[0] * np.exp(log_w[0])
+    want_l = np.zeros(6)
+    want_l[:2] = lik[0] * np.exp(log_w[0])
     want_l /= want_l.sum()
-    se = np.sqrt(want * (1 - want) / n)
-    se_l = np.sqrt(want_l * (1 - want_l) / n)
     for shift in (0.0, -800.0):
-        phi_exp, w, cum, shifted, lw = _two_level_args(log_phi, log_w + shift)
+        (phi_exp, w, cum, lw), _ = _two_level_args(log_phi, log_w + shift)
         assert (np.count_nonzero(w) == 0) == (shift < 0)
-        cells = _draw_cells(derive_rng("cell-draw"), phi_exp, w, cum, shifted, lw)
-        freq = np.bincount(cells, minlength=6) / n
-        assert np.all(np.abs(freq - want) <= 4 * se), freq
-        log_phi_l = log_phi[:, 0, :]
-        h = _draw_domains(derive_rng("domain-draw"), np.exp(log_phi_l).T,
-                          np.exp(log_w[0] + shift)[:, None].repeat(n, axis=1),
-                          log_phi_l, lambda: log_w[0] + shift)
-        freq_l = np.bincount(h, minlength=2) / n
-        assert np.all(np.abs(freq_l - want_l) <= 4 * se_l), freq_l
+        cells = _draw_cells(derive_rng("cell-draw"), phi_exp, w, cum, lw)
+        for got, p in ((cells[:n], want), (cells[n:], want_l)):
+            freq = np.bincount(got, minlength=6) / n
+            assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / n)), freq
 
 
 def _cell_draw_cases():
@@ -741,7 +745,8 @@ def _cell_draw_cases():
     In the fallback cases every second death holds all its likelihood in
     cell (0, 0), the others sitting 900 nats lower, and that cell's weight
     is exp(-800): the death's total is exactly 0, so it must stay inside the
-    index range until the log-space redraw replaces it.
+    index range until the log-space redraw replaces it. In the labeled cases
+    the last 150 deaths are labeled, those starved so at cause 0.
     """
     rng = np.random.default_rng(7)
 
@@ -764,80 +769,96 @@ def _cell_draw_cases():
     starved_phi[::2, 0, 0] += 900.0
     starved_w = weights(4, 3)
     starved_w[0, 0] = -800.0
-    return {
+    cases = {
         "linear": (linear, weights(5, 3)),
         "masked": (likelihoods(5, 3), masked_w),
         "M=1": (likelihoods(6, 1), weights(6, 1)),
         "C=1": (likelihoods(1, 4), weights(1, 4)),
         "fallback": (starved_phi, starved_w),
     }
+    y = rng.integers(0, 4, size=150)
+    starved_y = y.copy()
+    starved_y[::2] = 0  # deaths 150, 152, ... are starved
+    cases["labeled"] = (_labeled_last(likelihoods(4, 3), y), weights(4, 3))
+    cases["labeled-fallback"] = (_labeled_last(starved_phi, starved_y), starved_w)
+    return cases
 
 
-@pytest.mark.parametrize("case", ["linear", "masked", "M=1", "C=1", "fallback"])
+@pytest.mark.parametrize("case", ["linear", "masked", "M=1", "C=1", "fallback",
+                                  "labeled", "labeled-fallback"])
 def test_two_level_draw_is_identical_to_one_level_reference(case):
     """Cause then domain on one uniform gives the one-level draw's cells and stream."""
     log_phi, log_w = _cell_draw_cases()[case]
     n, C, M = log_phi.shape
-    phi_exp, w, cum, shifted, lw = _two_level_args(log_phi, log_w)
+    (phi_exp, w, cum, lw), shifted = _two_level_args(log_phi, log_w)
     want_rng, got_rng = derive_rng("two-level", case), derive_rng("two-level", case)
     want = draw_cells_reference(want_rng, np.exp(shifted), w.ravel(), shifted, log_w.ravel())
-    got = _draw_cells(got_rng, phi_exp, w, cum, shifted, lw)
+    got = _draw_cells(got_rng, phi_exp, w, cum, lw)
     assert np.array_equal(got, want)
     assert want_rng.bit_generator.state == got_rng.bit_generator.state
     assert np.all(log_w.ravel()[got] > -np.inf)  # no zero-weight cell is ever drawn
+    assert np.all(shifted[np.arange(n), got] > -np.inf)  # nor a zero-likelihood one
     assert np.all(cum[0] == 0)
     totals = (np.exp(shifted) * w.ravel()).sum(axis=1)
-    assert np.any(totals == 0) == (case == "fallback")
+    assert np.any(totals == 0) == case.endswith("fallback")
 
 
-def _domain_draw_cases():
-    """(log_phi (n, M), log_w (n, M)) pairs: one weight row per labeled death."""
-    rng = np.random.default_rng(8)
-    log_phi = np.log(rng.uniform(0.01, 1.0, size=(300, 4)))
-    log_phi[::2, 1:] -= 900.0
-    log_w = np.log(rng.dirichlet(np.ones(4), size=300))
-    starved = log_w.copy()
-    starved[::4, 0] = -800.0
-    return {"labeled": (log_phi, log_w), "labeled-fallback": (log_phi, starved)}
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_masked_labeled_rows_draw_as_the_separate_domain_draw_did(seed):
+    """A fit's masked rows draw as unlabeled deaths over all cells, then
+    labeled ones over their cause's M cells at weights lam[y] on uniforms of
+    their own: the same cells, and the same generator state after."""
+    rng = np.random.default_rng(seed)
+    n, C, M = 200, 5, 3
+    log_phi = np.log(rng.uniform(0.01, 1.0, size=(n, C, M)))
+    labels = np.where(rng.random(n) < 0.4, rng.integers(0, C, size=n), UNLABELED)
+    pi = rng.dirichlet(np.ones(C))
+    lam = rng.dirichlet(np.ones(M), size=C)
+    *_, order, fit_y, phi_exp = _split_deaths(phi_of(log_phi), labels)
 
+    def no_fallback(rows):
+        raise AssertionError("no death underflows here")
 
-@pytest.mark.parametrize("case", ["labeled", "labeled-fallback"])
-def test_labeled_domain_draw_is_identical_to_reference(case):
-    log_phi, log_w = _domain_draw_cases()[case]
-    shifted = log_phi - log_phi.max(axis=1, keepdims=True)
-    phi_exp, w = np.exp(shifted), np.exp(log_w)
-    want_rng, got_rng = derive_rng("domain", case), derive_rng("domain", case)
-    want = draw_cells_reference(want_rng, phi_exp, w, shifted, log_w)
-    got = _draw_domains(got_rng, phi_exp.T.copy(), w.T.copy(), shifted, lambda: log_w)
-    assert np.array_equal(got, want)
+    got_rng, want_rng = derive_rng("labeled", seed), derive_rng("labeled", seed)
+    got = _draw_cells(got_rng, phi_exp, pi[:, None] * lam, np.zeros((C + 1, n)), no_fallback)
+    unlabeled, labeled = order[fit_y == UNLABELED], order[fit_y != UNLABELED]
+    y = labels[labeled]
+    log_u = log_phi[unlabeled].reshape(unlabeled.size, C * M)
+    log_l = log_phi[labeled, y]
+    want_u = draw_cells_reference(want_rng, np.exp(log_u - log_u.max(axis=1, keepdims=True)),
+                                  (pi[:, None] * lam).ravel(), log_u, None)
+    h = draw_cells_reference(want_rng, np.exp(log_l - log_l.max(axis=1, keepdims=True)),
+                             lam[y], log_l, None)
+    assert np.array_equal(got, np.concatenate([want_u, y * M + h]))
     assert want_rng.bit_generator.state == got_rng.bit_generator.state
-    underflowed = (phi_exp * w).sum(axis=1) < np.finfo(np.float64).tiny
-    assert underflowed.any() == case.endswith("fallback")
 
 
 def test_cell_draw_builds_log_weights_only_for_underflowed_rows():
-    def fail():
+    def fail(rows):
         raise AssertionError("log weights built without an underflowed row")
 
     _draw_cells(derive_rng("lazy"), np.ones((2, 3, 5)), np.full((3, 2), 1 / 6),
-                np.zeros((4, 5)), np.zeros((5, 6)), fail)
-    _draw_domains(derive_rng("lazy"), np.ones((2, 5)), np.full((2, 5), 0.5),
-                  np.zeros((5, 2)), fail)
+                np.zeros((4, 5)), fail)
+
+    asked = []
+
+    def log_w(rows):
+        asked.append(rows.tolist())
+        return np.zeros((rows.size, 6))
+
+    phi_exp = np.ones((2, 3, 5))
+    phi_exp[:, :, [1, 3]] = 0.0  # deaths 1 and 3 sum to exactly 0
+    _draw_cells(derive_rng("lazy"), phi_exp, np.full((3, 2), 1 / 6), np.zeros((4, 5)), log_w)
+    assert asked == [[1, 3]]
 
     # Weights summing to exactly _TINY take the fallback: moving the point
     # below such a total by a multiply can leave it at the total itself.
     tiny = np.finfo(np.float64).tiny
-    built = []
-
-    def log_w():
-        built.append(True)
-        return np.array([0.0, -np.inf])
-
+    asked.clear()
     cell = _draw_cells(derive_rng("tiny"), np.ones((1, 2, 1)), np.array([[tiny], [0.0]]),
-                       np.zeros((3, 1)), np.zeros((1, 2)), log_w)
-    h = _draw_domains(derive_rng("tiny"), np.ones((2, 1)), np.array([[tiny], [0.0]]),
-                      np.zeros((1, 2)), log_w)
-    assert len(built) == 2 and cell.tolist() == h.tolist() == [0]
+                       np.zeros((3, 1)), lambda rows: asked.append(rows.tolist())
+                       or np.array([[0.0, -np.inf]]))
+    assert asked == [[0]] and cell.tolist() == [0]
 
 
 def _posterior(pi, lam):

@@ -233,6 +233,16 @@ def test_summary_bytes_match_the_two_dump_reference(kwargs):
     assert summary_bytes(s) == summary_bytes_reference(s)
 
 
+@pytest.mark.parametrize("field", ["nu_bar", "theta_bar"])
+def test_summary_bytes_refuses_nan_in_a_present_cause(field):
+    s = trained()
+    value = getattr(s, field).copy()
+    value[1, 0] = np.nan
+    bad = replace(s, **{field: value})
+    with pytest.raises(InvalidSummary, match=rf"{field}\[1\]"):
+        summary_bytes(bad)
+
+
 def _exported(tmp_path, **kwargs):
     s = trained(**kwargs)
     path = tmp_path / "s.summary.json"

@@ -102,6 +102,16 @@ def test_mild_shift_resamples_to_drawn_prevalences():
         assert yv == t.y[src]
 
 
+@pytest.mark.parametrize("n, f, n_lab", [(60, 0.4, 24), (61, 0.5, 31)])
+def test_mild_shift_splits_at_the_configured_label_fraction(n, f, n_lab):
+    """The labeled part is f * n rounded half up and the rest stay unlabeled,
+    so the resampled target keeps n deaths even where (1 - f) * n is a tie."""
+    ds = make_scenario(full_target(n=n), "mild_shift", seed=2, label_fraction=f).dataset
+    assert ds.n == n
+    assert np.all(ds.y[:n_lab] != UNLABELED)
+    assert np.all(ds.y[n_lab:] == UNLABELED)
+
+
 def test_mild_shift_replica_ids_are_unique():
     t = full_target(n=40)
     ds = make_scenario(t, "mild_shift", seed=9).dataset
