@@ -25,10 +25,10 @@ from .data import (
     load_dataset,
     load_symptom_dictionary,
 )
-from .ensemble import build_phi, run_variant
+from .ensemble import LOCAL_VARIANTS, build_phi, local_rows, run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
 from .exchange import import_summary, summary_bytes
-from .lcm import train_lcm
+from .lcm import train_lcm, train_local
 from .lodo import ExperimentReport, run_lodo
 from .reports import (
     calibration_text,
@@ -128,11 +128,12 @@ def _run_ensemble(cfg: RunConfig, variant_override: str | None):
     ens_cfg = cfg.ensemble
     if variant_override:
         ens_cfg = replace(ens_cfg, variant=variant_override)
-    post, cls, csmf = run_variant(
-        target, build_phi(sources, target), ens_cfg,
-        local_hyper=cfg.base_model,
-        workers=cfg.workers,
-    )
+    phi = build_phi(sources, target)
+    local = None
+    if ens_cfg.variant in LOCAL_VARIANTS:
+        local = train_local(target, local_rows(target, ens_cfg), cfg.base_model, cfg.gibbs,
+                            ens_cfg.seed, cfg.min_count)
+    post, cls, csmf = run_variant(target, phi, ens_cfg, local, workers=cfg.workers)
     return cl, post, cls, csmf
 
 

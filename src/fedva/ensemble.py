@@ -17,8 +17,10 @@ would read it.
 
 `build_phi` assembles the federation: it scores each source summary on the
 target's deaths into one `PhiTensor`, whose columns it names by source
-(`domain_ids`). Every fit reads that tensor alone; `run_variant` appends
-the local model's column.
+(`domain_ids`). Every fit reads that tensor alone. Under the domain and
+mix variants `run_variant` appends one more column, the target-local model,
+which the caller trains (`lcm.train_local`) on the labeled deaths that
+`local_rows` picks; this module trains no model.
 
 Labels are None or one vector over the tensor's rows, in row order, with
 UNLABELED where the cause is unknown (as in `Dataset.y`), so labeled and
@@ -76,12 +78,12 @@ from .errors import (
     IncompletePhi,
     InsufficientLocalLabels,
     InvalidHyper,
+    LocalModelMismatch,
     NotASimplex,
 )
-from .lcm import BaseModelSummary, GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from .lcm import BaseModelSummary, GibbsConfig, cond_loglik_matrix
 from .utils import (
     derive_rng,
-    derive_seed,
     gumbel_argmax,
     inverse_cdf,
     log_dirichlet,
@@ -91,6 +93,7 @@ from .utils import (
 )
 
 VARIANTS = ("plain", "partial", "domain", "mix")
+LOCAL_VARIANTS = ("domain", "mix")  # the variants that add a target-local model
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -589,61 +592,73 @@ def adjust_csmf(pi_hat: np.ndarray, n0: int, heldout_counts: np.ndarray) -> np.n
     return ((n0 - n_h) / n0) * pi_hat + heldout / n0
 
 
+def local_rows(target: Dataset, cfg: EnsembleConfig) -> np.ndarray:
+    """Target positions, in order, of the labeled deaths that train the local model.
+
+    Every labeled death under domain, a seeded `mix_split_fraction` of them
+    under mix (keyed by the target and cfg.seed), none under plain and
+    partial. domain and mix need at least 2·C labeled deaths.
+    """
+    labeled_idx = np.flatnonzero(target.labeled_mask)
+    n_L = labeled_idx.shape[0]
+    if cfg.variant not in LOCAL_VARIANTS:
+        return labeled_idx[:0]
+    C = len(target.cause_list)
+    if n_L < 2 * C:
+        raise InsufficientLocalLabels(
+            f"variant {cfg.variant!r} needs at least {2 * C} labeled deaths, got {n_L}"
+        )
+    if cfg.variant == "domain":
+        return labeled_idx
+    rng = derive_rng("mix-split", target.domain_id, cfg.seed)
+    n_local = round_half_up(cfg.mix_split_fraction * n_L)
+    if n_local == 0 or n_local == n_L:
+        raise InsufficientLocalLabels("mix split left one part empty")
+    return np.sort(labeled_idx[rng.permutation(n_L)[:n_local]])
+
+
 def run_variant(target: Dataset, phi: PhiTensor, cfg: EnsembleConfig,
-                local_hyper: LcmHyper | None = None,
+                local: BaseModelSummary | None = None,
                 workers: int = 1) -> tuple[GlobalPosterior, Classification, np.ndarray]:
     """Fit one fine-tuning variant on a partially labeled target.
 
     `phi` holds the sources' likelihoods of the target's deaths in target
-    order (`build_phi`), scored by the caller. The fit reads its rows in
-    target order, less the labeled deaths that train a local model (all of
-    them under domain, a seeded part under mix), with `target.y` at those
-    rows as its labels (none under plain). Only that local model is scored
-    here, its column appended under its domain id `<target>-local`; plain
-    and partial fit `phi` itself. Returns the posterior, a classification of
-    every target death (known labels become one-hot rows except under plain,
-    which ignores labels; only the other rows are classified), and the CSMF
-    estimate. When tie_pi holds, the estimate refers to the full target and
-    blends in held-out label counts; otherwise it is the CSMF of the
-    unlabeled deaths the sampler saw.
+    order (`build_phi`), scored by the caller. Under domain and mix, `local`
+    is the target-local model, which the caller trains on the deaths at
+    `local_rows(target, cfg)` (`lcm.train_local`); only it is scored here,
+    its column appended under its domain id `<target>-local`, and the fit
+    reads the other rows. plain and partial fit `phi` itself and take no
+    local model. The fit's labels are `target.y` at its rows (none under
+    plain). Returns the posterior, a classification of every target death
+    (known labels become one-hot rows except under plain, which ignores
+    labels; only the other rows are classified), and the CSMF estimate.
+    When tie_pi holds, the estimate refers to the full target and blends in
+    the local rows' label counts; otherwise it is the CSMF of the unlabeled
+    deaths the sampler saw.
     """
     cfg.validate()
     if phi.death_ids != target.death_ids:
         raise DimensionMismatch("phi must hold the target's deaths in target order")
     C = len(target.cause_list)
     labeled_idx = np.flatnonzero(target.labeled_mask)
-    n_L = labeled_idx.shape[0]
 
-    labels = None if cfg.variant == "plain" else target.y
-    fit_rows = np.arange(target.n)
-    heldout_idx = np.array([], dtype=np.int64)
-    if cfg.variant in ("domain", "mix"):
-        if n_L < 2 * C:
-            raise InsufficientLocalLabels(
-                f"variant {cfg.variant!r} needs at least {2 * C} labeled deaths, got {n_L}"
-            )
-        if cfg.variant == "domain":
-            heldout_idx = labeled_idx
-        else:
-            rng = derive_rng("mix-split", target.domain_id, cfg.seed)
-            n_local = round_half_up(cfg.mix_split_fraction * n_L)
-            if n_local == 0 or n_local == n_L:
-                raise InsufficientLocalLabels("mix split left one part empty")
-            heldout_idx = np.sort(labeled_idx[rng.permutation(n_L)[:n_local]])
-        local_data = target.subset(heldout_idx, domain_id=f"{target.domain_id}-local")
-        local = train_lcm(local_data, local_hyper or LcmHyper(), GibbsConfig(
-            iterations=cfg.iterations, burn_in=cfg.burn_in, thin=cfg.thin,
-            seed=derive_seed("local-model", target.domain_id, cfg.seed),
-        ))
-        fit_rows = np.delete(fit_rows, heldout_idx)
-        local_log_phi = cond_loglik_matrix(local, target.x[fit_rows])[:, :, None]
+    heldout_idx = local_rows(target, cfg)
+    heldout_counts = np.bincount(target.y[heldout_idx], minlength=C)
+    if local is None and cfg.variant in LOCAL_VARIANTS:
+        raise LocalModelMismatch(f"variant {cfg.variant!r} needs the target-local model")
+    if local is not None and not np.array_equal(local.n_by_cause, heldout_counts):
+        raise LocalModelMismatch(
+            f"local model {local.domain_id!r} was not trained on the rows local_rows picks")
+    fit_rows = np.delete(np.arange(target.n), heldout_idx)
+    labels = None if cfg.variant == "plain" else target.y[fit_rows]
+    if local is not None:
+        own = build_phi([local], target.subset(fit_rows))
         phi = PhiTensor(
-            log_phi=np.concatenate([phi.log_phi[fit_rows], local_log_phi], axis=2),
-            present=np.concatenate([phi.present, local.present[:, None]], axis=1),
-            death_ids=tuple(target.death_ids[i] for i in fit_rows),
-            domain_ids=phi.domain_ids + (local.domain_id,),
+            log_phi=np.concatenate([phi.log_phi[fit_rows], own.log_phi], axis=2),
+            present=np.concatenate([phi.present, own.present], axis=1),
+            death_ids=own.death_ids,
+            domain_ids=phi.domain_ids + own.domain_ids,
         )
-        labels = target.y[fit_rows]
     post = fit_global(phi, labels, cfg, workers=workers)
 
     probs = np.zeros((target.n, C))
@@ -657,9 +672,5 @@ def run_variant(target: Dataset, phi: PhiTensor, cfg: EnsembleConfig,
     classification = Classification(probs=probs, top=top, death_ids=target.death_ids)
 
     pi_mean = post.pi_mean()
-    if cfg.tie_pi:
-        heldout_counts = np.bincount(target.y[heldout_idx], minlength=C).astype(np.int64)
-        csmf = adjust_csmf(pi_mean, target.n, heldout_counts)
-    else:
-        csmf = pi_mean
+    csmf = adjust_csmf(pi_mean, target.n, heldout_counts) if cfg.tie_pi else pi_mean
     return post, classification, csmf

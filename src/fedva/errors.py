@@ -85,6 +85,10 @@ class InsufficientLocalLabels(FedvaError):
     """Too few labeled deaths to train a local base model."""
 
 
+class LocalModelMismatch(FedvaError):
+    """A target-local model is missing, or not trained on the rows local_rows picks."""
+
+
 class CountOverflow(FedvaError):
     """Held-out counts exceed the target size in the finite-sample adjustment."""
 

@@ -15,7 +15,7 @@ summary format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -28,7 +28,7 @@ from .errors import (
     InvalidSummary,
     NotFullyLabeled,
 )
-from .utils import derive_rng, inverse_cdf, running_sums
+from .utils import derive_rng, derive_seed, inverse_cdf, running_sums
 
 from . import TOOL_VERSION
 
@@ -390,6 +390,19 @@ def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
     )
     summary.validate()
     return summary
+
+
+def train_local(target: Dataset, rows: np.ndarray, hyper: LcmHyper, cfg: GibbsConfig,
+                ens_seed: int, min_count: int = 1) -> BaseModelSummary:
+    """The target-local model: the target's deaths at `rows`, trained as a site is.
+
+    It takes the site settings (`hyper`, the gibbs block `cfg`, `min_count`),
+    domain id `<target>-local` and a seed keyed by the target and the
+    ensemble seed `ens_seed`. `ensemble.local_rows` picks the rows.
+    """
+    return train_lcm(target.subset(rows, domain_id=f"{target.domain_id}-local"), hyper,
+                     replace(cfg, seed=derive_seed("local-model", target.domain_id, ens_seed)),
+                     min_count=min_count)
 
 
 def cond_loglik_matrix(s: BaseModelSummary, x: np.ndarray) -> np.ndarray:

@@ -15,13 +15,19 @@ via the finite-sample adjustment); under mild_shift / severe_shift the
 estimand is the CSMF of the unlabeled subset and no blending happens.
 Classification metrics always cover unlabeled deaths only.
 
-Methods: bfl-plain, bfl-partial, bfl-domain, bfl-mix, local-self (a model
-trained on the target's labeled subset alone), local-avg (every training
-model applied singly; the report carries one local-one:<domain> row per
-model plus their metric mean), calib-0.5 and calib-50 (the calibration
-baseline under weak and strong shrinkage). Each cell runs the requested
-methods in this order, so its rows and skipped cells follow it whatever
-order `methods` lists them in; a method listed twice is an error.
+Methods: bfl-plain, bfl-partial, bfl-domain, bfl-mix, local-self (the
+target-local model applied alone), local-avg (every training model applied
+singly; the report carries one local-one:<domain> row per model plus their
+metric mean), calib-0.5 and calib-50 (the calibration baseline under weak
+and strong shrinkage). Each cell runs the requested methods in this order,
+so its rows and skipped cells follow it whatever order `methods` lists them
+in; a method listed twice is an error.
+
+The target-local model (`lcm.train_local`, trained as a site is) is trained
+once per cell on every labeled death, and local-self and bfl-domain both
+read it; bfl-mix trains its own on its seeded part (`ensemble.local_rows`).
+The first of bfl-domain and local-self to run trains the shared model, so
+its `runtime_s` includes that training.
 
 A cell's sources are the other domains' summaries, a plain list. Repeated
 domain ids are refused before anything trains, and a fold whose sources
@@ -49,8 +55,8 @@ import numpy as np
 
 from .calibration import CalibConfig, build_predictions, fit_calibration
 from .data import cause_counts, split_labels
-from .ensemble import (EnsembleConfig, adjust_csmf, build_phi, distinct_ids, fit_single_model,
-                       run_variant)
+from .ensemble import (LOCAL_VARIANTS, EnsembleConfig, adjust_csmf, build_phi, distinct_ids,
+                       fit_single_model, local_rows, run_variant)
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
 from .errors import (
@@ -60,7 +66,7 @@ from .errors import (
     FingerprintMismatch,
     InsufficientLocalLabels,
 )
-from .lcm import GibbsConfig, LcmHyper, train_lcm
+from .lcm import GibbsConfig, LcmHyper, train_lcm, train_local
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from .scenarios import make_scenario
 from .utils import derive_seed, parallel_map
@@ -202,7 +208,7 @@ def _result_row(cells: list, where: str) -> MethodResult:
 
 
 def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
-              ens_cfg, calib_cfg, lcm_hyper, lcm_cfg):
+              ens_cfg, calib_cfg, lcm_hyper, lcm_cfg, min_count):
     """The requested methods for one (target domain, seed) cell, in report order."""
     C = len(target.cause_list)
     requested = [m for m in KNOWN_METHODS if m in methods]
@@ -255,6 +261,17 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
             return adjust_csmf(pi_est, masked.n, labeled_counts)
         return pi_est
 
+    local_models = {}
+
+    def local_model(rows):
+        # local-self and bfl-domain read the one model of every labeled death;
+        # the first of them to run trains it, and its runtime_s pays for that
+        key = rows.tobytes()
+        if key not in local_models:
+            local_models[key] = train_local(masked, rows, lcm_hyper, lcm_cfg, cell_cfg.seed,
+                                            min_count)
+        return local_models[key]
+
     def single(unlabeled_phi, m, method, started):
         pi, probs = fit_single_model(unlabeled_phi, m, cell_cfg)
         return finish(method, adjusted(pi), np.argmax(probs, axis=1), started)
@@ -266,16 +283,14 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
         try:
             if method in BFL_METHODS:
                 cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
-                _, cls, csmf = run_variant(masked, phi, cfg, local_hyper=lcm_hyper)
+                local = (local_model(local_rows(masked, cfg))
+                         if cfg.variant in LOCAL_VARIANTS else None)
+                _, cls, csmf = run_variant(masked, phi, cfg, local)
                 finish(method, csmf, cls.top[unlabeled_pos], started)
             elif method == "local-self":
                 if labeled_pos.size == 0:
                     raise InsufficientLocalLabels("no labeled deaths to train on")
-                local = train_lcm(
-                    masked.subset(labeled_pos, domain_id=f"{target.domain_id}-self"),
-                    lcm_hyper,
-                    replace(lcm_cfg, seed=derive_seed("lodo-self", target.domain_id, seed)),
-                )
+                local = local_model(labeled_pos)
                 single(build_phi([local], masked.subset(unlabeled_pos)), 0, method, started)
             elif method == "local-avg":
                 # one local-one:<id> row per training model, then their mean
@@ -374,7 +389,7 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
 
     cell = partial(_run_cell, methods=methods, scenario_kind=scenario_kind,
                    label_fraction=label_fraction, ens_cfg=ens_cfg, calib_cfg=calib_cfg,
-                   lcm_hyper=lcm_hyper, lcm_cfg=lcm_cfg)
+                   lcm_hyper=lcm_hyper, lcm_cfg=lcm_cfg, min_count=min_count)
     results = parallel_map(cell, cell_sources, targets, cell_seeds, workers=workers)
 
     rows: list[MethodResult] = []

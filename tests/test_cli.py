@@ -17,7 +17,9 @@ from fedva.data import (
     load_symptom_dictionary,
     write_dataset,
 )
-from fedva.utils import canonical_json, sha256_hex
+from fedva.ensemble import EnsembleConfig, local_rows
+from fedva.lcm import train_lcm
+from fedva.utils import canonical_json, derive_seed, sha256_hex
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -198,6 +200,40 @@ def test_each_source_summary_is_scored_once_per_command(ws, tmp_path, monkeypatc
     scored.clear()
     assert run_cli("calibrate", "--config", ws["cfg"], "--out", tmp_path / "cal") == 0
     assert scored == [("domain_1", 30), ("domain_2", 30)]
+
+
+@pytest.mark.parametrize("variant", ["domain", "mix"])
+def test_local_model_trains_under_the_gibbs_block_and_min_count(ws, tmp_path, monkeypatch,
+                                                                variant):
+    """ensemble and classify train the target-local model once, under
+    base_model, gibbs and min_count, at the local-model seed of the ensemble
+    seed, on the labeled deaths that local_rows picks."""
+    calls = []
+
+    def spy(data, hyper, cfg, min_count=1):
+        calls.append((data, hyper, cfg, min_count))
+        return train_lcm(data, hyper, cfg, min_count)
+
+    monkeypatch.setattr(lcm, "train_lcm", spy)
+    cfg = dict(ws["cfg_dict"], base_model={"K": 1, "min_count": 2},
+               gibbs={"iterations": 90, "burn_in": 30, "thin": 3, "seed": 3})
+    p = tmp_path / "local.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    target = load_dataset(cfg["paths"]["datasets"]["target"],
+                          load_cause_list(ws["sim"] / "cause_list.txt"),
+                          load_symptom_dictionary(ws["sim"] / "symptom_dict.txt"),
+                          domain_id="target")
+    rows = local_rows(target, EnsembleConfig(variant=variant, seed=4))
+    for command in ("ensemble", "classify"):
+        calls.clear()
+        assert run_cli(command, "--config", p, "--variant", variant,
+                       "--out", tmp_path / command) == 0
+        [(data, hyper, chain, min_count)] = calls
+        assert data.domain_id == "target-local"
+        assert data.death_ids == tuple(target.death_ids[i] for i in rows)
+        assert hyper.K == 1 and min_count == 2
+        assert (chain.iterations, chain.burn_in, chain.thin) == (90, 30, 3)
+        assert chain.seed == derive_seed("local-model", "target", 4)
 
 
 def test_lodo_and_report_round_trip(ws):

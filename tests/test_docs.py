@@ -36,6 +36,10 @@ def test_readme_library_snippet_runs_on_a_small_federation():
     ids = tuple(d.domain_id for d in sim.domains)  # the summaries', one per column
     assert names["phi"].domain_ids == names["post"].domain_ids == ids
     assert names["preds"].domain_ids == names["calibrated"].domain_ids == ids
+    local = f"{target.domain_id}-local"
+    assert names["local"].domain_id == local
+    assert names["post_domain"].domain_ids == ids + (local,)
+    assert abs(float(names["csmf_domain"].sum()) - 1.0) < 1e-9
 
 
 def test_configuration_reference_shows_the_defaults():

@@ -22,6 +22,7 @@ from fedva.ensemble import (
     classify,
     fit_global,
     fit_single_model,
+    local_rows,
     marginal_loglik,
     _draw_cells,
     _split_deaths,
@@ -32,13 +33,15 @@ from fedva.errors import (
     CountOverflow,
     DimensionMismatch,
     DuplicateDomainId,
+    FedvaError,
     IncompletePhi,
     InsufficientLocalLabels,
     InvalidHyper,
     InvalidLabels,
+    LocalModelMismatch,
     NotASimplex,
 )
-from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm, train_local
 from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
 from oracles import classify_reference, draw_cells_reference, fit_reference, log_posterior
 
@@ -397,6 +400,12 @@ def federation(seed=0, n_per=120):
     return summaries, target
 
 
+def local_of(target, cfg, hyper=LcmHyper(K=1)):
+    """The local model at the chain settings of cfg, as run_variant once trained it itself."""
+    chain = GibbsConfig(iterations=cfg.iterations, burn_in=cfg.burn_in, thin=cfg.thin)
+    return train_local(target, local_rows(target, cfg), hyper, chain, cfg.seed)
+
+
 def test_run_variant_requires_coverage():
     sources, target = federation()
     phi = build_phi(sources[:1], target)
@@ -414,8 +423,8 @@ def test_run_variant_requires_coverage():
         run_variant(target, phi2, cfg)
     assert "trauma" in str(ei.value) or "2" in str(ei.value)
     # a local model trained on the target's labels can complete the tensor
-    post, _, _ = run_variant(target, phi2, replace(cfg, variant="domain"),
-                             local_hyper=LcmHyper(K=1))
+    domain = replace(cfg, variant="domain")
+    post, _, _ = run_variant(target, phi2, domain, local=local_of(target, domain))
     assert post.domain_ids == ("partial_dom", "target-local")
 
 
@@ -469,7 +478,7 @@ def test_run_variant_domain_adds_model_and_holds_out():
     sources, target = federation()
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=300, burn_in=150, seed=5)
     post, cls, csmf = run_variant(target, build_phi(sources, target), cfg,
-                                  local_hyper=LcmHyper(K=1))
+                                  local=local_of(target, cfg))
     assert post.lambda_draws.shape[2] == len(sources) + 1
     assert post.domain_ids[-1] == "target-local"
     assert cls.death_ids == target.death_ids
@@ -482,13 +491,13 @@ def test_local_model_column_takes_the_local_name_and_refuses_a_clash(variant):
     sources, target = federation()
     cfg = EnsembleConfig(variant=variant, chains=2, iterations=100, burn_in=50, seed=0)
     phi = build_phi(sources, target)
-    post, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
+    post, _, _ = run_variant(target, phi, cfg, local=local_of(target, cfg))
     assert post.domain_ids == phi.domain_ids + ("target-local",)
     # a source already named <target>-local leaves the local column no distinct name
     clash = replace(sources[1], domain_id="target-local")
     named = build_phi([sources[0], clash], target)
     with pytest.raises(DuplicateDomainId):
-        run_variant(target, named, cfg, local_hyper=LcmHyper(K=1))
+        run_variant(target, named, cfg, local=local_of(target, cfg))
 
 
 def test_run_variant_mix_split_is_seeded_partition():
@@ -496,8 +505,8 @@ def test_run_variant_mix_split_is_seeded_partition():
     cfg = EnsembleConfig(variant="mix", chains=2, iterations=300, burn_in=150,
                          seed=5, mix_split_fraction=0.5)
     phi = build_phi(sources, target)
-    post1, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
-    post2, _, _ = run_variant(target, phi, cfg, local_hyper=LcmHyper(K=1))
+    post1, _, _ = run_variant(target, phi, cfg, local=local_of(target, cfg))
+    post2, _, _ = run_variant(target, phi, cfg, local=local_of(target, cfg))
     assert np.array_equal(post1.pi_draws, post2.pi_draws)
     assert post1.lambda_draws.shape[2] == len(sources) + 1
 
@@ -507,9 +516,46 @@ def test_run_variant_guards_small_label_sets():
     few = target.subset(np.arange(5))  # 5 < 2 * C
     cfg = EnsembleConfig(variant="domain", chains=2, iterations=100, burn_in=50, seed=0)
     with pytest.raises(InsufficientLocalLabels):
-        run_variant(few, build_phi(sources, few), cfg, local_hyper=LcmHyper(K=1))
+        run_variant(few, build_phi(sources, few), cfg)
     with pytest.raises(InvalidHyper):
         EnsembleConfig(variant="nope").validate()
+
+
+@pytest.mark.parametrize("variant, other", [("domain", "mix"), ("mix", "domain")])
+def test_run_variant_refuses_a_missing_or_foreign_local_model(variant, other):
+    sources, target = federation()
+    cfg = EnsembleConfig(variant=variant, chains=2, iterations=100, burn_in=50, seed=0)
+    phi = build_phi(sources, target)
+    with pytest.raises(LocalModelMismatch, match="needs the target-local model"):
+        run_variant(target, phi, cfg)
+    assert issubclass(LocalModelMismatch, FedvaError)
+    # the other variant's rows, or a source's, give other cause counts
+    for foreign in (local_of(target, replace(cfg, variant=other)), sources[0]):
+        with pytest.raises(LocalModelMismatch, match="not trained on the rows local_rows picks"):
+            run_variant(target, phi, cfg, local=foreign)
+    for unread in ("plain", "partial"):
+        with pytest.raises(LocalModelMismatch, match="not trained on the rows local_rows picks"):
+            run_variant(target, phi, replace(cfg, variant=unread), local=local_of(target, cfg))
+
+
+def test_local_rows_pick_every_label_under_domain_and_a_seeded_part_under_mix():
+    _, target = federation()
+    y = target.y.copy()
+    y[::3] = UNLABELED  # 40 of 60 labeled, interleaved
+    target = make_dataset("target", target.x, y)
+    labeled = np.flatnonzero(y != UNLABELED)
+    cfg = EnsembleConfig(seed=3, mix_split_fraction=0.3)
+    for variant in ("plain", "partial"):
+        assert local_rows(target, replace(cfg, variant=variant)).size == 0
+    assert np.array_equal(local_rows(target, replace(cfg, variant="domain")), labeled)
+    mix = local_rows(target, replace(cfg, variant="mix"))
+    assert mix.size == 12 and np.all(np.diff(mix) > 0) and np.isin(mix, labeled).all()
+    assert np.array_equal(mix, local_rows(target, replace(cfg, variant="mix")))
+    assert not np.array_equal(mix, local_rows(target, replace(cfg, variant="mix", seed=4)))
+    few = target.subset(labeled[:5])  # 5 < 2 * C
+    for variant in ("domain", "mix"):
+        with pytest.raises(InsufficientLocalLabels):
+            local_rows(few, replace(cfg, variant=variant))
 
 
 def quadrature_instances():

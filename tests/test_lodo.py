@@ -8,8 +8,8 @@ from conftest import make_dataset
 from fedva.calibration import CalibConfig, build_predictions
 from fedva.cli import main
 from fedva.data import CauseList, Dataset
-from fedva.ensemble import EnsembleConfig, build_phi, fit_single_model, run_variant
-from fedva import calibration, ensemble, lodo
+from fedva.ensemble import EnsembleConfig, build_phi, fit_single_model, local_rows, run_variant
+from fedva import calibration, ensemble, lcm, lodo
 from fedva.errors import (
     ConfigError,
     DimensionMismatch,
@@ -18,9 +18,10 @@ from fedva.errors import (
     FedvaError,
     FingerprintMismatch,
 )
-from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm
+from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm, train_local
 from fedva.lodo import KNOWN_METHODS, ExperimentReport, MethodResult, run_lodo
 from fedva.scenarios import make_scenario
+from fedva.utils import derive_seed
 
 THETA = np.array([
     [0.9, 0.8, 0.1, 0.2],
@@ -293,7 +294,7 @@ def _spy_scoring(monkeypatch, events):
 @pytest.mark.parametrize("scenario", ["random_sample", "mild_shift", "severe_shift"])
 def test_each_source_summary_is_scored_once_per_cell(monkeypatch, scenario):
     """All 8 methods of a cell read one build_phi; only models trained in the
-    cell (the -self and -local ones) are scored again."""
+    cell (the -local ones) are scored again."""
     events = []
 
     def spy_scenario(target, *args, **kwargs):
@@ -315,7 +316,7 @@ def test_each_source_summary_is_scored_once_per_cell(monkeypatch, scenario):
         scored = [e[1:] for e in events[start + 1:end]]
         from_sources = sorted(e for e in scored if e[0] in sources)
         assert from_sources == [(s, n) for s in sorted(sources - {target})]
-        assert {d for d, _ in scored} - sources <= {f"{target}-self", f"{target}-local"}
+        assert {d for d, _ in scored} - sources <= {f"{target}-local"}
 
 
 def test_local_self_alone_scores_no_source_summary(monkeypatch):
@@ -323,7 +324,58 @@ def test_local_self_alone_scores_no_source_summary(monkeypatch):
     _spy_scoring(monkeypatch, events)
     rep = run_small(["local-self"], seeds=(0, 1))
     assert len(rep.rows) == 3 * 2 and not rep.skipped
-    assert sorted(d for _, d, _ in events) == sorted([f"dom{d}-self" for d in range(3)] * 2)
+    assert sorted(d for _, d, _ in events) == sorted([f"dom{d}-local" for d in range(3)] * 2)
+
+
+def _spy_training(monkeypatch):
+    """Record (domain id, death ids, chain settings, min_count) of every train_lcm call."""
+    calls = []
+
+    def spy(data, hyper, cfg, min_count=1):
+        calls.append((data.domain_id, data.death_ids, cfg, min_count))
+        return train_lcm(data, hyper, cfg, min_count)
+
+    monkeypatch.setattr(lcm, "train_lcm", spy)
+    monkeypatch.setattr(lodo, "train_lcm", spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_cell_trains_two_local_models_under_the_gibbs_block(monkeypatch):
+    """local-self and bfl-domain share the model of every labeled death and
+    bfl-mix trains its own: 2 local models per cell, each under the gibbs
+    block and min_count, at the local-model seed of the cell's ensemble seed."""
+    calls = _spy_training(monkeypatch)
+    rep = run_lodo(toy_domains(), ["local-self", "bfl-domain", "bfl-mix"], "random_sample",
+                   (0, 1), lcm_hyper=LcmHyper(K=1), lcm_cfg=TINY_LCM, ens_cfg=TINY_ENS,
+                   calib_cfg=TINY_CAL, label_fraction=0.4, min_count=2)
+    assert len(rep.rows) == 3 * 2 * 3 and not rep.skipped
+    assert [c[0] for c in calls[:3]] == ["dom0", "dom1", "dom2"]  # the sources
+    local = calls[3:]
+    assert len(local) == 3 * 2 * 2
+    for d, seed in [(d, seed) for d in range(3) for seed in (0, 1)]:
+        target = f"dom{d}"
+        mine = [c for c in local if c[0] == f"{target}-local"
+                and c[2].seed == derive_seed("local-model", target,
+                                             derive_seed("lodo-cell", target, seed))]
+        assert len(mine) == 2
+        masked = make_scenario(toy_domains()[d], "random_sample", seed, label_fraction=0.4)
+        labeled = masked.dataset.subset(np.flatnonzero(masked.dataset.labeled_mask))
+        assert mine[0][1] == labeled.death_ids  # bfl-domain's, which local-self reads
+        assert set(mine[1][1]) < set(labeled.death_ids)  # bfl-mix's part
+    for _, _, cfg, min_count in local:
+        assert (cfg.iterations, cfg.burn_in, cfg.thin) == (80, 40, 1) and min_count == 2
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_local_self_runs_when_too_few_labels_skip_bfl_domain(monkeypatch):
+    calls = _spy_training(monkeypatch)
+    # 45 deaths at fraction 0.1 label 5, fewer than 2 * C = 6
+    rep = run_small(["bfl-domain", "local-self"], label_fraction=0.1)
+    assert [r.method for r in rep.rows] == ["local-self"] * 3
+    assert [s.method for s in rep.skipped] == ["bfl-domain"] * 3
+    assert all("InsufficientLocalLabels" in s.reason for s in rep.skipped)
+    assert [(c[0], len(c[1])) for c in calls[3:]] == [(f"dom{d}-local", 5) for d in range(3)]
 
 
 def _cell(scenario, seed=3):
@@ -347,8 +399,8 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
     seen = {}
     real_fit = ensemble.fit_global
 
-    def spy_train(data, hyper, cfg):
-        seen["local"] = train_lcm(data, hyper, cfg)
+    def spy_train(data, hyper, cfg, min_count=1):
+        seen["local"] = train_lcm(data, hyper, cfg, min_count)
         seen["local_ids"] = data.death_ids
         return seen["local"]
 
@@ -361,11 +413,15 @@ def test_run_variant_fits_rows_of_the_callers_phi(monkeypatch, scenario, variant
         return real_classify(phi, post)
 
     real_classify = ensemble.classify
-    monkeypatch.setattr(ensemble, "train_lcm", spy_train)
+    monkeypatch.setattr(lcm, "train_lcm", spy_train)
     monkeypatch.setattr(ensemble, "fit_global", spy_fit)
     monkeypatch.setattr(ensemble, "classify", spy_classify)
     callers_phi = build_phi(sources, masked)
-    post, cls, _ = run_variant(masked, callers_phi, cfg, local_hyper=LcmHyper(K=1))
+    local = None
+    if variant in ("domain", "mix"):
+        chain = GibbsConfig(iterations=cfg.iterations, burn_in=cfg.burn_in, thin=cfg.thin)
+        local = train_local(masked, local_rows(masked, cfg), LcmHyper(K=1), chain, cfg.seed)
+    post, cls, _ = run_variant(masked, callers_phi, cfg, local)
     phi = seen["phi"]
     where = {d: i for i, d in enumerate(masked.death_ids)}
     fit_idx = np.array([where[d] for d in phi.death_ids])
