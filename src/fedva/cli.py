@@ -214,17 +214,18 @@ def cmd_lodo(cfg: RunConfig, args) -> None:
         workers=cfg.workers,
         min_count=cfg.min_count,
     )
+    summary = report.summary_text()
     _write_outputs(cfg, "lodo", {
         "lodo_results.csv": report.to_csv_text(),
-        "lodo_summary.txt": report.summary_text(),
+        "lodo_summary.txt": summary,
     })
-    print(report.summary_text(), file=sys.stderr)
+    print(summary, file=sys.stderr)
 
 
 def cmd_report(cfg: RunConfig, args) -> None:
-    report = ExperimentReport.from_csv(args.results)
-    _write_outputs(cfg, "report", {"lodo_summary.txt": report.summary_text()})
-    print(report.summary_text(), file=sys.stderr)
+    summary = ExperimentReport.from_csv(args.results).summary_text()
+    _write_outputs(cfg, "report", {"lodo_summary.txt": summary})
+    print(summary, file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -58,6 +58,10 @@ keeps weight exactly 1 there. The default lambda prior is a symmetric
 Dirichlet (fully conjugate, all rows drawn in one batched call); a
 logistic-normal prior over row log-weights is available via random-walk
 Metropolis-within-Gibbs, one batched step in which each row is accepted alone.
+
+`marginal_loglik` scores (pi, lambda) exactly, latent cells summed out by
+the numpy `utils.logsumexp`; no fit or output reads it, and the module
+imports no scipy.
 """
 from __future__ import annotations
 
@@ -66,7 +70,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import UNLABELED, Dataset, split_labels
 from .errors import (
@@ -87,6 +90,7 @@ from .utils import (
     gumbel_argmax,
     inverse_cdf,
     log_dirichlet,
+    logsumexp,
     parallel_map,
     round_half_up,
     running_sums,
@@ -273,10 +277,10 @@ def marginal_loglik(phi: PhiTensor, pi: np.ndarray, lam: np.ndarray,
     total = 0.0
     if unlabeled.size:
         w = phi.log_phi[unlabeled] + log_pi[None, :, None] + log_lam[None, :, :]
-        total += float(logsumexp(w.reshape(unlabeled.size, -1), axis=1).sum())
+        total += float(logsumexp(w.reshape(unlabeled.size, -1)).sum())
     if labeled.size:
         w = phi.log_phi[labeled, y, :] + log_lam[y, :]
-        total += float((logsumexp(w, axis=1) + log_pi[y]).sum())
+        total += float((logsumexp(w) + log_pi[y]).sum())
     return total
 
 

@@ -5,7 +5,9 @@ independent Bernoulli profiles: Z | Y=c ~ Cat(nu_c) and
 X_j | Y=c, Z=k ~ Bern(theta_ckj). Mixture weights get a truncated
 stick-breaking prior, profiles get Beta priors (optionally spike-and-slab
 with a per-cause shared base rate). Training is fully supervised: every
-record must carry a cause label.
+record must carry a cause label. The spike-and-slab path loads scipy's
+`expit` when it trains; importing the module, and the plain path, need numpy
+alone.
 
 Only posterior means of (nu, theta) plus cause presence flags leave this
 module. The training-domain cause distribution pi_m is not sampled: the
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .data import UNLABELED, Dataset, SymptomValue, cause_counts
 from .errors import (
@@ -263,6 +264,8 @@ def _gibbs_means(rng: np.random.Generator, obs: list[np.ndarray], rec_cause: np.
 
     nu = np.ones((T, K))
     if hyper.sparse:
+        from scipy.special import expit
+
         yes_k, no_k = cnt[..., :p], cnt[..., p:]
         slab = np.full((T, K, p), 0.5)
         mu = np.full((T, p), 0.5)

@@ -3,6 +3,10 @@
 All randomness in the package flows through `derive_rng`, which maps a tuple of
 labels/integers to an independent, reproducible generator. Nothing reads the
 wall clock or OS entropy.
+
+Importing this module loads numpy and the standard library only:
+`log_dirichlet_pdf` imports scipy's `gammaln` when it runs, and `parallel_map`
+loads the process pool only when it starts one.
 """
 from __future__ import annotations
 
@@ -10,10 +14,8 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "sha256_hex",
@@ -26,6 +28,7 @@ __all__ = [
     "inverse_cdf",
     "log_dirichlet",
     "log_dirichlet_pdf",
+    "logsumexp",
     "is_simplex",
     "largest_remainder_counts",
     "round_half_up",
@@ -132,7 +135,7 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
     u = 1.0 - rng.random(size=alpha.shape)  # strictly in (0, 1]
     log_g = np.where(small, log_g + np.log(u) / np.maximum(alpha, 1e-300), log_g)
     log_g = np.where(alpha > 0, log_g, -np.inf)
-    norm = _logsumexp_last(log_g)
+    norm = logsumexp(log_g)
     log_x = log_g - norm[..., None]
     return np.exp(log_x), log_x
 
@@ -144,6 +147,8 @@ def log_dirichlet_pdf(logx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     to 0 (see `log_dirichlet`). The two arguments broadcast against each
     other; every concentration must be positive.
     """
+    from scipy.special import gammaln
+
     alpha = np.asarray(alpha, dtype=np.float64)
     return (
         ((alpha - 1.0) * logx).sum(axis=-1)
@@ -152,9 +157,18 @@ def log_dirichlet_pdf(logx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     )
 
 
-def _logsumexp_last(a: np.ndarray) -> np.ndarray:
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along the last axis, shifted by each row's maximum.
+
+    A row whose maximum is not finite is shifted by 0 instead, so an all -inf
+    row gives -inf without a warning, as scipy's `logsumexp` does.
+    """
     m = np.max(a, axis=-1)
-    return m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
+    if np.isfinite(m).all():
+        return m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
 
 
 def is_simplex(v: np.ndarray, tol: float = 1e-8) -> bool:
@@ -212,6 +226,8 @@ def parallel_map(fn, *iterables, workers: int = 1) -> list:
     columns = [list(it) for it in iterables]
     processes = min(workers, *map(len, columns))
     if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return list(pool.map(fn, *columns))
     return list(map(fn, *columns))

@@ -19,6 +19,7 @@ from fedva.data import (
 )
 from fedva.ensemble import EnsembleConfig, local_rows
 from fedva.lcm import train_lcm
+from fedva.lodo import ExperimentReport
 from fedva.utils import canonical_json, derive_seed, sha256_hex
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -236,16 +237,21 @@ def test_local_model_trains_under_the_gibbs_block_and_min_count(ws, tmp_path, mo
         assert chain.seed == derive_seed("local-model", "target", 4)
 
 
-def test_lodo_and_report_round_trip(ws):
-    # lodo folds over every dataset entry, so it gets its own config that
-    # lists only the fully labeled training domains
+def lodo_config(ws, name):
+    """lodo folds over every dataset entry, so it gets its own config that
+    lists only the fully labeled training domains."""
     cfg = dict(ws["cfg_dict"])
     cfg["paths"] = dict(cfg["paths"])
     cfg["paths"]["datasets"] = {
         k: v for k, v in cfg["paths"]["datasets"].items() if k != "target"
     }
-    cfg_path = ws["root"] / "lodo.yaml"
+    cfg_path = ws["root"] / name
     cfg_path.write_text(yaml.safe_dump(cfg))
+    return cfg_path
+
+
+def test_lodo_and_report_round_trip(ws):
+    cfg_path = lodo_config(ws, "lodo.yaml")
     out = ws["root"] / "out_lodo"
     assert run_cli("lodo", "--config", cfg_path, "--out", out) == 0
     man = check_manifest(out, "lodo")
@@ -258,6 +264,27 @@ def test_lodo_and_report_round_trip(ws):
     assert run_cli("report", out / "lodo_results.csv", "--out", rep_out) == 0
     check_manifest(rep_out, "report")
     assert read(rep_out / "lodo_summary.txt") == read(out / "lodo_summary.txt")
+
+
+def test_lodo_and_report_render_the_summary_once(ws, monkeypatch, capsys):
+    """Each command renders lodo_summary.txt once and prints that text to stderr."""
+    calls = []
+    render = ExperimentReport.summary_text
+
+    def spy(report):
+        calls.append(report)
+        return render(report)
+
+    monkeypatch.setattr(ExperimentReport, "summary_text", spy)
+    out = ws["root"] / "out_lodo_once"
+    for argv in (("lodo", "--config", lodo_config(ws, "lodo_once.yaml"), "--out", out),
+                 ("report", out / "lodo_results.csv", "--out", out / "report")):
+        capsys.readouterr()
+        calls.clear()
+        assert run_cli(*argv) == 0
+        assert len(calls) == 1
+        summary = read(os.path.join(argv[-1], "lodo_summary.txt")).decode()
+        assert capsys.readouterr().err == summary + "\n"  # print's line end
 
 
 def test_export_is_canonical_and_detects_tampering(ws):

@@ -381,6 +381,16 @@ def test_k1_stream_is_pinned(hyper, digest):
     assert hashlib.sha256(summary_bytes(s)).hexdigest() == digest
 
 
+def test_k3_sparse_stream_is_pinned():
+    """The spike-and-slab path at K>1 keeps its exact bytes, its inclusion
+    probabilities (scipy's `expit`) and class draws included."""
+    ds = grouped_dataset((40, 25, 3), p=12, seed=11)
+    s = train_lcm(ds, LcmHyper(K=3, sparse=True),
+                  GibbsConfig(iterations=60, burn_in=20, thin=2, seed=5))
+    assert (hashlib.sha256(summary_bytes(s)).hexdigest()
+            == "a53aa8cc7332dcbb1c193465ee13f8f5074d53c9a1a6bae680cd1b49065f2992")
+
+
 def first_sweep(sizes, p, hyper, seed):
     """theta of one `_gibbs_means` iteration and the class counts it drew from.
 

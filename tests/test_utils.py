@@ -18,6 +18,7 @@ from fedva.utils import (
     largest_remainder_counts,
     log_dirichlet,
     log_dirichlet_pdf,
+    logsumexp,
     round_half_up,
     sha256_hex,
 )
@@ -165,6 +166,28 @@ def test_log_dirichlet_pdf_matches_scipy_and_broadcasts():
     assert np.allclose(got, want, rtol=1e-12)
     # finite where the linear value underflows to 0
     assert np.isfinite(log_dirichlet_pdf(np.array([-1e8, 0.0]), np.array([1e-7, 1.0])))
+
+
+def test_logsumexp_matches_scipy_on_finite_and_partly_infinite_rows():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(3)
+    a = rng.normal(scale=300.0, size=(50, 7))
+    np.testing.assert_allclose(logsumexp(a), scipy_logsumexp(a, axis=-1), rtol=1e-12, atol=1e-12)
+    a[rng.random(a.shape) < 0.5] = -np.inf
+    a[np.arange(50), rng.integers(0, 7, 50)] = rng.normal(size=50)  # one finite cell per row
+    np.testing.assert_allclose(logsumexp(a), scipy_logsumexp(a, axis=-1), rtol=1e-12, atol=1e-12)
+    row = a[0]
+    assert logsumexp(row) == pytest.approx(scipy_logsumexp(row), rel=1e-12, abs=1e-12)
+
+
+def test_logsumexp_of_an_all_minus_inf_row_is_minus_inf_without_a_warning():
+    """The suite turns every RuntimeWarning into an error, so none may fire."""
+    a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, np.log(3.0)]])
+    got = logsumexp(a)
+    assert got[0] == -np.inf
+    assert got[1] == pytest.approx(np.log(4.0), rel=1e-15)
+    assert logsumexp(a[0]) == -np.inf
 
 
 def test_is_simplex():
