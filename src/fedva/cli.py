@@ -26,13 +26,14 @@ from .data import (
     load_symptom_dictionary,
 )
 from .ensemble import LOCAL_VARIANTS, build_phi, local_rows, run_variant
-from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper
+from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper, InvalidSummary
 from .exchange import import_summary, summary_bytes
 from .lcm import train_lcm, train_local
 from .lodo import ExperimentReport, run_lodo
 from .reports import (
     calibration_text,
     classification_csv,
+    csmf_csv,
     lambda_matrix_csv,
     pi_table_csv,
     posterior_text,
@@ -114,7 +115,12 @@ def cmd_export(cfg: RunConfig, args) -> None:
     summary = import_summary(args.summary, cl, sd)
     name = os.path.basename(args.summary)
     if not name.endswith(".summary.json"):
-        name = f"{summary.domain_id}.summary.json"
+        # the file's own domain id names the copy, so it must not lead out of --out
+        domain_id = summary.domain_id
+        if domain_id in ("", ".", "..") or os.path.basename(domain_id) != domain_id:
+            raise InvalidSummary(f"{args.summary}: domain_id {domain_id!r} is not a plain "
+                                 "file name, so it cannot name the exported copy")
+        name = f"{domain_id}.summary.json"
     _write_outputs(cfg, "export", {name: summary_bytes(summary)})
     print(f"domain_id: {summary.domain_id}", file=sys.stderr)
     print(f"cause_list_fingerprint: {summary.cause_list_fingerprint}", file=sys.stderr)
@@ -140,13 +146,12 @@ def _run_ensemble(cfg: RunConfig, variant_override: str | None):
 def cmd_ensemble(cfg: RunConfig, args) -> None:
     cl, post, cls, csmf = _run_ensemble(cfg, args.variant)
     text = posterior_text(post, cl)
-    csmf_line = "csmf_estimate," + ",".join(repr(float(v)) for v in csmf) + "\n"
     _write_outputs(cfg, "ensemble", {
         "ensemble_pi.csv": pi_table_csv(post.pi_draws, cl),
         "ensemble_lambda.csv": lambda_matrix_csv(post, cl),
         "ensemble_deaths.csv": classification_csv(cls, cl),
         "ensemble_posterior.txt": text,
-        "ensemble_csmf.csv": "cause," + ",".join(cl.causes) + "\n" + csmf_line,
+        "ensemble_csmf.csv": csmf_csv(csmf, cl),
     })
     print(text, file=sys.stderr)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -197,24 +197,16 @@ class Dataset:
 
     def subset(self, indices, domain_id: str | None = None) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
+        return replace(
+            self,
             domain_id=domain_id if domain_id is not None else self.domain_id,
             death_ids=tuple(self.death_ids[i] for i in idx),
             x=self.x[idx],
             y=self.y[idx],
-            cause_list=self.cause_list,
-            symptom_dict=self.symptom_dict,
         )
 
     def without_labels(self) -> "Dataset":
-        return Dataset(
-            domain_id=self.domain_id,
-            death_ids=self.death_ids,
-            x=self.x,
-            y=np.full(self.n, UNLABELED, dtype=np.int32),
-            cause_list=self.cause_list,
-            symptom_dict=self.symptom_dict,
-        )
+        return replace(self, y=np.full(self.n, UNLABELED, dtype=np.int32))
 
 
 def load_dataset(path, cause_list: CauseList, symptom_dict: SymptomDictionary,

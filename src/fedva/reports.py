@@ -1,9 +1,13 @@
 """Report rendering: posterior tables, weight matrices, per-death CSVs.
 
 All float cells use shortest round-trip decimal formatting so identical
-runs emit identical bytes.
+runs emit identical bytes. Name cells (causes, death ids, domain ids) are
+quoted as the csv module's default dialect quotes them, so any id the
+loaders accept reads back as one cell; plain ids are written as they are.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -12,9 +16,22 @@ from .data import CauseList
 from .ensemble import Classification, GlobalPosterior
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _name(cell: str) -> str:
+    """A name cell as csv.writer's default (excel) dialect writes it: quoted,
+    with inner quotes doubled, only if it holds a comma, a quote or a line break."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell) else cell
+
+
+def _header(*names: str) -> str:
+    return ",".join(map(_name, names))
+
+
 def _rows(names, table: np.ndarray) -> list[str]:
     """One CSV line per name: the name, then its row of `table` as repr floats."""
-    return [",".join([name, *map(repr, row)]) for name, row in zip(names, table.tolist())]
+    return [",".join([_name(name), *map(repr, row)]) for name, row in zip(names, table.tolist())]
 
 
 def pi_summary(pi_draws: np.ndarray) -> np.ndarray:
@@ -30,15 +47,22 @@ def pi_table_csv(pi_draws: np.ndarray, cause_list: CauseList) -> str:
 
 def lambda_matrix_csv(post: GlobalPosterior, cause_list: CauseList) -> str:
     """Posterior-mean domain weight per (cause, domain)."""
-    lines = [",".join(["cause", *post.domain_ids]), *_rows(cause_list.causes, post.lambda_mean())]
+    lines = [_header("cause", *post.domain_ids), *_rows(cause_list.causes, post.lambda_mean())]
     return "\n".join(lines) + "\n"
 
 
 def classification_csv(cls: Classification, cause_list: CauseList) -> str:
-    header = ",".join(["death_id", *cause_list.causes, "top_cause"])
-    tops = [cause_list.causes[c] for c in cls.top.tolist()]
-    lines = [header, *(",".join([death_id, *map(repr, row), top])
+    header = _header("death_id", *cause_list.causes, "top_cause")
+    causes = [_name(cause) for cause in cause_list.causes]
+    tops = [causes[c] for c in cls.top.tolist()]
+    lines = [header, *(",".join([_name(death_id), *map(repr, row), top])
                        for death_id, row, top in zip(cls.death_ids, cls.probs.tolist(), tops))]
+    return "\n".join(lines) + "\n"
+
+
+def csmf_csv(csmf: np.ndarray, cause_list: CauseList) -> str:
+    """The CSMF point estimate: a header of causes over one csmf_estimate row."""
+    lines = [_header("cause", *cause_list.causes), *_rows(["csmf_estimate"], np.atleast_2d(csmf))]
     return "\n".join(lines) + "\n"
 
 

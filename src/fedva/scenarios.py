@@ -5,6 +5,12 @@ copy (labels hidden on the unlabeled part) plus a ground-truth ledger. The
 ledger is the only place a masked label survives; methods under evaluation
 see the masked Dataset, metrics see the ledger.
 
+The ledger is read off the masked labels (`data.split_labels`): the rows
+left UNLABELED, in row order, give unlabeled_ids, unlabeled_y (their true
+causes) and unlabeled_csmf; the labeled rows give labeled_csmf; full_csmf
+counts the true cause of every row of the masked Dataset, which for
+mild_shift is the resampled multiset rather than the original target.
+
 Kinds:
   random_sample  -- the labeled part is a uniform without-replacement sample,
                     so labeled and unlabeled share the same expected CSMF.
@@ -19,11 +25,11 @@ Kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import UNLABELED, Dataset
+from .data import UNLABELED, Dataset, split_labels
 from .errors import EmptyCauseForResample, InvalidGenerator, NotFullyLabeled
 from .utils import derive_rng, largest_remainder_counts, round_half_up
 
@@ -63,39 +69,20 @@ def _empirical_csmf(y: np.ndarray, C: int) -> np.ndarray:
     return counts / total if total else counts
 
 
-def _finalize(target: Dataset, kind: str, label_fraction: float, seed: int,
-              dataset: Dataset, labeled_pos: np.ndarray, unlabeled_pos: np.ndarray,
-              true_y: np.ndarray, realized_q=None,
-              realized_pi_pair=None) -> ScenarioRealization:
-    C = len(target.cause_list)
-    scenario = ShiftScenario(
-        kind=kind,
-        label_fraction=label_fraction,
-        seed=seed,
-        realized_q=realized_q,
-        realized_pi_pair=realized_pi_pair,
-    )
+def _realize(scenario: ShiftScenario, dataset: Dataset,
+             true_y: np.ndarray) -> ScenarioRealization:
+    """The scenario with its ledger, read off the masked labels of `dataset`;
+    true_y holds the true cause of each of its rows."""
+    C = len(dataset.cause_list)
+    unlabeled, _, labeled_y = split_labels(dataset.y, dataset.n, C)
     truth = ScenarioTruth(
         full_csmf=_empirical_csmf(true_y, C),
-        labeled_csmf=_empirical_csmf(true_y[labeled_pos], C),
-        unlabeled_csmf=_empirical_csmf(true_y[unlabeled_pos], C),
-        unlabeled_y=true_y[unlabeled_pos].copy(),
-        unlabeled_ids=tuple(dataset.death_ids[i] for i in unlabeled_pos),
+        labeled_csmf=_empirical_csmf(labeled_y, C),
+        unlabeled_csmf=_empirical_csmf(true_y[unlabeled], C),
+        unlabeled_y=true_y[unlabeled],
+        unlabeled_ids=tuple(dataset.death_ids[i] for i in unlabeled),
     )
     return ScenarioRealization(scenario=scenario, dataset=dataset, truth=truth)
-
-
-def _mask(target: Dataset, labeled_pos: np.ndarray) -> Dataset:
-    y = np.full(target.n, UNLABELED, dtype=np.int32)
-    y[labeled_pos] = target.y[labeled_pos]
-    return Dataset(
-        domain_id=target.domain_id,
-        death_ids=target.death_ids,
-        x=target.x,
-        y=y,
-        cause_list=target.cause_list,
-        symptom_dict=target.symptom_dict,
-    )
 
 
 def make_scenario(target: Dataset, kind: str, seed: int,
@@ -111,76 +98,55 @@ def make_scenario(target: Dataset, kind: str, seed: int,
     C = len(target.cause_list)
     rng = derive_rng("scenario", kind, target.domain_id, seed)
 
-    if kind == "random_sample":
-        n_lab = math.ceil(label_fraction * n)
-        labeled_pos = np.sort(rng.choice(n, size=n_lab, replace=False))
-        unlabeled_pos = np.setdiff1d(np.arange(n), labeled_pos)
-        dataset = _mask(target, labeled_pos)
-        return _finalize(
-            target, kind, label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
-            target.y,
-        )
+    if kind == "mild_shift":
+        # both parts are resampled multisets of the original deaths, labeled part first
+        pi_lab = rng.dirichlet(np.ones(C))
+        pi_gen = rng.dirichlet(np.ones(C))
+        n_lab = round_half_up(label_fraction * n)
+        lab_counts = largest_remainder_counts(pi_lab, n_lab)
+        unl_counts = largest_remainder_counts(pi_gen, n - n_lab)
+        pools = [np.flatnonzero(target.y == c) for c in range(C)]
+        for c in range(C):
+            if (lab_counts[c] or unl_counts[c]) and pools[c].shape[0] == 0:
+                raise EmptyCauseForResample(
+                    f"cause {target.cause_list.causes[c]!r} has no exemplar to resample"
+                )
+        parts = [np.zeros(0, dtype=np.int64)]
+        for counts, size in ((lab_counts, n_lab), (unl_counts, n - n_lab)):
+            if size:
+                parts += [rng.choice(pools[c], size=int(counts[c]), replace=True)
+                          for c in range(C)]
+        src = np.concatenate(parts)
 
-    if kind == "severe_shift":
-        q = rng.beta(0.2, 0.2, size=C)
-        labeled_parts = []
+        true_y = target.y[src]
+        masked_y = true_y.copy()
+        masked_y[n_lab:] = UNLABELED
+        seen: dict[str, int] = {}
+        new_ids = []
+        for i in src:
+            orig = target.death_ids[i]
+            k = seen.get(orig, 0)
+            seen[orig] = k + 1
+            new_ids.append(f"{orig}~r{k}")
+        dataset = replace(target, death_ids=tuple(new_ids), x=target.x[src], y=masked_y)
+        scenario = ShiftScenario(kind, label_fraction, seed, realized_pi_pair=(pi_lab, pi_gen))
+        return _realize(scenario, dataset, true_y)
+
+    # random_sample and severe_shift keep the target's rows and hide the
+    # labels of all but the picked ones
+    realized_q = None
+    if kind == "random_sample":
+        picks = [rng.choice(n, size=math.ceil(label_fraction * n), replace=False)]
+    else:
+        realized_q = rng.beta(0.2, 0.2, size=C)
+        picks = []
         for c in range(C):
             pool = np.flatnonzero(target.y == c)
-            n_lab_c = round_half_up(float(q[c]) * pool.shape[0])
+            n_lab_c = round_half_up(float(realized_q[c]) * pool.shape[0])
             if n_lab_c:
-                labeled_parts.append(np.sort(rng.choice(pool, size=n_lab_c, replace=False)))
-        labeled_pos = (
-            np.sort(np.concatenate(labeled_parts)) if labeled_parts else np.array([], dtype=np.int64)
-        )
-        unlabeled_pos = np.setdiff1d(np.arange(n), labeled_pos)
-        dataset = _mask(target, labeled_pos)
-        return _finalize(
-            target, kind, label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
-            target.y, realized_q=q,
-        )
-
-    # mild_shift: both parts are resampled multisets of the original deaths.
-    pi_lab = rng.dirichlet(np.ones(C))
-    pi_gen = rng.dirichlet(np.ones(C))
-    n_lab = round_half_up(label_fraction * n)
-    n_unl = n - n_lab
-    lab_counts = largest_remainder_counts(pi_lab, n_lab)
-    unl_counts = largest_remainder_counts(pi_gen, n_unl)
-    pools = {c: np.flatnonzero(target.y == c) for c in range(C)}
-    for c in range(C):
-        if (lab_counts[c] or unl_counts[c]) and pools[c].shape[0] == 0:
-            raise EmptyCauseForResample(
-                f"cause {target.cause_list.causes[c]!r} has no exemplar to resample"
-            )
-    lab_src = np.concatenate(
-        [rng.choice(pools[c], size=int(lab_counts[c]), replace=True) for c in range(C)]
-    ) if n_lab else np.array([], dtype=np.int64)
-    unl_src = np.concatenate(
-        [rng.choice(pools[c], size=int(unl_counts[c]), replace=True) for c in range(C)]
-    ) if n_unl else np.array([], dtype=np.int64)
-
-    src = np.concatenate([lab_src, unl_src])
-    true_y = target.y[src].copy()
-    masked_y = true_y.copy()
-    masked_y[n_lab:] = UNLABELED
-    seen: dict[str, int] = {}
-    new_ids = []
-    for i in src:
-        orig = target.death_ids[i]
-        k = seen.get(orig, 0)
-        seen[orig] = k + 1
-        new_ids.append(f"{orig}~r{k}")
-    dataset = Dataset(
-        domain_id=target.domain_id,
-        death_ids=tuple(new_ids),
-        x=target.x[src].copy(),
-        y=masked_y,
-        cause_list=target.cause_list,
-        symptom_dict=target.symptom_dict,
-    )
-    labeled_pos = np.arange(n_lab)
-    unlabeled_pos = np.arange(n_lab, n_lab + n_unl)
-    return _finalize(
-        target, "mild_shift", label_fraction, seed, dataset, labeled_pos, unlabeled_pos,
-        true_y, realized_pi_pair=(pi_lab, pi_gen),
-    )
+                picks.append(rng.choice(pool, size=n_lab_c, replace=False))
+    y = np.full(n, UNLABELED, dtype=np.int32)
+    for rows in picks:
+        y[rows] = target.y[rows]
+    scenario = ShiftScenario(kind, label_fraction, seed, realized_q=realized_q)
+    return _realize(scenario, replace(target, y=y), target.y)

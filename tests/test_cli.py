@@ -314,6 +314,33 @@ def test_export_of_a_summary_short_of_a_row_per_cause_exits_2(ws, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("domain_id", ["../escape", "a/b", "/abs", "", ".", ".."])
+def test_export_refuses_a_domain_id_that_is_not_a_file_name(ws, tmp_path, capsys, domain_id):
+    """An input not named *.summary.json is exported under its domain id, which
+    comes from another site's file: one that is not a plain file name exits 2
+    and writes nothing, inside --out or out of it."""
+    doc = json.loads(read(ws["root"] / "summaries" / "domain_1.summary.json"))
+    del doc["checksum"]
+    doc["domain_id"] = domain_id
+    doc["checksum"] = sha256_hex(canonical_json(doc))
+    src = tmp_path / "in" / "from_site.json"
+    src.parent.mkdir()
+    src.write_bytes(canonical_json(doc))
+    capsys.readouterr()
+    out = tmp_path / "work" / "out" / "deep"
+    assert run_cli("export", "--config", ws["cfg"], "--summary", src, "--out", out) == 2
+    assert "InvalidSummary: " in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["from_site.json", "in"]
+
+
+def test_export_names_a_copy_by_a_plain_domain_id(ws, tmp_path):
+    src = tmp_path / "from_site.json"
+    src.write_bytes(read(ws["root"] / "summaries" / "domain_1.summary.json"))
+    assert run_cli("export", "--config", ws["cfg"], "--summary", src, "--out", tmp_path / "o") == 0
+    assert read(tmp_path / "o" / "domain_1.summary.json") == read(src)
+
+
 def test_train_then_export_reproduces_the_summary_byte_for_byte(ws, tmp_path):
     """A sparse model under a non-ASCII domain id; the absent cause row is null."""
     cfg = dict(ws["cfg_dict"], base_model={"K": 2, "sparse": True})

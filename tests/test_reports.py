@@ -1,3 +1,5 @@
+import csv
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,11 +41,18 @@ def _per_cell_lambda_matrix(lam, domain_ids, cause_list):
     return "\n".join(lines) + "\n"
 
 
+def _csv_name(name: str) -> str:
+    """A name cell as csv.writer quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([name, ""])
+    return buf.getvalue()[:-1]
+
+
 def _per_cell_classification(cls, cause_list):
-    lines = [",".join(["death_id", *cause_list.causes, "top_cause"])]
+    lines = [",".join(map(_csv_name, ["death_id", *cause_list.causes, "top_cause"]))]
     for i, death_id in enumerate(cls.death_ids):
-        lines.append(",".join([death_id, *(_cell(v) for v in cls.probs[i]),
-                               cause_list.causes[int(cls.top[i])]]))
+        lines.append(",".join([_csv_name(death_id), *(_cell(v) for v in cls.probs[i]),
+                               _csv_name(cause_list.causes[int(cls.top[i])])]))
     return "\n".join(lines) + "\n"
 
 
@@ -106,3 +115,46 @@ def test_lambda_matrix_of_a_fit_has_a_header_cell_per_column():
     lines = lambda_matrix_csv(post, CauseList(("a", "b"))).splitlines()
     assert lines[0].split(",") == ["cause", "u", "v", "w"]
     assert [len(line.split(",")) for line in lines[1:]] == [phi.M + 1] * 2
+
+
+def _read(text: str) -> list:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_report_tables_read_back_as_their_cells():
+    """Name cells holding a comma, a quote or a line break are quoted, so each
+    table reads back through csv.reader with one cell per column; plain names
+    are written as they are."""
+    causes = ("Injury, road", 'say "hi"', "line\nbreak", "plain")
+    cl = CauseList(causes)
+    rng = np.random.default_rng(1)
+    probs = rng.dirichlet(np.ones(4), size=3)
+    death_ids = ("d,0", 'd"1', "d2")
+    cls = Classification(probs=probs, top=np.array([0, 1, 3]), death_ids=death_ids)
+    rows = _read(classification_csv(cls, cl))
+    assert rows[0] == ["death_id", *causes, "top_cause"]
+    assert [r[0] for r in rows[1:]] == list(death_ids)
+    assert [r[-1] for r in rows[1:]] == ["Injury, road", 'say "hi"', "plain"]
+    assert [[float(v) for v in r[1:-1]] for r in rows[1:]] == probs.tolist()
+
+    rows = _read(pi_table_csv(probs, cl))
+    assert [r[0] for r in rows] == ["cause", *causes]
+    assert np.array_equal(np.array([r[1:] for r in rows[1:]], dtype=float).T, pi_summary(probs))
+
+    lam = rng.dirichlet(np.ones(2), size=4)
+    post = SimpleNamespace(lambda_mean=lambda: lam, domain_ids=("site, north", "b"))
+    rows = _read(lambda_matrix_csv(post, cl))
+    assert rows[0] == ["cause", "site, north", "b"]
+    assert [r[0] for r in rows[1:]] == list(causes)
+    assert np.array_equal(np.array([r[1:] for r in rows[1:]], dtype=float), lam)
+
+    csmf = probs[0]
+    assert _read(reports.csmf_csv(csmf, cl)) == [["cause", *causes],
+                                         ["csmf_estimate", *map(repr, csmf.tolist())]]
+
+
+def test_plain_names_are_written_unquoted():
+    cl = CauseList(("a", "b"))
+    assert reports.csmf_csv(np.array([0.25, 0.75]), cl) == "cause,a,b\ncsmf_estimate,0.25,0.75\n"
+    cls = Classification(probs=np.array([[0.5, 0.5]]), top=np.array([1]), death_ids=("d-0",))
+    assert classification_csv(cls, cl) == "death_id,a,b,top_cause\nd-0,0.5,0.5,b\n"

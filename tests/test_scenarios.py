@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -50,15 +51,69 @@ def test_random_sample_sizes_and_partition(n, f):
     assert np.array_equal(real.truth.unlabeled_y, t.y[unl])
 
 
-def test_truth_ledger_csmfs_are_empirical():
+@pytest.mark.parametrize("kind", KINDS)
+def test_truth_ledger_csmfs_are_empirical(kind):
     t = full_target(n=50)
-    real = make_scenario(t, "random_sample", seed=3)
-    counts = np.bincount(t.y, minlength=3)
-    assert np.allclose(real.truth.full_csmf, counts / counts.sum(), atol=1e-15)
-    lab_y = t.y[np.flatnonzero(real.dataset.y != UNLABELED)]
-    lab_counts = np.bincount(lab_y, minlength=3)
-    assert np.allclose(real.truth.labeled_csmf, lab_counts / lab_counts.sum(), atol=1e-15)
-    assert real.truth.full_csmf.sum() == pytest.approx(1.0, abs=1e-12)
+    real = make_scenario(t, kind, seed=3)
+    ds, truth = real.dataset, real.truth
+    # the true cause of each row of the masked dataset: mild_shift's rows are
+    # replicas named <source id>~r<k>, the other kinds keep the target's rows
+    by_id = {d: i for i, d in enumerate(t.death_ids)}
+    true_y = t.y[[by_id[d.rpartition("~r")[0] if kind == "mild_shift" else d]
+                  for d in ds.death_ids]]
+    lab = np.flatnonzero(ds.y != UNLABELED)
+    unl = np.flatnonzero(ds.y == UNLABELED)
+    assert lab.size and unl.size
+    assert np.array_equal(ds.y[lab], true_y[lab])
+    assert truth.unlabeled_ids == tuple(ds.death_ids[i] for i in unl)
+    assert np.array_equal(truth.unlabeled_y, true_y[unl])
+
+    def csmf(y):
+        counts = np.bincount(y, minlength=3)
+        return counts / counts.sum()
+
+    assert np.allclose(truth.full_csmf, csmf(true_y), atol=1e-15)
+    assert np.allclose(truth.labeled_csmf, csmf(true_y[lab]), atol=1e-15)
+    assert np.allclose(truth.unlabeled_csmf, csmf(true_y[unl]), atol=1e-15)
+    for part in (truth.full_csmf, truth.labeled_csmf, truth.unlabeled_csmf):
+        assert part.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _stream_digest(real) -> str:
+    """sha256 of the ids, symptoms and labels of the masked dataset, the ledger's
+    true unlabeled causes and the scenario's realized draws, dtypes included."""
+    h = hashlib.sha256("\n".join(real.dataset.death_ids).encode())
+    sc = real.scenario
+    arrays = [real.dataset.x, real.dataset.y, real.truth.unlabeled_y]
+    if sc.realized_q is not None:
+        arrays.append(sc.realized_q)
+    if sc.realized_pi_pair is not None:
+        arrays.extend(sc.realized_pi_pair)
+    for a in arrays:
+        h.update(f"|{a.dtype.str}{a.shape}|".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# each digest fixes which deaths one kind labels and resamples at one seed
+STREAM_DIGESTS = {
+    ("random_sample", 0): "552b4d716a33191cf79e5179eae633586c9747b489a99bd460c73f2e9f65d6f9",
+    ("random_sample", 1): "5e73c8452c8d1abd1c5bd6bead5bdc144bc2798ddd3b94f502e992b844dde69c",
+    ("mild_shift", 0): "a350321b05501550f18e0afa9e6241895394f21ae421ead3b23cd55e2ec6bbf1",
+    ("mild_shift", 1): "30b83754f8d464b871a6ddd736622808606c5a20a9445a930d8864528f475099",
+    ("severe_shift", 0): "67a9c4a8244a2a2bbfaa75d17776251017975735a00d3873ac298297c18a8351",
+    ("severe_shift", 1): "3d2b447c8d53fca24e26118c4a0e013e5b43d218d80b791c9b2f0765a99e9ba2",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(STREAM_DIGESTS))
+def test_scenario_stream_is_pinned(kind, seed):
+    """Which deaths each kind labels, resamples and draws is fixed, not only
+    reproducible: a rewrite that labels other deaths fails here."""
+    real = make_scenario(full_target(n=47), kind, seed)
+    assert (real.scenario.realized_q is not None) == (kind == "severe_shift")
+    assert (real.scenario.realized_pi_pair is not None) == (kind == "mild_shift")
+    assert _stream_digest(real) == STREAM_DIGESTS[kind, seed]
 
 
 @pytest.mark.parametrize("kind", KINDS)
