@@ -25,7 +25,7 @@ from .data import (
     load_dataset,
     load_symptom_dictionary,
 )
-from .ensemble import LOCAL_VARIANTS, build_phi, local_rows, run_variant
+from .ensemble import LOCAL_VARIANTS, VARIANTS, build_phi, local_rows, run_variant
 from .errors import ConfigError, FedvaError, InvalidGenerator, InvalidHyper, InvalidSummary
 from .exchange import import_summary, summary_bytes
 from .lcm import train_lcm, train_local
@@ -101,7 +101,15 @@ def _sources_for_target(cfg: RunConfig, cl, sd, target_id: str) -> list:
     return keep
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether `name` joined under --out names a file there and leads nowhere else."""
+    return name not in ("", ".", "..") and os.path.basename(name) == name
+
+
 def cmd_train(cfg: RunConfig, args) -> None:
+    if not _is_file_name(args.domain):
+        raise ConfigError(f"--domain {args.domain!r} is not a plain file name, so it cannot "
+                          "name the summary file")
     cl, sd = _load_coords(cfg)
     dataset = _load_domain(cfg, args.domain, cl, sd)
     summary = train_lcm(dataset, cfg.base_model, cfg.gibbs, min_count=cfg.min_count)
@@ -117,7 +125,7 @@ def cmd_export(cfg: RunConfig, args) -> None:
     if not name.endswith(".summary.json"):
         # the file's own domain id names the copy, so it must not lead out of --out
         domain_id = summary.domain_id
-        if domain_id in ("", ".", "..") or os.path.basename(domain_id) != domain_id:
+        if not _is_file_name(domain_id):
             raise InvalidSummary(f"{args.summary}: domain_id {domain_id!r} is not a plain "
                                  "file name, so it cannot name the exported copy")
         name = f"{domain_id}.summary.json"
@@ -206,19 +214,7 @@ def cmd_lodo(cfg: RunConfig, args) -> None:
     if len(cfg.dataset_paths) < 2:
         raise ConfigError("lodo needs at least two entries in paths.datasets")
     domains = [_load_domain(cfg, d, cl, sd) for d in cfg.dataset_paths]
-    report = run_lodo(
-        domains,
-        cfg.methods,
-        cfg.scenario.kind,
-        cfg.seeds,
-        lcm_hyper=cfg.base_model,
-        lcm_cfg=cfg.gibbs,
-        ens_cfg=cfg.ensemble,
-        calib_cfg=cfg.calibration,
-        label_fraction=cfg.scenario.label_fraction,
-        workers=cfg.workers,
-        min_count=cfg.min_count,
-    )
+    report = run_lodo(domains, cfg)
     summary = report.summary_text()
     _write_outputs(cfg, "lodo", {
         "lodo_results.csv": report.to_csv_text(),
@@ -256,9 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("export", cmd_export, "re-validate and canonically re-export a summary file")
     p.add_argument("--summary", required=True, help="path to an existing summary file")
     p = add("ensemble", cmd_ensemble, "fit the global model on the target domain")
-    p.add_argument("--variant", default=None, choices=["plain", "partial", "domain", "mix"])
+    p.add_argument("--variant", default=None, choices=VARIANTS)
     p = add("classify", cmd_classify, "fit the global model and emit per-death probabilities")
-    p.add_argument("--variant", default=None, choices=["plain", "partial", "domain", "mix"])
+    p.add_argument("--variant", default=None, choices=VARIANTS)
     add("calibrate", cmd_calibrate, "confusion-matrix calibration of the target CSMF")
     add("simulate", cmd_simulate, "generate synthetic multi-domain datasets")
     add("lodo", cmd_lodo, "leave-one-domain-out experiment")

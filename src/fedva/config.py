@@ -4,9 +4,9 @@ Each block is built from its dataclass: the fields name the allowed keys and
 each default gives the type a value must have. Unknown keys and values a cast
 would change (``"false"`` for a bool, ``2.5`` for an int) fail loudly before
 any work starts. Command-line flags (--seed, --workers, --out) override the
-matching leaves; then the base-model, Gibbs, ensemble and calibration blocks
-each run their own ``validate()``, so a value a sampler would refuse also
-fails before any data is read.
+matching leaves; then the base-model, Gibbs, ensemble, calibration and
+scenario blocks each run their own ``validate()``, so a value a sampler or
+scenario generator would refuse also fails before any data is read.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .calibration import CalibConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .lcm import GibbsConfig, LcmHyper
+from .scenarios import check_scenario
 from .simulate import GeneratorSpec
 
 _TOP_KEYS = {"paths", "target", "base_model", "gibbs", "ensemble", "calibration",
@@ -34,6 +35,9 @@ _EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
 class ScenarioConfig:
     kind: str = "random_sample"
     label_fraction: float = 0.2
+
+    def validate(self) -> None:
+        check_scenario(self.kind, self.label_fraction)
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
         if generator is not None:
             generator = replace(generator, seed=seed_override)
         seeds = [seed_override]
-    for block in (hyper, gibbs, ensemble, calibration):
+    for block in (hyper, gibbs, ensemble, calibration, scenario):
         block.validate()
     if workers_override is not None:
         workers = workers_override

@@ -5,6 +5,12 @@ label-shift scenario masks part of the target's labels, every requested
 method estimates the scenario's CSMF estimand and (where it can) classifies
 the unlabeled deaths, and metrics go into a long-format report.
 
+`run_lodo(domains, cfg)` takes its settings as the one `RunConfig` that
+config.py builds, from the YAML file for `fedva lodo` or from a mapping in
+the same layout (`config_from_dict`) for a library caller. It reads the
+methods, seeds, scenario and workers, and the base_model, min_count, gibbs,
+ensemble and calibration blocks; config.py alone holds their defaults.
+
 A cell's labels are `masked.y`, one vector in death order with UNLABELED
 where the scenario hides the cause; `run_variant` reads it from the masked
 dataset and `fit_calibration` takes it as it is.
@@ -53,10 +59,11 @@ from functools import partial
 
 import numpy as np
 
-from .calibration import CalibConfig, build_predictions, fit_calibration
+from .calibration import build_predictions, fit_calibration
+from .config import RunConfig
 from .data import cause_counts, split_labels
-from .ensemble import (LOCAL_VARIANTS, EnsembleConfig, adjust_csmf, build_phi, distinct_ids,
-                       fit_single_model, local_rows, run_variant)
+from .ensemble import (LOCAL_VARIANTS, adjust_csmf, build_phi, distinct_ids, fit_single_model,
+                       local_rows, run_variant)
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
 from .errors import (
@@ -66,7 +73,7 @@ from .errors import (
     FingerprintMismatch,
     InsufficientLocalLabels,
 )
-from .lcm import GibbsConfig, LcmHyper, train_lcm, train_local
+from .lcm import train_lcm, train_local
 from .metrics import balanced_accuracy, csmf_accuracy, top_cause_accuracy
 from .scenarios import make_scenario
 from .utils import derive_seed, parallel_map
@@ -103,8 +110,6 @@ class ExperimentReport:
     rows: tuple[MethodResult, ...]
     skipped: tuple[SkippedCell, ...]
     scenario: str
-    methods: tuple[str, ...]
-    seeds: tuple[int, ...]
 
     def to_csv_text(self) -> str:
         def fmt(v):
@@ -138,13 +143,7 @@ class ExperimentReport:
             raise ConfigError(f"{path}: {exc}") from None
         if not rows:
             raise ConfigError(f"{path}: no result rows")
-        return cls(
-            rows=rows,
-            skipped=(),
-            scenario=rows[0].scenario,
-            methods=tuple(sorted({r.method for r in rows})),
-            seeds=tuple(sorted({r.seed for r in rows})),
-        )
+        return cls(rows=rows, skipped=(), scenario=rows[0].scenario)
 
     def summary_text(self) -> str:
         estimand = (
@@ -207,11 +206,11 @@ def _result_row(cells: list, where: str) -> MethodResult:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
-              ens_cfg, calib_cfg, lcm_hyper, lcm_cfg, min_count):
+def _run_cell(sources, target, seed, cfg: RunConfig):
     """The requested methods for one (target domain, seed) cell, in report order."""
     C = len(target.cause_list)
-    requested = [m for m in KNOWN_METHODS if m in methods]
+    scenario_kind = cfg.scenario.kind
+    requested = [m for m in KNOWN_METHODS if m in cfg.methods]
     rows: list[MethodResult] = []
     skips: list[SkippedCell] = []
 
@@ -219,7 +218,8 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
         skips.append(SkippedCell(target.domain_id, method, seed, reason))
 
     try:
-        real = make_scenario(target, scenario_kind, seed, label_fraction=label_fraction)
+        real = make_scenario(target, scenario_kind, seed,
+                             label_fraction=cfg.scenario.label_fraction)
     except EmptyCauseForResample as exc:
         for method in requested:
             skip(method, f"{type(exc).__name__}: {exc}")
@@ -234,7 +234,7 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
     unlabeled_pos, labeled_pos, _ = split_labels(masked.y, masked.n, C)
     labeled_counts = cause_counts(masked)
     cell_cfg = replace(
-        ens_cfg,
+        cfg.ensemble,
         tie_pi=random_sample,
         seed=derive_seed("lodo-cell", target.domain_id, seed),
     )
@@ -268,8 +268,8 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
         # the first of them to run trains it, and its runtime_s pays for that
         key = rows.tobytes()
         if key not in local_models:
-            local_models[key] = train_local(masked, rows, lcm_hyper, lcm_cfg, cell_cfg.seed,
-                                            min_count)
+            local_models[key] = train_local(masked, rows, cfg.base_model, cfg.gibbs,
+                                            cell_cfg.seed, cfg.min_count)
         return local_models[key]
 
     def single(unlabeled_phi, m, method, started):
@@ -282,10 +282,10 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
         started = time.perf_counter()
         try:
             if method in BFL_METHODS:
-                cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
-                local = (local_model(local_rows(masked, cfg))
-                         if cfg.variant in LOCAL_VARIANTS else None)
-                _, cls, csmf = run_variant(masked, phi, cfg, local)
+                fit_cfg = replace(cell_cfg, variant=method.split("-", 1)[1])
+                local = (local_model(local_rows(masked, fit_cfg))
+                         if fit_cfg.variant in LOCAL_VARIANTS else None)
+                _, cls, csmf = run_variant(masked, phi, fit_cfg, local)
                 finish(method, csmf, cls.top[unlabeled_pos], started)
             elif method == "local-self":
                 if labeled_pos.size == 0:
@@ -322,7 +322,7 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
                     build_share = (time.perf_counter() - started) / n_calib
                     started = time.perf_counter()
                 ccfg = replace(
-                    calib_cfg,
+                    cfg.calibration,
                     beta_rate=CALIB_RATES[method],
                     seed=derive_seed("lodo-calib", target.domain_id, seed),
                 )
@@ -333,25 +333,17 @@ def _run_cell(sources, target, seed, *, methods, scenario_kind, label_fraction,
     return rows, skips
 
 
-def run_lodo(domains, methods, scenario_kind: str, seeds,
-             lcm_hyper: LcmHyper | None = None,
-             lcm_cfg: GibbsConfig | None = None,
-             ens_cfg: EnsembleConfig | None = None,
-             calib_cfg: CalibConfig | None = None,
-             label_fraction: float = 0.2,
-             workers: int = 1,
-             min_count: int = 1) -> ExperimentReport:
-    """Run every (fold, seed, method) cell; failures are recorded, not fatal."""
+def run_lodo(domains, cfg: RunConfig) -> ExperimentReport:
+    """Run every (fold, seed, method) cell of `cfg`; failures are recorded, not fatal."""
     domains = list(domains)
     if len(domains) < 2:
         raise FedvaError("leave-one-domain-out needs at least 2 domains")
-    methods = list(methods)
+    methods, seeds = list(cfg.methods), list(cfg.seeds)
     for m in methods:
         if m not in KNOWN_METHODS:
             raise FedvaError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
     if len(set(methods)) < len(methods):
         raise FedvaError(f"a method is listed more than once in {methods}")
-    seeds = list(seeds)
     if len(set(seeds)) < len(seeds):
         raise FedvaError(f"a seed is listed more than once in {seeds}")
     base = domains[0]
@@ -360,16 +352,12 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
                 or d.symptom_dict.fingerprint != base.symptom_dict.fingerprint):
             raise FingerprintMismatch("all domains must share cause list and dictionary")
     distinct_ids([d.domain_id for d in domains], len(domains))
-    lcm_hyper = lcm_hyper or LcmHyper()
-    lcm_cfg = lcm_cfg or GibbsConfig()
-    ens_cfg = ens_cfg or EnsembleConfig()
-    calib_cfg = calib_cfg or CalibConfig()
 
     # One summary per domain, reused across folds (training data never
     # depends on the fold); train_lcm already keys its stream by domain_id.
     summaries = parallel_map(
-        partial(train_lcm, hyper=lcm_hyper, cfg=lcm_cfg, min_count=min_count), domains,
-        workers=workers,
+        partial(train_lcm, hyper=cfg.base_model, cfg=cfg.gibbs, min_count=cfg.min_count),
+        domains, workers=cfg.workers,
     )
 
     cell_sources, targets, cell_seeds = [], [], []
@@ -387,19 +375,11 @@ def run_lodo(domains, methods, scenario_kind: str, seeds,
             targets.append(target)
             cell_seeds.append(seed)
 
-    cell = partial(_run_cell, methods=methods, scenario_kind=scenario_kind,
-                   label_fraction=label_fraction, ens_cfg=ens_cfg, calib_cfg=calib_cfg,
-                   lcm_hyper=lcm_hyper, lcm_cfg=lcm_cfg, min_count=min_count)
-    results = parallel_map(cell, cell_sources, targets, cell_seeds, workers=workers)
+    results = parallel_map(_run_cell, cell_sources, targets, cell_seeds, [cfg] * len(targets),
+                           workers=cfg.workers)
 
     rows: list[MethodResult] = []
     for cell_rows, cell_skips in results:
         rows.extend(cell_rows)
         skipped.extend(cell_skips)
-    return ExperimentReport(
-        rows=tuple(rows),
-        skipped=tuple(skipped),
-        scenario=scenario_kind,
-        methods=tuple(methods),
-        seeds=tuple(seeds),
-    )
+    return ExperimentReport(rows=tuple(rows), skipped=tuple(skipped), scenario=cfg.scenario.kind)

@@ -85,13 +85,18 @@ def _realize(scenario: ShiftScenario, dataset: Dataset,
     return ScenarioRealization(scenario=scenario, dataset=dataset, truth=truth)
 
 
-def make_scenario(target: Dataset, kind: str, seed: int,
-                  label_fraction: float = 0.2) -> ScenarioRealization:
-    """Realize one labeled/unlabeled split; deterministic in (inputs, seed)."""
+def check_scenario(kind: str, label_fraction: float) -> None:
+    """InvalidGenerator unless `kind` is one of KINDS and 0 < label_fraction < 1."""
     if kind not in KINDS:
         raise InvalidGenerator(f"scenario kind must be one of {KINDS}, got {kind!r}")
     if not 0.0 < label_fraction < 1.0:
         raise InvalidGenerator(f"label_fraction must lie in (0,1), got {label_fraction!r}")
+
+
+def make_scenario(target: Dataset, kind: str, seed: int,
+                  label_fraction: float = 0.2) -> ScenarioRealization:
+    """Realize one labeled/unlabeled split; deterministic in (inputs, seed)."""
+    check_scenario(kind, label_fraction)
     if np.any(target.y == UNLABELED):
         raise NotFullyLabeled("scenario generation needs a fully labeled target")
     n = target.n

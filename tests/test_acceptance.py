@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from fedva.calibration import CalibConfig, PredictionTensor, fit_calibration
+from fedva.config import config_from_dict
 from fedva.data import (
     UNLABELED,
     CauseList,
@@ -315,18 +316,15 @@ def test_06_ensemble_beats_best_single_local_model_in_most_seeds():
     started = time.monotonic()
     sim = simulate(GeneratorSpec(C=3, K=2, p=16, M=3, n_domain=1500, n_target=10,
                                  seed=42))
-    report = run_lodo(
-        sim.domains,
-        ("bfl-domain", "local-avg"),
-        "random_sample",
-        tuple(range(10)),
-        lcm_hyper=LcmHyper(K=3),
-        lcm_cfg=GibbsConfig(iterations=800, burn_in=400, thin=1, seed=0),
-        ens_cfg=EnsembleConfig(chains=2, iterations=600, burn_in=300),
-        calib_cfg=CalibConfig(),
-        label_fraction=0.2,
-        workers=8,
-    )
+    report = run_lodo(sim.domains, config_from_dict({
+        "base_model": {"K": 3},
+        "gibbs": {"iterations": 800, "burn_in": 400, "thin": 1, "seed": 0},
+        "ensemble": {"chains": 2, "iterations": 600, "burn_in": 300},
+        "scenario": {"kind": "random_sample", "label_fraction": 0.2},
+        "methods": ["bfl-domain", "local-avg"],
+        "seeds": list(range(10)),
+        "workers": 8,
+    }))
     assert not report.skipped
     rows = report.rows
 

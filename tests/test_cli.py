@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedva import calibration, ensemble, lcm
+from fedva import calibration, cli, ensemble, lcm, lodo
 from fedva.cli import main
 from fedva.data import (
     UNLABELED,
@@ -334,6 +334,26 @@ def test_export_refuses_a_domain_id_that_is_not_a_file_name(ws, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["from_site.json", "in"]
 
 
+@pytest.mark.parametrize("domain", ["../escape", "a/b", "/abs", "", ".", ".."])
+def test_train_refuses_a_domain_id_that_is_not_a_file_name(ws, tmp_path, capsys, monkeypatch,
+                                                             domain):
+    """--domain names the summary file under --out, so an id that is not a
+    plain file name exits 1 before any data is read, and writes nothing."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a dataset was read before the domain id was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", boom)
+    cfg = dict(ws["cfg_dict"])
+    cfg["paths"] = dict(cfg["paths"], datasets={domain: str(ws["sim"] / "domain_1.csv")})
+    p = tmp_path / "site.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    capsys.readouterr()
+    out = tmp_path / "work" / "out" / "deep"
+    assert run_cli("train", "--config", p, "--domain", domain, "--out", out) == 1
+    assert "is not a plain file name" in capsys.readouterr().err
+    assert [q.name for q in tmp_path.rglob("*")] == ["site.yaml"]
+
+
 def test_export_names_a_copy_by_a_plain_domain_id(ws, tmp_path):
     src = tmp_path / "from_site.json"
     src.write_bytes(read(ws["root"] / "summaries" / "domain_1.summary.json"))
@@ -387,14 +407,19 @@ def test_validation_failures_exit_1(ws, tmp_path):
     ("ensemble", {"ensemble": {"chains": 0}}),
     ("ensemble", {"gibbs": {"iterations": 5, "burn_in": 5}}),
     ("train", {"base_model": {"K": 0}}),
+    ("lodo", {"scenario": {"kind": "bogus"}}),
+    ("lodo", {"scenario": {"label_fraction": 0.0}}),
+    ("train", {"scenario": {"kind": "severe_shift", "label_fraction": 1.0}}),
 ])
 def test_invalid_sampler_block_exits_1_before_any_sampler_runs(ws, tmp_path, monkeypatch,
                                                                 command, block):
-    """Every sampler block is validated at load, whether or not the command
-    reads it, so no fit or training runs before the exit."""
+    """Every sampler block and the scenario block are validated at load,
+    whether or not the command reads them, so no fit or training runs before
+    the exit."""
     def boom(*args, **kwargs):
         raise AssertionError("a sampler ran before the config was rejected")
 
+    monkeypatch.setattr(lodo, "train_lcm", boom)
     monkeypatch.setattr(ensemble, "fit_global", boom)
     monkeypatch.setattr(calibration, "fit_calibration", boom)
     monkeypatch.setattr(lcm, "_gibbs_means", boom)

@@ -40,6 +40,13 @@ def test_readme_library_snippet_runs_on_a_small_federation():
     assert names["local"].domain_id == local
     assert names["post_domain"].domain_ids == ids + (local,)
     assert abs(float(names["csmf_domain"].sum()) - 1.0) < 1e-9
+    # every (target, seed) cell ran, or was skipped whole because its one
+    # source summary covers too few causes
+    report = names["report"]
+    cells = {(r.target_domain, r.seed) for r in report.rows}
+    cells |= {(s.target_domain, s.seed) for s in report.skipped if s.method == "*"}
+    assert cells == {(d, seed) for d in ids for seed in (0, 1)}
+    assert {"bfl-plain", "local-avg", "calib-50"} <= {r.method for r in report.rows}
 
 
 def test_configuration_reference_shows_the_defaults():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from fedva.calibration import CalibConfig, build_predictions
+from fedva.calibration import build_predictions
 from fedva.cli import main
+from fedva.config import config_from_dict
 from fedva.data import CauseList, Dataset
 from fedva.ensemble import EnsembleConfig, build_phi, fit_single_model, local_rows, run_variant
 from fedva import calibration, ensemble, lcm, lodo
@@ -29,9 +30,14 @@ THETA = np.array([
     [0.5, 0.1, 0.1, 0.9],
 ])
 
-TINY_LCM = GibbsConfig(iterations=80, burn_in=40, thin=1, seed=0)
-TINY_ENS = EnsembleConfig(chains=2, iterations=150, burn_in=75, seed=0)
-TINY_CAL = CalibConfig(iterations=150, burn_in=75, seed=0)
+TINY = {  # short chains, in the config file's layout
+    "base_model": {"K": 1},
+    "gibbs": {"iterations": 80, "burn_in": 40, "thin": 1, "seed": 0},
+    "ensemble": {"chains": 2, "iterations": 150, "burn_in": 75, "seed": 0},
+    "calibration": {"iterations": 150, "burn_in": 75, "seed": 0},
+}
+TINY_LCM = GibbsConfig(**TINY["gibbs"])
+TINY_ENS = EnsembleConfig(**TINY["ensemble"])
 
 
 def toy_domains(n_dom=3, n_per=45, seed=0, causes=(0, 1, 2)):
@@ -52,15 +58,19 @@ def narrow_domain():
     return make_dataset("narrow", x, y)
 
 
+def lodo_cfg(methods, scenario="random_sample", seeds=(0,), label_fraction=0.4, workers=1,
+             **blocks):
+    """A LODO run's settings: TINY's chains, with `blocks` replacing whole blocks."""
+    return config_from_dict({
+        **TINY, "methods": list(methods), "seeds": list(seeds), "workers": workers,
+        "scenario": {"kind": scenario, "label_fraction": label_fraction}, **blocks,
+    })
+
+
 def run_small(methods, scenario="random_sample", seeds=(0,), domains=None,
               label_fraction=0.4, workers=1):
-    return run_lodo(
-        domains if domains is not None else toy_domains(),
-        methods, scenario, seeds,
-        lcm_hyper=LcmHyper(K=1), lcm_cfg=TINY_LCM,
-        ens_cfg=TINY_ENS, calib_cfg=TINY_CAL,
-        label_fraction=label_fraction, workers=workers,
-    )
+    return run_lodo(domains if domains is not None else toy_domains(),
+                    lodo_cfg(methods, scenario, seeds, label_fraction, workers))
 
 
 def without_runtime(rows):
@@ -71,13 +81,13 @@ def without_runtime(rows):
 def test_input_validation():
     doms = toy_domains(2)
     with pytest.raises(FedvaError):
-        run_lodo(doms, ["not-a-method"], "random_sample", [0])
+        run_lodo(doms, lodo_cfg(["not-a-method"]))
     with pytest.raises(FedvaError):
-        run_lodo(doms[:1], ["bfl-plain"], "random_sample", [0])
+        run_lodo(doms[:1], lodo_cfg(["bfl-plain"]))
     with pytest.raises(FedvaError, match="more than once"):
-        run_lodo(doms, ["bfl-plain", "bfl-plain"], "random_sample", [0])
+        run_lodo(doms, lodo_cfg(["bfl-plain", "bfl-plain"]))
     with pytest.raises(FedvaError, match="seed is listed more than once"):
-        run_lodo(doms, ["bfl-plain"], "random_sample", [0, 1, 0])
+        run_lodo(doms, lodo_cfg(["bfl-plain"], seeds=[0, 1, 0]))
     other = Dataset(
         domain_id="odd",
         death_ids=doms[0].death_ids,
@@ -87,7 +97,7 @@ def test_input_validation():
         symptom_dict=doms[0].symptom_dict,
     )
     with pytest.raises(FingerprintMismatch):
-        run_lodo([doms[0], other], ["bfl-plain"], "random_sample", [0])
+        run_lodo([doms[0], other], lodo_cfg(["bfl-plain"]))
 
 
 def test_repeated_domain_ids_are_refused_before_any_training(monkeypatch):
@@ -99,15 +109,13 @@ def test_repeated_domain_ids_are_refused_before_any_training(monkeypatch):
     twin = replace(doms[2], domain_id="dom0")
     for domains in ([doms[0], twin], [doms[0], doms[1], twin]):
         with pytest.raises(DuplicateDomainId):
-            run_lodo(domains, ["bfl-plain"], "random_sample", [0])
+            run_lodo(domains, lodo_cfg(["bfl-plain"]))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_report_layout_and_row_content():
     rep = run_small(["bfl-plain", "local-avg", "calib-50"], seeds=(0, 1))
     assert rep.scenario == "random_sample"
-    assert rep.methods == ("bfl-plain", "local-avg", "calib-50")
-    assert rep.seeds == (0, 1)
     assert not rep.skipped
     # per (fold, seed): bfl-plain, 2 local-one rows, local-avg, calib-50
     assert len(rep.rows) == 3 * 2 * 5
@@ -255,8 +263,7 @@ def test_known_methods_are_stable():
 def test_results_csv_reads_back_what_it_wrote(tmp_path, domain):
     rows = (MethodResult(domain, "bfl-plain", 0, "random_sample", 0.75, 0.5, 0.25, 1.5),
             MethodResult("dom1", "calib-50", 3, "random_sample", 0.125, None, None, 0.25))
-    rep = ExperimentReport(rows=rows, skipped=(), scenario="random_sample",
-                           methods=("bfl-plain", "calib-50"), seeds=(0, 3))
+    rep = ExperimentReport(rows=rows, skipped=(), scenario="random_sample")
     path = tmp_path / "lodo_results.csv"
     path.write_text(rep.to_csv_text())
     assert path.read_text().endswith("\ndom1,calib-50,3,random_sample,0.125,,,0.250\n")
@@ -346,9 +353,8 @@ def test_a_cell_trains_two_local_models_under_the_gibbs_block(monkeypatch):
     bfl-mix trains its own: 2 local models per cell, each under the gibbs
     block and min_count, at the local-model seed of the cell's ensemble seed."""
     calls = _spy_training(monkeypatch)
-    rep = run_lodo(toy_domains(), ["local-self", "bfl-domain", "bfl-mix"], "random_sample",
-                   (0, 1), lcm_hyper=LcmHyper(K=1), lcm_cfg=TINY_LCM, ens_cfg=TINY_ENS,
-                   calib_cfg=TINY_CAL, label_fraction=0.4, min_count=2)
+    rep = run_lodo(toy_domains(), lodo_cfg(["local-self", "bfl-domain", "bfl-mix"],
+                                           seeds=(0, 1), base_model={"K": 1, "min_count": 2}))
     assert len(rep.rows) == 3 * 2 * 3 and not rep.skipped
     assert [c[0] for c in calls[:3]] == ["dom0", "dom1", "dom2"]  # the sources
     local = calls[3:]
