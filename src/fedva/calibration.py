@@ -96,11 +96,11 @@ class CalibConfig:
     burn_in: int = 1000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (self.alpha > 0 and self.beta_rate > 0 and self.epsilon > 0):
             raise InvalidHyper("alpha, beta_rate and epsilon must all be positive")
-        GibbsConfig(iterations=self.iterations, burn_in=self.burn_in, thin=1,
-                    seed=self.seed).validate()
+        # the chain settings obey GibbsConfig's rules
+        GibbsConfig(iterations=self.iterations, burn_in=self.burn_in, thin=1, seed=self.seed)
 
 
 def gamma_prior_mean(cfg: CalibConfig) -> float:
@@ -154,7 +154,6 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     draws all latent cause counts with one multinomial call over the (U, C)
     normalized weights, the sum over patterns being the counts pi needs.
     """
-    cfg.validate()
     if a.n == 0:
         raise EmptyPredictions("no predictions to calibrate")
     C, M = a.C, a.M

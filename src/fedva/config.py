@@ -3,10 +3,10 @@
 Each block is built from its dataclass: the fields name the allowed keys and
 each default gives the type a value must have. Unknown keys and values a cast
 would change (``"false"`` for a bool, ``2.5`` for an int) fail loudly before
-any work starts. Command-line flags (--seed, --workers, --out) override the
-matching leaves; then the base-model, Gibbs, ensemble, calibration and
-scenario blocks each run their own ``validate()``, so a value a sampler or
-scenario generator would refuse also fails before any data is read.
+any work starts. Every settings dataclass, `RunConfig` included, checks its
+values when it is built or ``replace``d, so a value that a sampler, scenario
+or generator would refuse fails here, before any data is read, even where a
+flag (--seed, --workers, --out) then overrides the matching leaves.
 """
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ import yaml
 
 from .calibration import CalibConfig
 from .ensemble import EnsembleConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvalidHyper
 from .lcm import GibbsConfig, LcmHyper
+from .lodo import KNOWN_METHODS
 from .scenarios import check_scenario
 from .simulate import GeneratorSpec
 
@@ -36,7 +37,7 @@ class ScenarioConfig:
     kind: str = "random_sample"
     label_fraction: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_scenario(self.kind, self.label_fraction)
 
 
@@ -59,6 +60,19 @@ class RunConfig:
     generator: GeneratorSpec | None
     workers: int
     raw: dict
+
+    def __post_init__(self):
+        if self.min_count < 1:
+            raise InvalidHyper(f"min_count must be >= 1, got {self.min_count!r}")
+        for m in self.methods:
+            if m not in KNOWN_METHODS:
+                raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"a method is listed more than once in {list(self.methods)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"a seed is listed more than once in {list(self.seeds)}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be a positive integer, got {self.workers}")
 
 
 def _mapping(block, where: str) -> dict:
@@ -168,8 +182,8 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
         raise ConfigError("seeds must be a non-empty list of integers")
     seeds = [_cast(0, s, "seeds") for s in seeds]
     methods = raw.get("methods", ["bfl-plain"])
-    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-        raise ConfigError("methods must be a list of method names")
+    if not isinstance(methods, list) or not methods or not all(isinstance(m, str) for m in methods):
+        raise ConfigError("methods must be a non-empty list of method names")
     workers = _cast(0, raw.get("workers", os.cpu_count() or 1), "workers")
     target = raw.get("target")
     if target is not None and not isinstance(target, str):
@@ -181,12 +195,8 @@ def config_from_dict(raw: dict, seed_override: int | None = None,
         if generator is not None:
             generator = replace(generator, seed=seed_override)
         seeds = [seed_override]
-    for block in (hyper, gibbs, ensemble, calibration, scenario):
-        block.validate()
     if workers_override is not None:
         workers = workers_override
-    if workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers}")
 
     cfg = RunConfig(
         cause_list_path=paths.get("cause_list"),

@@ -169,7 +169,7 @@ class LambdaPrior:
     conc: float = 1.0
     sigma: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("dirichlet", "logistic_normal"):
             raise InvalidHyper(f"unknown lambda prior kind {self.kind!r}")
         if self.kind == "dirichlet" and not self.conc > 0:
@@ -192,16 +192,16 @@ class EnsembleConfig:
     mix_split_fraction: float = 0.5
     mh_step: float = 0.25
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidHyper(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        self.lambda_prior.validate()
         if not self.pi_prior_conc > 0:
             raise InvalidHyper("pi_prior_conc must be positive")
         if not isinstance(self.chains, int) or self.chains < 1:
             raise InvalidHyper("chains must be a positive integer")
+        # the chain settings obey GibbsConfig's rules
         GibbsConfig(iterations=self.iterations, burn_in=self.burn_in, thin=self.thin,
-                    seed=self.seed).validate()
+                    seed=self.seed)
         if not 0.0 < self.mix_split_fraction < 1.0:
             raise InvalidHyper("mix_split_fraction must lie in (0,1)")
         if not self.mh_step > 0:
@@ -477,7 +477,6 @@ def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
 def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
                workers: int = 1) -> GlobalPosterior:
     """Sample p(pi, lambda | phi, labels); `labels` is a label vector over phi's deaths."""
-    cfg.validate()
     if np.any(phi.present.sum(axis=1) < 1):
         uncovered = np.flatnonzero(phi.present.sum(axis=1) < 1).tolist()
         raise IncompletePhi(f"no domain covers cause indices {uncovered}")
@@ -640,7 +639,6 @@ def run_variant(target: Dataset, phi: PhiTensor, cfg: EnsembleConfig,
     the local rows' label counts; otherwise it is the CSMF of the unlabeled
     deaths the sampler saw.
     """
-    cfg.validate()
     if phi.death_ids != target.death_ids:
         raise DimensionMismatch("phi must hold the target's deaths in target order")
     C = len(target.cause_list)

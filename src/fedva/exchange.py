@@ -189,8 +189,11 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
                         f"{path}: theta_bar[{c}] must hold numbers only, got {row.dtype} entries")
                 theta_bar[c] = row.reshape(K, p)
         hyper_doc = document["hyper"]
+        # compared before LcmHyper checks it, so a hyper.K of 0 is this error too
+        if _typed(hyper_doc, "K", int, path, "hyper.") != K:
+            raise InvalidSummary(f"{path}: hyper.K disagrees with array shape K")
         hyper = LcmHyper(
-            K=_typed(hyper_doc, "K", int, path, "hyper."),
+            K=K,
             alpha_sb=float(_typed(hyper_doc, "alpha_sb", float, path, "hyper.")),
             theta_prior=tuple(float(v) for v in
                               _typed(hyper_doc, "theta_prior", float, path, "hyper.", 2)),
@@ -219,7 +222,5 @@ def import_summary(path, cause_list: CauseList, symptom_dict: SymptomDictionary)
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSummary(f"{path}: malformed summary document: {exc}") from None
-    if hyper.K != K:
-        raise InvalidSummary(f"{path}: hyper.K disagrees with array shape K")
     summary.validate()
     return summary

@@ -51,7 +51,7 @@ class LcmHyper:
     sparse: bool = False
     spike_omega_prior: tuple[float, float] = (1.0, 1.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.K, int) or self.K < 1:
             raise InvalidHyper(f"K must be a positive integer, got {self.K!r}")
         if not self.alpha_sb > 0:
@@ -75,7 +75,7 @@ class GibbsConfig:
     thin: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.iterations, int) or self.iterations < 1:
             raise InvalidHyper(f"iterations must be a positive integer, got {self.iterations!r}")
         if not isinstance(self.burn_in, int) or not 0 <= self.burn_in < self.iterations:
@@ -161,7 +161,6 @@ class BaseModelSummary:
                 th_c = self.theta_bar[c]
                 if not np.all(np.isfinite(th_c)) or np.any(th_c <= 0) or np.any(th_c >= 1):
                     raise InvalidSummary(f"theta_bar[{c}] has entries outside (0,1)")
-        self.hyper.validate()
 
 
 def _canonical_order(dataset: Dataset) -> np.ndarray:
@@ -344,8 +343,6 @@ def train_lcm(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
     min_count deaths of cause c; only those causes are sampled, and the
     parameters of all others are NaN.
     """
-    hyper.validate()
-    cfg.validate()
     if min_count < 1:
         raise InvalidHyper(f"min_count must be >= 1, got {min_count!r}")
     if labeled.n == 0:

@@ -9,7 +9,8 @@ the unlabeled deaths, and metrics go into a long-format report.
 config.py builds, from the YAML file for `fedva lodo` or from a mapping in
 the same layout (`config_from_dict`) for a library caller. It reads the
 methods, seeds, scenario and workers, and the base_model, min_count, gibbs,
-ensemble and calibration blocks; config.py alone holds their defaults.
+ensemble and calibration blocks; config.py alone holds their defaults and
+checks them (an unknown or repeated method, a repeated seed).
 
 A cell's labels are `masked.y`, one vector in death order with UNLABELED
 where the scenario hides the cause; `run_variant` reads it from the masked
@@ -27,7 +28,7 @@ singly; the report carries one local-one:<domain> row per model plus their
 metric mean), calib-0.5 and calib-50 (the calibration baseline under weak
 and strong shrinkage). Each cell runs the requested methods in this order,
 so its rows and skipped cells follow it whatever order `methods` lists them
-in; a method listed twice is an error.
+in.
 
 The target-local model (`lcm.train_local`, trained as a site is) is trained
 once per cell on every labeled death, and local-self and bfl-domain both
@@ -60,7 +61,6 @@ from functools import partial
 import numpy as np
 
 from .calibration import build_predictions, fit_calibration
-from .config import RunConfig
 from .data import cause_counts, split_labels
 from .ensemble import (LOCAL_VARIANTS, adjust_csmf, build_phi, distinct_ids, fit_single_model,
                        local_rows, run_variant)
@@ -206,7 +206,7 @@ def _result_row(cells: list, where: str) -> MethodResult:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _run_cell(sources, target, seed, cfg: RunConfig):
+def _run_cell(sources, target, seed, cfg):
     """The requested methods for one (target domain, seed) cell, in report order."""
     C = len(target.cause_list)
     scenario_kind = cfg.scenario.kind
@@ -333,19 +333,11 @@ def _run_cell(sources, target, seed, cfg: RunConfig):
     return rows, skips
 
 
-def run_lodo(domains, cfg: RunConfig) -> ExperimentReport:
+def run_lodo(domains, cfg) -> ExperimentReport:
     """Run every (fold, seed, method) cell of `cfg`; failures are recorded, not fatal."""
     domains = list(domains)
     if len(domains) < 2:
         raise FedvaError("leave-one-domain-out needs at least 2 domains")
-    methods, seeds = list(cfg.methods), list(cfg.seeds)
-    for m in methods:
-        if m not in KNOWN_METHODS:
-            raise FedvaError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
-    if len(set(methods)) < len(methods):
-        raise FedvaError(f"a method is listed more than once in {methods}")
-    if len(set(seeds)) < len(seeds):
-        raise FedvaError(f"a seed is listed more than once in {seeds}")
     base = domains[0]
     for d in domains[1:]:
         if (d.cause_list.fingerprint != base.cause_list.fingerprint
@@ -368,9 +360,9 @@ def run_lodo(domains, cfg: RunConfig) -> ExperimentReport:
         if uncovered:
             skipped.extend(SkippedCell(target.domain_id, "*", seed,
                                        f"registry incomplete: cause indices {uncovered} uncovered")
-                           for seed in seeds)
+                           for seed in cfg.seeds)
             continue
-        for seed in seeds:
+        for seed in cfg.seeds:
             cell_sources.append(sources)
             targets.append(target)
             cell_seeds.append(seed)

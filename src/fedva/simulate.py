@@ -52,7 +52,7 @@ class GeneratorSpec:
     theta_beta: tuple[float, float] = (0.3, 0.3)
     nu_conc: float = 2.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("C", "K", "p", "M", "n_domain", "n_target"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
@@ -106,7 +106,6 @@ def _draw_records(rng, source, y: np.ndarray, nu: np.ndarray, theta: np.ndarray,
 
 def simulate(spec: GeneratorSpec) -> Simulation:
     """Deterministic in spec (including seed)."""
-    spec.validate()
     C, K, p, M = spec.C, spec.K, spec.p, spec.M
     rng = derive_rng("simulate", spec.seed)
 

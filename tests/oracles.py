@@ -329,8 +329,6 @@ def _stick_breaking(rng: np.random.Generator, counts: np.ndarray, alpha_sb: floa
 def train_lcm_reference(labeled: Dataset, hyper: LcmHyper, cfg: GibbsConfig,
                         min_count: int = 1) -> BaseModelSummary:
     """The per-cause Gibbs kernel, same stream key as `fedva.lcm.train_lcm`."""
-    hyper.validate()
-    cfg.validate()
     if min_count < 1:
         raise InvalidHyper(f"min_count must be >= 1, got {min_count!r}")
     if labeled.n == 0:
@@ -581,7 +579,6 @@ def simulate_reference(spec: GeneratorSpec):
     Every parameter must be given in spec, so that `simulate` draws none and
     its stream starts at the records, as this one does.
     """
-    spec.validate()
     C, K, p, M = spec.C, spec.K, spec.p, spec.M
     rng = derive_rng("simulate", spec.seed)
     pi_domains, pi_target, lambda_mix = spec.pi_domains, spec.pi_target, spec.lambda_mix

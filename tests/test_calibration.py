@@ -65,7 +65,7 @@ def test_top_breaks_ties_toward_lowest_index():
 ])
 def test_config_validation(bad):
     with pytest.raises(InvalidHyper):
-        CalibConfig(**bad).validate()
+        CalibConfig(**bad)
 
 
 def test_shrinkage_prior_mean_is_exact():

@@ -430,6 +430,39 @@ def test_invalid_sampler_block_exits_1_before_any_sampler_runs(ws, tmp_path, mon
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, block, extra", [
+    ("lodo", {"methods": []}, ()),
+    ("train", {"methods": ["not-a-method"]}, ("--domain", "domain_1")),
+    ("lodo", {"methods": ["bfl-plain", "not-a-method"]}, ()),
+    ("lodo", {"methods": ["bfl-plain", "bfl-plain"]}, ()),
+    ("lodo", {"seeds": [0, 1, 0]}, ()),
+    ("ensemble", {"base_model": {"K": 1, "min_count": 0}}, ("--variant", "plain")),
+    ("train", {"base_model": {"K": 1, "min_count": 0}}, ("--domain", "domain_1")),
+    ("train", {"generator": {"C": 1}}, ("--domain", "domain_1")),
+    ("ensemble", {"generator": {"missing_rate": 1.0}}, ()),
+    ("ensemble", {"gibbs": {"iterations": 120, "burn_in": 60, "seed": -1}}, ("--seed", "3")),
+], ids=["no-method", "unknown-method-train", "unknown-method", "repeated-method",
+        "repeated-seed", "min-count-plain", "min-count-train", "generator-train",
+        "generator-ensemble", "file-seed-under-seed-flag"])
+def test_invalid_run_settings_exit_1_at_load(ws, tmp_path, monkeypatch, capsys,
+                                             command, block, extra):
+    """The run's request (methods, seeds, min_count) and the generator block
+    are checked when the config loads, by every command, as the sampler
+    blocks are; a block's file seed is checked even when --seed replaces it.
+    Each exits 1 with one error line, before any dataset is read."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a dataset was read or a sampler ran before the config was rejected")
+
+    monkeypatch.setattr(cli, "load_dataset", boom)
+    monkeypatch.setattr(lodo, "train_lcm", boom)
+    p = tmp_path / "bad_run.yaml"
+    p.write_text(yaml.safe_dump(dict(ws["cfg_dict"], **block)))
+    assert run_cli(command, "--config", p, *extra, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_runtime_failures_exit_2(ws, tmp_path):
     cfg = dict(ws["cfg_dict"])
     empty = tmp_path / "empty_summaries"

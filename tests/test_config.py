@@ -9,9 +9,9 @@ import yaml
 
 from fedva import cli
 from fedva.calibration import CalibConfig
-from fedva.config import ScenarioConfig, config_from_dict, load_config
+from fedva.config import RunConfig, ScenarioConfig, config_from_dict, load_config
 from fedva.ensemble import EnsembleConfig, LambdaPrior
-from fedva.errors import ConfigError
+from fedva.errors import ConfigError, InvalidGenerator, InvalidHyper
 from fedva.lcm import GibbsConfig, LcmHyper
 from fedva.simulate import GeneratorSpec
 
@@ -152,3 +152,28 @@ def test_seed_flag_reaches_every_seed_leaf(tmp_path, monkeypatch):
     unseeded = load_config(path)
     assert (unseeded.gibbs.seed, unseeded.generator.seed, unseeded.seeds) == (1, 4, (5, 6))
     assert [f.name for f in dataclasses.fields(ScenarioConfig)] == ["kind", "label_fraction"]
+
+
+@pytest.mark.parametrize("valid, field, bad, error", [
+    (LcmHyper(), "K", 0, InvalidHyper),
+    (GibbsConfig(), "burn_in", 4000, InvalidHyper),
+    (LambdaPrior(), "conc", 0.0, InvalidHyper),
+    (EnsembleConfig(), "chains", 0, InvalidHyper),
+    (EnsembleConfig(), "thin", 0, InvalidHyper),  # the chain settings, by GibbsConfig's rules
+    (CalibConfig(), "burn_in", 2000, InvalidHyper),
+    (ScenarioConfig(), "label_fraction", 1.0, InvalidGenerator),
+    (GeneratorSpec(), "C", 1, InvalidGenerator),
+    (config_from_dict({}), "methods", ("not-a-method",), ConfigError),
+    (config_from_dict({}), "methods", ("bfl-plain", "bfl-plain"), ConfigError),
+    (config_from_dict({}), "seeds", (0, 1, 0), ConfigError),
+    (config_from_dict({}), "workers", 0, ConfigError),
+    (config_from_dict({}), "min_count", 0, InvalidHyper),
+], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else None)
+def test_settings_refuse_an_invalid_value_when_built_or_replaced(valid, field, bad, error):
+    """No settings object, however it is made, holds a value its consumer
+    would refuse; so no sampler or LODO run checks one again."""
+    with pytest.raises(error):
+        dataclasses.replace(valid, **{field: bad})
+    if type(valid) is not RunConfig:  # the only one without defaults
+        with pytest.raises(error):
+            type(valid)(**{field: bad})

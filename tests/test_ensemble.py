@@ -518,7 +518,7 @@ def test_run_variant_guards_small_label_sets():
     with pytest.raises(InsufficientLocalLabels):
         run_variant(few, build_phi(sources, few), cfg)
     with pytest.raises(InvalidHyper):
-        EnsembleConfig(variant="nope").validate()
+        EnsembleConfig(variant="nope")
 
 
 @pytest.mark.parametrize("variant, other", [("domain", "mix"), ("mix", "domain")])

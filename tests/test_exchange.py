@@ -15,6 +15,7 @@ from fedva.errors import (
     EmptyRegistry,
     FingerprintMismatch,
     IncompletePhi,
+    InvalidHyper,
     InvalidSummary,
     SchemaVersionUnsupported,
 )
@@ -172,6 +173,23 @@ def test_ill_typed_fields_are_refused_not_coerced(tmp_path, where, key, value):
     _rewrite(path, mutate)
     name = key if isinstance(key, str) else f"{where[-1]}[{key}] must"
     with pytest.raises(InvalidSummary, match=re.escape(name)):
+        import_summary(path, CL3, SD4)
+
+
+@pytest.mark.parametrize("key, value, error, message", [
+    ("K", 0, InvalidSummary, "hyper.K disagrees with array shape K"),
+    ("K", 3, InvalidSummary, "hyper.K disagrees with array shape K"),
+    ("alpha_sb", -1.0, InvalidHyper, "alpha_sb must be positive"),
+    ("spike_omega_prior", [1.0, 0.0], InvalidHyper, "spike_omega_prior shapes must be positive"),
+])
+def test_hyper_block_out_of_range_keeps_its_error(tmp_path, key, value, error, message):
+    """In a checksum-valid file, a hyper.K other than the arrays' K is an
+    invalid summary, even a K that LcmHyper itself refuses; any other value
+    out of its range is an invalid hyperparameter."""
+    path = tmp_path / "s.summary.json"
+    export_summary(trained(), path)
+    _rewrite(path, lambda d: d["hyper"].__setitem__(key, value))
+    with pytest.raises(error, match=re.escape(message)):
         import_summary(path, CL3, SD4)
 
 

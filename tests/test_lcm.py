@@ -204,22 +204,22 @@ def test_training_input_guards(labeled_ds):
 
 
 @pytest.mark.parametrize("bad", [
-    LcmHyper(K=0),
-    LcmHyper(alpha_sb=0.0),
-    LcmHyper(theta_prior=(0.0, 1.0)),
-    LcmHyper(pi_prior=-1.0),
-    LcmHyper(spike_omega_prior=(1.0, 0.0)),
+    dict(K=0),
+    dict(alpha_sb=0.0),
+    dict(theta_prior=(0.0, 1.0)),
+    dict(pi_prior=-1.0),
+    dict(spike_omega_prior=(1.0, 0.0)),
 ])
 def test_hyper_validation(bad):
     with pytest.raises(InvalidHyper):
-        bad.validate()
+        LcmHyper(**bad)
 
 
 def test_gibbs_config_validation():
     with pytest.raises(InvalidHyper):
-        GibbsConfig(iterations=10, burn_in=10, thin=1, seed=0).validate()
+        GibbsConfig(iterations=10, burn_in=10, thin=1, seed=0)
     with pytest.raises(InvalidHyper):
-        GibbsConfig(iterations=10, burn_in=2, thin=0, seed=0).validate()
+        GibbsConfig(iterations=10, burn_in=2, thin=0, seed=0)
 
 
 def grouped_dataset(sizes, p, seed, missing=0.1):

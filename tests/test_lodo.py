@@ -80,14 +80,17 @@ def without_runtime(rows):
 
 def test_input_validation():
     doms = toy_domains(2)
-    with pytest.raises(FedvaError):
-        run_lodo(doms, lodo_cfg(["not-a-method"]))
+    # the request is refused when its settings are built, before run_lodo
+    with pytest.raises(ConfigError, match="unknown method 'not-a-method'"):
+        lodo_cfg(["not-a-method"])
+    with pytest.raises(ConfigError, match="non-empty list"):
+        lodo_cfg([])
+    with pytest.raises(ConfigError, match="method is listed more than once"):
+        lodo_cfg(["bfl-plain", "bfl-plain"])
+    with pytest.raises(ConfigError, match="seed is listed more than once"):
+        lodo_cfg(["bfl-plain"], seeds=[0, 1, 0])
     with pytest.raises(FedvaError):
         run_lodo(doms[:1], lodo_cfg(["bfl-plain"]))
-    with pytest.raises(FedvaError, match="more than once"):
-        run_lodo(doms, lodo_cfg(["bfl-plain", "bfl-plain"]))
-    with pytest.raises(FedvaError, match="seed is listed more than once"):
-        run_lodo(doms, lodo_cfg(["bfl-plain"], seeds=[0, 1, 0]))
     other = Dataset(
         domain_id="odd",
         death_ids=doms[0].death_ids,
