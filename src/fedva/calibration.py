@@ -44,7 +44,7 @@ from .ensemble import EnsembleConfig, PhiTensor, distinct_ids, fit_single_model
 from .lcm import GibbsConfig
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
 from .ensemble import fit_global  # noqa: F401
-from .utils import derive_rng, log_dirichlet, log_dirichlet_pdf
+from .utils import derive_rng, log_dirichlet, log_dirichlet_norm, log_dirichlet_pdf
 
 
 @dataclass(frozen=True)
@@ -173,17 +173,22 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
 
     eye_eps = np.eye(C) + cfg.epsilon  # row c of the prior is gamma * eye_eps[c]
 
-    def log_target(log_g, log_conf):
+    def rows_at(log_g):
+        """Confusion-row concentrations at gamma = exp(log_g), and their log normalizers."""
+        conc = np.exp(log_g)[..., None] * eye_eps + counts
+        return conc, log_dirichlet_norm(conc)
+
+    def log_target(log_g, conc, log_norm, log_conf):
         """log p(log gamma | confusion row) up to a constant, per (m, c)."""
-        g = np.exp(log_g)
         return (
-            (cfg.alpha - 1.0) * log_g - cfg.beta_rate * g  # Gamma prior
-            + log_dirichlet_pdf(log_conf, g[..., None] * eye_eps + counts)
+            (cfg.alpha - 1.0) * log_g - cfg.beta_rate * np.exp(log_g)  # Gamma prior
+            + log_dirichlet_pdf(log_conf, conc, log_norm)
             + log_g  # Jacobian of the log-scale walk
         )
 
     log_g = np.full((M, C), np.log(cfg.alpha / cfg.beta_rate))
-    _, log_conf = log_dirichlet(rng_cut, np.exp(log_g)[..., None] * eye_eps + counts)
+    conc, log_norm = rows_at(log_g)
+    _, log_conf = log_dirichlet(rng_cut, conc)
 
     patterns, sizes = np.unique(top[unlabeled], axis=0, return_counts=True)
     keep = cfg.iterations - cfg.burn_in
@@ -193,13 +198,20 @@ def fit_calibration(a: PredictionTensor, labels: np.ndarray | None,
     kept = 0
 
     for it in range(cfg.iterations):
-        # gamma | confusion rows: random-walk Metropolis on log gamma
+        # gamma | confusion rows: random-walk Metropolis on log gamma. The
+        # current gamma's concentrations and normalizers carry over from the
+        # step that accepted them, so only the proposal's are computed.
         prop = log_g + 0.3 * rng_cut.normal(size=(M, C))
-        cur, new = log_target(np.stack([log_g, prop]), log_conf)
-        log_g = np.where(np.log(rng_cut.random(size=(M, C))) < new - cur, prop, log_g)
+        conc_prop, log_norm_prop = rows_at(prop)
+        cur, new = log_target(np.array([log_g, prop]), np.array([conc, conc_prop]),
+                              np.array([log_norm, log_norm_prop]), log_conf)
+        accept = np.log(rng_cut.random(size=(M, C))) < new - cur
+        log_g = np.where(accept, prop, log_g)
+        conc = np.where(accept[..., None], conc_prop, conc)
+        log_norm = np.where(accept, log_norm_prop, log_norm)
 
         # confusion rows | gamma (labeled counts only)
-        conf, log_conf = log_dirichlet(rng_cut, np.exp(log_g)[..., None] * eye_eps + counts)
+        conf, log_conf = log_dirichlet(rng_cut, conc)
 
         # latent cause counts of unlabeled deaths | confusion, pi: pattern u
         # weighs cause c by log pi_c + sum_m log conf[m, c, patterns[u, m]],

@@ -60,8 +60,8 @@ logistic-normal prior over row log-weights is available via random-walk
 Metropolis-within-Gibbs, one batched step in which each row is accepted alone.
 
 `marginal_loglik` scores (pi, lambda) exactly, latent cells summed out by
-the numpy `utils.logsumexp`; no fit or output reads it, and the module
-imports no scipy.
+the numpy `utils.logsumexp`; no fit or output reads it. Like every fedva
+module, this one needs numpy alone.
 """
 from __future__ import annotations
 

@@ -205,9 +205,9 @@ def record_walk_starts(monkeypatch):
     """Confusion-row concentration at the current gamma of every Metropolis step."""
     starts = []
 
-    def spy(logx, alpha):
+    def spy(logx, alpha, log_norm):
         starts.append(alpha[0])  # alpha stacks the current gamma's rows and the proposal's
-        return log_dirichlet_pdf(logx, alpha)
+        return log_dirichlet_pdf(logx, alpha, log_norm)
 
     monkeypatch.setattr(calibration, "log_dirichlet_pdf", spy)
     return starts

@@ -1,17 +1,16 @@
 """Cold start: a `fedva` process imports only what its command runs.
 
-scipy's import costs more than numpy's and fedva's together, and the process
-pool loads multiprocessing and socket. Only calibration (`log_dirichlet_pdf`'s
-`gammaln`) and sparse site training (`expit`) use scipy, and only a parallel
-`parallel_map` starts a pool. Each check runs `fedva.cli.main` in a fresh
-interpreter, because this test process has imported scipy already.
+No command loads scipy: its import costs more than numpy's and fedva's
+together, and the samplers' special functions (`utils.gammaln`,
+`utils.expit`) are numpy code. The process pool loads multiprocessing and
+socket, and only a parallel `parallel_map` starts one. Each check runs
+`fedva.cli.main` in a fresh interpreter, because this test process has
+imported scipy already.
 """
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 import fedva
 
@@ -23,9 +22,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fedva.__file__)))
 SCRIPT = """
 import contextlib, io, json, sys
 
+if sys.argv[2:] == ["block-scipy"]:
+    sys.modules["scipy"] = None  # any scipy import raises ImportError
+
 def heavy():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+    return sorted(m for m, mod in sys.modules.items() if mod is not None
+                  and (m.split(".")[0] == "scipy" or m == "concurrent.futures.process"))
 
 import fedva.cli
 steps = [{"argv": ["import fedva.cli"], "rc": 0, "heavy": heavy()}]
@@ -53,8 +55,11 @@ def _config(sparse: bool) -> dict:
     }
 
 
-def run_fresh(tmp_path, *commands) -> list:
-    """Simulate a tiny federation, then run `commands`, all in one new interpreter."""
+def run_fresh(tmp_path, *commands, block_scipy=False) -> list:
+    """Simulate a tiny federation, then run `commands`, all in one new interpreter.
+
+    With block_scipy, importing scipy fails in that interpreter.
+    """
     (tmp_path / "sim.json").write_text(json.dumps({
         "paths": {"out": "sim"},
         "generator": {"C": 3, "K": 1, "p": 6, "M": 2, "n_domain": 60, "n_target": 30, "seed": 5},
@@ -62,9 +67,9 @@ def run_fresh(tmp_path, *commands) -> list:
     for sparse in (False, True):
         (tmp_path / f"run_sparse{int(sparse)}.json").write_text(json.dumps(_config(sparse)))
     steps = [["simulate", "--config", "sim.json"], *commands]
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(steps)], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
-                          timeout=300)
+    argv = [sys.executable, "-c", SCRIPT, json.dumps(steps)] + ["block-scipy"] * block_scipy
+    proc = subprocess.run(argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     done = json.loads(proc.stdout.strip().splitlines()[-1])
     assert [s["rc"] for s in done] == [0] * len(done), done
@@ -84,13 +89,33 @@ def test_cli_commands_load_no_scipy_and_no_process_pool(tmp_path):
     assert (tmp_path / "out" / "ensemble_csmf.csv").is_file()
 
 
-@pytest.mark.parametrize("command", [
-    ["calibrate", "--config", "run_sparse0.json"],
-    ["train", "--config", "run_sparse1.json", "--domain", "domain_1"],
-], ids=["calibrate", "sparse-train"])
-def test_calibrate_and_sparse_train_load_scipy_only_when_they_run(tmp_path, command):
-    steps = run_fresh(tmp_path, *TRAIN, command)
-    for s in steps[:-1]:
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    """Dense and sparse training, calibration and both `calib-*` LODO methods
+    included: each command exits 0 although scipy cannot be imported."""
+    (tmp_path / "lodo.json").write_text(json.dumps({
+        "paths": {"cause_list": "sim/cause_list.txt", "symptom_dict": "sim/symptom_dict.txt",
+                  "datasets": {"domain_1": "sim/domain_1.csv", "domain_2": "sim/domain_2.csv",
+                               "target": "sim/target.csv"},
+                  "out": "lodo"},
+        "base_model": {"K": 1},
+        "gibbs": {"iterations": 10, "burn_in": 5, "seed": 3},
+        "ensemble": {"chains": 1, "iterations": 10, "burn_in": 5, "seed": 4},
+        "calibration": {"iterations": 10, "burn_in": 5, "seed": 5},
+        "methods": ["calib-0.5", "calib-50"],
+        "seeds": [0],
+        "workers": 1,
+    }))
+    steps = run_fresh(tmp_path, *TRAIN,
+                      ["train", "--config", "run_sparse1.json", "--domain", "domain_1"],
+                      ["ensemble", "--config", "run_sparse0.json", "--variant", "partial"],
+                      ["classify", "--config", "run_sparse0.json", "--variant", "partial"],
+                      ["calibrate", "--config", "run_sparse0.json"],
+                      ["lodo", "--config", "lodo.json"],
+                      block_scipy=True)
+    assert [s["argv"][0] for s in steps] == [
+        "import fedva.cli", "simulate", "train", "train", "train", "ensemble", "classify",
+        "calibrate", "lodo"]
+    for s in steps:
         assert s["heavy"] == [], s["argv"]
-    assert "scipy.special" in steps[-1]["heavy"]
-    assert "concurrent.futures.process" not in steps[-1]["heavy"]
+    assert (tmp_path / "out" / "calibration.txt").is_file()
+    assert (tmp_path / "lodo" / "lodo_results.csv").is_file()

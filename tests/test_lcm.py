@@ -383,7 +383,7 @@ def test_k1_stream_is_pinned(hyper, digest):
 
 def test_k3_sparse_stream_is_pinned():
     """The spike-and-slab path at K>1 keeps its exact bytes, its inclusion
-    probabilities (scipy's `expit`) and class draws included."""
+    probabilities (`utils.expit`) and class draws included."""
     ds = grouped_dataset((40, 25, 3), p=12, seed=11)
     s = train_lcm(ds, LcmHyper(K=3, sparse=True),
                   GibbsConfig(iterations=60, burn_in=20, thin=2, seed=5))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -11,12 +12,15 @@ from fedva.utils import (
     atomic_write_text,
     derive_rng,
     derive_seed,
+    expit,
     fingerprint_ids,
+    gammaln,
     gumbel_argmax,
     inverse_cdf,
     is_simplex,
     largest_remainder_counts,
     log_dirichlet,
+    log_dirichlet_norm,
     log_dirichlet_pdf,
     logsumexp,
     round_half_up,
@@ -166,6 +170,56 @@ def test_log_dirichlet_pdf_matches_scipy_and_broadcasts():
     assert np.allclose(got, want, rtol=1e-12)
     # finite where the linear value underflows to 0
     assert np.isfinite(log_dirichlet_pdf(np.array([-1e8, 0.0]), np.array([1e-7, 1.0])))
+
+
+def lgamma_close(got, x):
+    """|gammaln(x) - lgamma(x)| <= 1e-13 * max(1, |lgamma(x)|), per element."""
+    want = np.array([math.lgamma(v) for v in np.ravel(x)]).reshape(np.shape(x))
+    return np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e100), min_size=1, max_size=20))
+def test_gammaln_matches_math_lgamma(xs):
+    x = np.array(xs)
+    assert lgamma_close(gammaln(x), x).all(), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-2.0, max_value=2.0))
+def test_gammaln_at_the_tiny_prior_concentrations(scale):
+    """gamma * epsilon near 1e-7 (epsilon 1e-6, beta_rate 50), and below."""
+    x = 1e-7 * 10.0 ** np.array([scale, scale - 3.0, scale + 3.0])
+    assert lgamma_close(gammaln(x), x).all(), x
+
+
+def test_gammaln_at_the_integers_and_as_a_scalar():
+    n = np.arange(1.0, 201.0)
+    assert lgamma_close(gammaln(n), n).all()
+    assert abs(gammaln(1.0)) <= 1e-13 and abs(gammaln(2.0)) <= 1e-13
+    assert gammaln(3.0).shape == () and gammaln(3.0) == pytest.approx(math.log(2.0), abs=1e-13)
+    assert gammaln(n.reshape(8, 25)).shape == (8, 25)
+
+
+def test_log_dirichlet_norm_is_the_pdf_offset():
+    alpha = np.array([[0.5, 1.5, 2.0], [3.0, 1.0, 1e-3]])
+    want = [math.lgamma(a.sum()) - sum(math.lgamma(v) for v in a) for a in alpha]
+    assert np.allclose(log_dirichlet_norm(alpha), want, rtol=1e-13, atol=1e-13)
+    logx = np.log([0.2, 0.3, 0.5])
+    assert np.array_equal(log_dirichlet_pdf(logx, alpha),
+                          log_dirichlet_pdf(logx, alpha, log_dirichlet_norm(alpha)))
+
+
+def test_expit_matches_scipy_without_an_overflow_warning():
+    """The suite turns every RuntimeWarning into an error: -800 overflows exp."""
+    from scipy.special import expit as scipy_expit
+
+    x = np.array([-800.0, -30.0, -1.0, 0.0, 1e-3, 1.0, 30.0, 800.0])
+    got = expit(x)
+    assert got[0] == 0.0 and got[3] == 0.5 and got[-1] == 1.0
+    np.testing.assert_allclose(got, scipy_expit(x), rtol=1e-15, atol=0)
+    x = np.random.default_rng(4).normal(scale=20.0, size=10_000)
+    np.testing.assert_allclose(expit(x), scipy_expit(x), rtol=1e-15, atol=0)
 
 
 def test_logsumexp_matches_scipy_on_finite_and_partly_infinite_rows():
