@@ -12,6 +12,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import fedva
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fedva.__file__)))
@@ -87,6 +89,20 @@ def test_cli_commands_load_no_scipy_and_no_process_pool(tmp_path):
     for s in steps:
         assert s["heavy"] == [], s["argv"]
     assert (tmp_path / "out" / "ensemble_csmf.csv").is_file()
+
+
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--config", "run_sparse0.json"],
+    ["train", "--config", "run_sparse1.json", "--domain", "domain_1"],
+], ids=["calibrate", "sparse-train"])
+def test_calibrate_and_sparse_train_load_scipy_only_when_they_run(tmp_path, command):
+    """The two commands whose special functions once came from scipy.special
+    load neither scipy nor the process pool, with scipy importable: the numpy
+    code is the only path, not a fallback for when scipy is missing."""
+    steps = run_fresh(tmp_path, *TRAIN, command)
+    assert steps[-1]["argv"] == command
+    for s in steps:
+        assert s["heavy"] == [], s["argv"]
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
