@@ -59,6 +59,11 @@ Dirichlet (fully conjugate, all rows drawn in one batched call); a
 logistic-normal prior over row log-weights is available via random-walk
 Metropolis-within-Gibbs, one batched step in which each row is accepted alone.
 
+A chain is a `ChainState` (generator, pi and lambda, the logistic-normal
+walk, sweep count, kept draws) that `_run_chain` advances by any number of
+sweeps. Step adaptation, burn-in and thinning read its own sweep count, so
+rounds of any lengths give the bytes of one; `fit_global` runs one round.
+
 `marginal_loglik` scores (pi, lambda) exactly, latent cells summed out by
 the numpy `utils.logsumexp`; no fit or output reads it. Like every fedva
 module, this one needs numpy alone.
@@ -214,7 +219,7 @@ class GlobalPosterior:
 
     pi_draws: np.ndarray
     lambda_draws: np.ndarray
-    acceptance_rate: float | None
+    acceptance_rate: float | None  # None when no Metropolis step ran
     config: EnsembleConfig
     domain_ids: tuple[str, ...]
     rhat_pi: np.ndarray
@@ -342,7 +347,8 @@ def _split_deaths(phi: PhiTensor, labels: np.ndarray | None) -> tuple:
     exp-shift, which makes each death's largest likelihood 1, so one
     domain-major (M, C, n) array serves every death. The caller's
     log-likelihoods, gathered by `order` only for the fallback, are not
-    copied.
+    copied. Also read: the causes two or more domains cover (`multi`), their
+    coverage rows, and the labeled deaths per cause.
     """
     unlabeled, labeled, y = split_labels(labels, phi.n, phi.C)
     order = np.concatenate([unlabeled, labeled])
@@ -352,50 +358,62 @@ def _split_deaths(phi: PhiTensor, labels: np.ndarray | None) -> tuple:
         rows[...] = phi.log_phi[order, :, m].T
     phi_exp[:, _off_cause(fit_y, phi.C).T] = -np.inf
     phi_exp -= phi_exp.max(axis=(0, 1))
-    return phi.present, phi.log_phi, order, fit_y, np.exp(phi_exp, out=phi_exp)
+    multi = np.flatnonzero(phi.present.sum(axis=1) > 1)
+    return (phi.present, multi, phi.present[multi] == 1, np.bincount(y, minlength=phi.C),
+            phi.log_phi, order, fit_y, np.exp(phi_exp, out=phi_exp))
 
 
-def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
-    """One MCMC chain; returns kept draws and acceptance bookkeeping."""
-    present, log_phi, order, fit_y, phi_exp = deaths
-    C, M = present.shape
-    allowed = present.astype(bool)
-    multi = allowed.sum(axis=1) > 1  # causes with a real weight choice
-    any_multi = bool(multi.any())
-    multi_allowed = allowed[multi]
-    conc = cfg.lambda_prior.conc
-    ln_prior = cfg.lambda_prior.kind == "logistic_normal"
-    sigma = cfg.lambda_prior.sigma
+@dataclass
+class ChainState:
+    """One chain between rounds: what its next sweep reads, and its kept draws."""
+
+    rng: np.random.Generator
+    pi: np.ndarray
+    log_pi: np.ndarray
+    lam: np.ndarray
+    log_lam: np.ndarray
+    beta: np.ndarray | None  # logistic-normal with a weight choice: multi rows' log-weights,
+    step: np.ndarray | None  # their step sizes, and accepts since the last adaptation
+    accepted: np.ndarray | None  # or the end of burn-in; None otherwise
+    sweeps: int
+    pi_out: np.ndarray
+    lam_out: np.ndarray
+    kept: int = 0
+
+
+def _start_chain(deaths: tuple, cfg: EnsembleConfig, chain: int) -> ChainState:
+    """Chain `chain` at sweep 0: (pi, lambda) drawn from the prior."""
+    present, multi, multi_allowed = deaths[:3]
     rng = derive_rng("ensemble-chain", cfg.seed, chain)
+    pi, log_pi = log_dirichlet(rng, np.full(len(present), cfg.pi_prior_conc))
+    log_lam = np.where(present == 1, 0.0, -np.inf)  # a single-domain row stays at weight 1
+    lam = np.exp(log_lam)
+    beta = step = accepted = None
+    if cfg.lambda_prior.kind == "logistic_normal" and multi.size:
+        beta = np.where(multi_allowed, rng.normal(0.0, cfg.lambda_prior.sigma,
+                                                  size=multi_allowed.shape), 0.0)
+        log_lam[multi] = _log_softmax(beta, multi_allowed)
+        lam[multi] = np.exp(log_lam[multi])
+        step, accepted = np.full(multi.size, cfg.mh_step), np.zeros(multi.size)
+    elif multi.size:
+        lam[multi], log_lam[multi] = log_dirichlet(
+            rng, np.where(multi_allowed, cfg.lambda_prior.conc, 0.0))
+    keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
+    return ChainState(rng, pi, log_pi, lam, log_lam, beta, step, accepted, 0,
+                      np.empty((keep, len(present))), np.empty((keep, *present.shape)))
 
+
+def _run_chain(deaths: tuple, cfg: EnsembleConfig, state: ChainState, sweeps: int) -> ChainState:
+    """Advance one chain by `sweeps` sweeps, keeping its post-burn-in draws."""
+    present, multi, multi_allowed, n_lab, log_phi, order, fit_y, phi_exp = deaths
+    C, M = present.shape
+    rng, pi, log_pi, lam, log_lam = state.rng, state.pi, state.log_pi, state.lam, state.log_lam
+    beta, step, accepted, kept = state.beta, state.step, state.accepted, state.kept
     cum = np.zeros((C + 1, order.size))
-    n_lab = np.bincount(fit_y[fit_y != UNLABELED], minlength=C)
     # Labeled causes enter pi's conditional only when tied; the zeros added
     # when untied leave that concentration's floats as they are.
     counts_lab = n_lab.astype(np.float64) if cfg.tie_pi else np.zeros(C)
-
-    pi, log_pi = log_dirichlet(rng, np.full(C, cfg.pi_prior_conc))
-
-    lam = np.where(allowed & ~multi[:, None], 1.0, 0.0)
-    log_lam = np.where(lam == 1.0, 0.0, -np.inf)
-    if ln_prior and any_multi:
-        # Multi-domain rows' log-weights beta, 0 at absent cells, and log lambda ll
-        beta = np.where(multi_allowed, rng.normal(0.0, sigma, size=multi_allowed.shape), 0.0)
-        ll = _log_softmax(beta, multi_allowed)
-        lam[multi], log_lam[multi] = np.exp(ll), ll
-    elif any_multi:
-        lam[multi], log_lam[multi] = log_dirichlet(
-            rng, np.where(multi_allowed, conc, 0.0)
-        )
-
-    step = np.full(multi_allowed.shape[0], cfg.mh_step)
-    accept_win = np.zeros_like(step)
-    accept_post = np.zeros_like(step)
-
-    keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
-    pi_out = np.empty((keep, C))
-    lam_out = np.empty((keep, C, M))
-    kept = 0
+    two_var = 2.0 * cfg.lambda_prior.sigma**2
 
     def log_w(rows):  # the fallback's log-weights of the deaths at `rows` of fit order
         out = log_phi[order[rows]]
@@ -403,7 +421,7 @@ def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
         out += log_pi[:, None] + log_lam
         return out.reshape(rows.size, C * M)
 
-    for it in range(cfg.iterations):
+    for it in range(state.sweeps, state.sweeps + sweeps):
         # (Y, H) | pi, lambda: each death draws its cause and then, on the
         # same uniform, its domain within that cause; a labeled death's cause
         # level lands on its known cause, its masses elsewhere being zero.
@@ -416,38 +434,32 @@ def _run_chain(deaths: tuple, cfg: EnsembleConfig, chain: int):
 
         # lambda | H; rows of single-domain causes stay at 1. Logistic-normal:
         # a random-walk step per row, its size adapted every 50 burn-in sweeps
-        if ln_prior and any_multi:
+        if beta is not None:
             prop = beta + (multi_allowed * step[:, None]) * rng.normal(size=beta.shape)
             prop_ll = _log_softmax(prop, multi_allowed)
-            gain = np.subtract(prop_ll, ll, out=np.zeros_like(ll), where=multi_allowed)
-            delta = (nm[multi] * gain - (prop * prop - beta * beta) / (2.0 * sigma**2)).sum(axis=1)
-            accepted = np.log(rng.random(delta.shape[0])) < delta
-            beta[accepted], ll[accepted] = prop[accepted], prop_ll[accepted]
-            lam[multi], log_lam[multi] = np.exp(ll), ll
-            if it < cfg.burn_in:
-                accept_win += accepted
-                if (it + 1) % 50 == 0:
-                    rate = accept_win / 50.0
-                    step[rate < 0.20] *= 0.8
-                    step[rate > 0.40] *= 1.25
-                    accept_win[:] = 0.0
-            else:
-                accept_post += accepted
-        elif any_multi:
+            gain = np.subtract(prop_ll, log_lam[multi], out=np.zeros_like(prop_ll),
+                               where=multi_allowed)
+            delta = (nm[multi] * gain - (prop * prop - beta * beta) / two_var).sum(axis=1)
+            took = np.log(rng.random(delta.shape[0])) < delta
+            beta[took], new = prop[took], prop_ll[took]
+            lam[multi[took]], log_lam[multi[took]] = np.exp(new), new
+            accepted += took
+            if it < cfg.burn_in and (it + 1) % 50 == 0:
+                rate = accepted / 50.0
+                step[rate < 0.20] *= 0.8
+                step[rate > 0.40] *= 1.25
+            if it < cfg.burn_in and ((it + 1) % 50 == 0 or it + 1 == cfg.burn_in):
+                accepted[:] = 0.0  # a new window, or the post-burn-in count
+        elif multi.size:
             lam[multi], log_lam[multi] = log_dirichlet(
-                rng, np.where(multi_allowed, conc + nm[multi], 0.0)
-            )
+                rng, np.where(multi_allowed, cfg.lambda_prior.conc + nm[multi], 0.0))
 
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            pi_out[kept] = pi
-            lam_out[kept] = lam
+            state.pi_out[kept], state.lam_out[kept] = pi, lam
             kept += 1
 
-    acc = None
-    if ln_prior:
-        rates = accept_post / (cfg.iterations - cfg.burn_in)
-        acc = float(rates.mean()) if rates.size else 1.0
-    return pi_out, lam_out, acc
+    state.pi, state.log_pi, state.sweeps, state.kept = pi, log_pi, state.sweeps + sweeps, kept
+    return state
 
 
 def split_rhat(chain_draws: np.ndarray) -> np.ndarray:
@@ -481,12 +493,14 @@ def fit_global(phi: PhiTensor, labels: np.ndarray | None, cfg: EnsembleConfig,
         uncovered = np.flatnonzero(phi.present.sum(axis=1) < 1).tolist()
         raise IncompletePhi(f"no domain covers cause indices {uncovered}")
     deaths = _split_deaths(phi, labels)
-    results = parallel_map(partial(_run_chain, deaths, cfg), range(cfg.chains), workers=workers)
+    states = parallel_map(partial(_run_chain, deaths, cfg, sweeps=cfg.iterations),
+                          [_start_chain(deaths, cfg, c) for c in range(cfg.chains)],
+                          workers=workers)
 
-    pi_by_chain = np.stack([r[0] for r in results])
-    lambda_draws = np.concatenate([r[1] for r in results])
-    accs = [r[2] for r in results]
-    acceptance = float(np.mean(accs)) if accs[0] is not None else None
+    pi_by_chain = np.stack([s.pi_out[:s.kept] for s in states])
+    lambda_draws = np.concatenate([s.lam_out[:s.kept] for s in states])
+    rates = [s.accepted / (cfg.iterations - cfg.burn_in) for s in states if s.accepted is not None]
+    acceptance = float(np.mean([r.mean() for r in rates])) if rates else None
 
     rhat = split_rhat(pi_by_chain)
     bad = np.flatnonzero(np.nan_to_num(rhat, nan=1.0) > 1.1)

@@ -149,7 +149,8 @@ def test_ensemble_rerun_is_byte_identical(ws):
 
 
 def test_seed_and_workers_overrides(ws):
-    base = ws["root"] / "out_rerun_a"
+    base = ws["root"] / "out_overrides_base"
+    assert run_cli("ensemble", "--config", ws["cfg"], "--out", base) == 0
     seeded = ws["root"] / "out_seeded"
     assert run_cli("ensemble", "--config", ws["cfg"], "--out", seeded, "--seed", 99) == 0
     assert read(seeded / "ensemble_pi.csv") != read(base / "ensemble_pi.csv")

@@ -45,11 +45,12 @@ def test_two_copies_of_the_tree_are_identical_everywhere(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     commands = {c for c, _, _ in rows}
     assert commands == {"inputs", "train", "ensemble-plain", "ensemble-partial",
-                        "ensemble-domain", "ensemble-mix", "classify-partial", "calibrate",
+                        "ensemble-domain", "ensemble-mix", "ensemble-partial-ln",
+                        "classify-partial", "calibrate",
                         "lodo-random_sample", "lodo-mild_shift", "lodo-severe_shift"}
     assert {r for _, _, r in rows} == {"identical"}
     assert sum(c == "inputs" for c, _, _ in rows) == 3
-    assert "40 output files: 40 identical, 0 moved" in proc.stdout
+    assert "46 output files: 46 identical, 0 moved" in proc.stdout
 
 
 def test_a_one_ulp_change_is_reported(tmp_path):
@@ -60,7 +61,8 @@ def test_a_one_ulp_change_is_reported(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     moved = [(c, f, r) for c, f, r in rows if r != "identical"]
     assert [(c, f) for c, f, _ in moved] == [
-        (f"ensemble-{v}", "ensemble_csmf.csv") for v in ("plain", "partial", "domain", "mix")]
+        (f"ensemble-{v}", "ensemble_csmf.csv")
+        for v in ("plain", "partial", "domain", "mix", "partial-ln")]
     for _, _, result in moved:
         cells, top_abs, top_rel = re.fullmatch(
             r"(\d+) cells, max abs (\S+), max rel (\S+)", result).groups()

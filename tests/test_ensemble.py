@@ -1,6 +1,10 @@
+import dataclasses
+import hashlib
 import math
+import pickle
 import warnings
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_se, labels_first, make_dataset
 from fedva.calibration import CalibConfig, PredictionTensor, fit_calibration
-from fedva.data import UNLABELED
+from fedva.data import UNLABELED, CauseList
 from fedva.ensemble import (
     Classification,
     EnsembleConfig,
@@ -25,7 +29,9 @@ from fedva.ensemble import (
     local_rows,
     marginal_loglik,
     _draw_cells,
+    _run_chain,
     _split_deaths,
+    _start_chain,
     run_variant,
     split_rhat,
 )
@@ -42,7 +48,8 @@ from fedva.errors import (
     NotASimplex,
 )
 from fedva.lcm import GibbsConfig, LcmHyper, cond_loglik_matrix, train_lcm, train_local
-from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet
+from fedva.reports import posterior_text
+from fedva.utils import derive_rng, gumbel_argmax, log_dirichlet, parallel_map
 from oracles import classify_reference, draw_cells_reference, fit_reference, log_posterior
 
 
@@ -166,6 +173,98 @@ def test_fit_global_is_deterministic_and_worker_invariant():
     assert not np.array_equal(p1.pi_draws, p3.pi_draws)
 
 
+def _stream_fit(seed, n, present, n_L=0, **cfg):
+    """(phi, labels, cfg): random likelihoods of n deaths, -inf off `present`,
+    and n_L labeled deaths interleaved with the unlabeled ones."""
+    rng = np.random.default_rng(seed)
+    present = np.asarray(present, dtype=np.uint8)
+    log_phi = np.log(rng.uniform(0.05, 1.0, size=(n, *present.shape)))
+    log_phi[:, present == 0] = -np.inf
+    labels = np.full(n, UNLABELED)
+    at = rng.choice(n, size=n_L, replace=False)
+    labels[at] = rng.integers(0, present.shape[0], size=n_L)
+    cfg = EnsembleConfig(**{"variant": "partial", "chains": 2, "iterations": 160,
+                            "burn_in": 80, "seed": 11, **cfg})
+    return phi_of(log_phi, present), labels, cfg
+
+
+_LN = LambdaPrior(kind="logistic_normal", sigma=1.0)
+# sha256 of pi_draws, lambda_draws and repr(acceptance_rate) of small fits at
+# both lambda priors: they pin the "ensemble-chain" stream, which a refactor of
+# the sampler must leave as it is.
+STREAM_CASES = {
+    "dirichlet-tied": (
+        _stream_fit(1, 30, np.ones((3, 2)), n_L=9, tie_pi=True),
+        "e895674d4e7e8d8db5f28e672ce0dfce3433cdcdd03379177c82bb3cc4554493"),
+    "dirichlet-untied": (
+        _stream_fit(1, 30, np.ones((3, 2)), n_L=9, tie_pi=False),
+        "95b7d0a7dfce0e1b6256b79df0c0af659c4bdc88d0ecf6d766e08c6031033d2a"),
+    "one-domain-cause": (  # cause 0 in one domain; cause 1 lacks the third
+        _stream_fit(2, 25, [[1, 0, 0], [1, 1, 0], [1, 1, 1]], n_L=4),
+        "c7be2a47b9c9514638abc0346ac02c2db8da11cc98528ff87e889bb744c73bb8"),
+    "all-labeled": (
+        _stream_fit(3, 20, np.ones((3, 3)), n_L=20),
+        "203bf024ae09a4caa77feaeb86677f9b8c7194e0e6266d313fe36f75e5a8eb30"),
+    "single-model": (
+        _stream_fit(4, 30, np.ones((4, 1)), n_L=6),
+        "95259280dac456146420d783b1fe0bfff7eaaa5b42e56a57c426b342d58a3895"),
+    "thin-3": (
+        _stream_fit(5, 30, np.ones((3, 2)), n_L=5, thin=3),
+        "f594a519bb0306b806ecc5105fc632d5ac14c1578680e2a40eef5bd00463b4c3"),
+    "logistic-normal-300": (
+        _stream_fit(6, 30, [[1, 1], [1, 0], [1, 1]], n_L=5, iterations=400, burn_in=300,
+                    lambda_prior=_LN),
+        "c299519d1c23ce093547a3881f6ae1da1b005bcdc7ab6b2948827557412bda01"),
+    "logistic-normal-120": (  # burn-in ends mid adaptation window
+        _stream_fit(7, 30, np.ones((3, 3)), n_L=5, iterations=260, burn_in=120,
+                    lambda_prior=_LN),
+        "b8f4076eeea6fc0a067f1ddc28c6b00a477dfd588c982c954f9af2d76d3cfdd3"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_ensemble_chain_stream_is_pinned(case, workers):
+    (phi, labels, cfg), digest = STREAM_CASES[case]
+    post = fit_global(phi, labels, cfg, workers=workers)
+    got = hashlib.sha256(post.pi_draws.tobytes() + post.lambda_draws.tobytes()
+                         + repr(post.acceptance_rate).encode()).hexdigest()
+    assert got == digest
+
+
+def _snapshot(state):
+    """Every field of a chain state, as the bytes it pickles to."""
+    return {f.name: pickle.dumps(getattr(state, f.name)) for f in dataclasses.fields(state)}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("prior", [LambdaPrior(), _LN], ids=["dirichlet", "logistic-normal"])
+def test_chains_advanced_in_two_rounds_equal_one_round(prior, workers):
+    """A split anywhere, across adaptation windows and the end of burn-in (mid
+    window at 120), with the state pickled between the rounds, changes no byte."""
+    phi, labels, cfg = _stream_fit(9, 30, [[1, 1, 1], [1, 0, 1], [0, 1, 0]], n_L=6,
+                                   iterations=260, burn_in=120, thin=2, lambda_prior=prior)
+    deaths = _split_deaths(phi, labels)
+
+    def run(*ends):
+        states, done = [_start_chain(deaths, cfg, c) for c in range(cfg.chains)], 0
+        for end in (*ends, cfg.iterations):
+            states = [pickle.loads(pickle.dumps(s)) for s in states]
+            states = parallel_map(partial(_run_chain, deaths, cfg, sweeps=end - done), states,
+                                  workers=workers)
+            done = end
+        return [_snapshot(s) for s in states]
+
+    one = run()
+    for k in (1, 49, 50, cfg.burn_in - 1, cfg.burn_in, cfg.burn_in + 1, cfg.iterations - 1):
+        assert run(k) == one, k
+    post = fit_global(phi, labels, cfg)
+    kept = [pickle.loads(s["pi_out"]) for s in one]
+    assert np.stack(kept).reshape(-1, phi.C).tobytes() == post.pi_draws.tobytes()
+
+
 def test_labels_shift_posterior_and_draw_shapes():
     phi = bernoulli_phi(10, 10)
     labels = labels_first(np.zeros(6), 20)  # first 6 deaths known cause 0
@@ -202,17 +301,16 @@ def test_one_pi_conditional_per_sweep(monkeypatch, tie_pi, n_L):
     cfg = EnsembleConfig(variant="partial", chains=2, iterations=50, burn_in=25, seed=0,
                          tie_pi=tie_pi, pi_prior_conc=0.5)
     fit_global(phi, labels, cfg)
-    per_chain = cfg.iterations + 1  # the initial draw, then one per sweep
-    assert len(pi_conc) == cfg.chains * per_chain
+    # every chain's initial draw, then each chain's one draw per sweep
+    assert len(pi_conc) == cfg.chains * (1 + cfg.iterations)
+    first, sweeps = pi_conc[:cfg.chains], pi_conc[cfg.chains:]
+    assert all(alpha.tolist() == [0.5] * 3 for alpha in first)
     seen = 12 if tie_pi else 12 - n_L
-    for chain in range(cfg.chains):
-        first, *sweeps = pi_conc[chain * per_chain:(chain + 1) * per_chain]
-        assert first.tolist() == [0.5] * 3
-        for alpha in sweeps:
-            counts = alpha - 0.5
-            assert np.array_equal(counts, np.round(counts)) and counts.sum() == seen
-            if tie_pi and n_L:
-                assert np.all(counts >= np.bincount(labels[:n_L], minlength=3))
+    for alpha in sweeps:
+        counts = alpha - 0.5
+        assert np.array_equal(counts, np.round(counts)) and counts.sum() == seen
+        if tie_pi and n_L:
+            assert np.all(counts >= np.bincount(labels[:n_L], minlength=3))
 
 
 BAD_LABELS = {
@@ -325,6 +423,18 @@ def test_logistic_normal_route_runs_and_reports_acceptance(burn_in):
     assert post.acceptance_rate is not None
     assert 0.0 < post.acceptance_rate < 1.0
     assert np.allclose(post.lambda_draws.sum(axis=2), 1.0, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("present", [[[1, 0], [0, 1], [1, 0]], [[1], [1], [1]]],
+                         ids=["each-cause-once", "single-model"])
+def test_logistic_normal_fit_without_a_weight_choice_reports_no_acceptance(present):
+    """No cause has two covering domains, so no Metropolis step runs and no rate is shown."""
+    phi, labels, cfg = _stream_fit(8, 20, present, n_L=3, lambda_prior=_LN)
+    post = fit_global(phi, labels, cfg)
+    assert post.acceptance_rate is None
+    causes = CauseList(causes=tuple(f"c{c}" for c in range(phi.C)))
+    assert "acceptance" not in posterior_text(post, causes)
 
 
 def test_classify_examples():

@@ -8,8 +8,13 @@ then runs one fixed list of commands on them with its own `src/`:
 
 - site-train's inputs: `train --domain domain_1`;
 - center-ensemble's inputs: `ensemble --variant V` for each of the four
-  variants, `classify --variant partial` and `calibrate`;
+  variants, `ensemble --variant partial` under the logistic-normal lambda
+  prior (240 sweeps, burn-in 120: two step adaptations, and burn-in ends
+  mid-window), `classify --variant partial` and `calibrate`;
 - lodo-small's inputs: `lodo` under each of the three scenarios.
+
+Each command reads the workload's `run.yaml` with its own patch merged in,
+one block deep.
 
 The two trees' inputs are compared first, then every output file. The
 report is a Markdown table with one row per output file: "identical"; for a
@@ -35,19 +40,22 @@ import tempfile
 
 WORKLOADS = ("site-train", "center-ensemble", "lodo-small")
 SCENARIOS = ("random_sample", "mild_shift", "severe_shift")
+LOGISTIC_NORMAL = {"ensemble": {"lambda_prior": {"kind": "logistic_normal"},
+                                "iterations": 240, "burn_in": 120}}
 
 
 def commands(workload: str) -> list:
-    """(output directory, argv, lodo scenario or None) of each command run on a workload."""
+    """(output directory, argv, config patch) of each command run on a workload."""
     if workload == "site-train":
-        return [("train", ["train", "--config", "run.yaml", "--domain", "domain_1"], None)]
+        return [("train", ["train", "--domain", "domain_1"], {})]
     if workload == "center-ensemble":
-        runs = [(f"ensemble-{v}", ["ensemble", "--config", "run.yaml", "--variant", v], None)
+        runs = [(f"ensemble-{v}", ["ensemble", "--variant", v], {})
                 for v in ("plain", "partial", "domain", "mix")]
-        return runs + [("classify-partial",
-                        ["classify", "--config", "run.yaml", "--variant", "partial"], None),
-                       ("calibrate", ["calibrate", "--config", "run.yaml"], None)]
-    return [(f"lodo-{s}", ["lodo", "--config", f"lodo_{s}.yaml"], s) for s in SCENARIOS]
+        return runs + [("ensemble-partial-ln", ["ensemble", "--variant", "partial"],
+                        LOGISTIC_NORMAL),
+                       ("classify-partial", ["classify", "--variant", "partial"], {}),
+                       ("calibrate", ["calibrate"], {})]
+    return [(f"lodo-{s}", ["lodo"], {"scenario": {"kind": s}}) for s in SCENARIOS]
 
 
 # Runs in a tree of its own: builds one workload's inputs in the working
@@ -65,16 +73,17 @@ warnings.simplefilter("ignore")  # short chains warn about R-hat
 os.chdir(work)
 workloads.setup((workloads.TINY if tiny == "1" else workloads.WORKLOADS)[name], int(seed))
 codes = {}
-for out, argv, scenario in json.loads(runs):
-    if scenario:
-        with open("run.yaml", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
-        cfg["scenario"] = dict(cfg.get("scenario") or {}, kind=scenario)
-        with open(f"lodo_{scenario}.yaml", "w", encoding="utf-8") as fh:
-            yaml.safe_dump(cfg, fh)
+for out, argv, patch in json.loads(runs):
+    with open("run.yaml", encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    for key, block in patch.items():
+        cfg[key] = {**(cfg.get(key) or {}), **block}
+    with open(f"{out}.yaml", "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg, fh)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes[out] = fedva.cli.main(argv + ["--out", os.path.join("out", out)])
+            codes[out] = fedva.cli.main(
+                argv + ["--config", f"{out}.yaml", "--out", os.path.join("out", out)])
     except Exception as exc:
         codes[out] = f"{type(exc).__name__}: {exc}"
 print(json.dumps(codes))
