@@ -8,12 +8,16 @@ missing, with missing kept distinct from no throughout.
 CSV schema: header ``death_id,cause,<symptom_1>,...,<symptom_p>`` where the
 symptom columns must match the dictionary order exactly; cells are ``Y``,
 ``N`` or ``.``; the cause cell is empty for unlabeled deaths.
+
+Every CSV fedva writes, datasets and `lodo_results.csv` included, follows the
+one rule of `csv_name`, `csv_line` and `csv_text`: a name cell that holds a
+comma, a quote, a CR or an LF is quoted, floats go by `repr`, lines end in LF.
 """
 from __future__ import annotations
 
 import csv
 import enum
-import io
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -295,18 +299,32 @@ def _checked_cell(path, lineno: int, symptom: str, cell: str) -> str:
     return stripped
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def csv_name(cell: str) -> str:
+    """A name cell, quoted (inner quotes doubled) when it holds a comma, quote, CR or LF."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell) else cell
+
+
+def csv_line(names, values=()) -> str:
+    """One CSV line without its end: the name cells, then the floats by repr."""
+    return ",".join([*map(csv_name, names), *map(repr, values)])
+
+
+def csv_text(header, lines) -> str:
+    """CSV text: a line of the header's name cells, then `lines`, each ended by an LF."""
+    return "\n".join([csv_line(header), *lines]) + "\n"
+
+
 def dataset_csv_text(dataset: Dataset) -> str:
     """Inverse of load_dataset: cell-exact, order-exact round trip."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["death_id", "cause", *dataset.symptom_dict.symptoms])
-    cells = dataset.x.tobytes().translate(_CODE_TO_CHAR).decode("ascii")
-    p = dataset.p
-    causes = dataset.cause_list.causes
-    for i, (death_id, label) in enumerate(zip(dataset.death_ids, dataset.y.tolist())):
-        cause_cell = "" if label == UNLABELED else causes[label]
-        writer.writerow([death_id, cause_cell, *cells[i * p:(i + 1) * p]])
-    return buf.getvalue()
+    cells = ",".join(dataset.x.tobytes().translate(_CODE_TO_CHAR).decode("ascii"))
+    w = 2 * dataset.p  # one row's cells with their commas, and the comma after the last
+    causes = [*map(csv_name, dataset.cause_list.causes), ""]  # causes[UNLABELED] is ""
+    return csv_text(["death_id", "cause", *dataset.symptom_dict.symptoms], (
+        f"{csv_name(death_id)},{causes[label]},{cells[i * w:(i + 1) * w - 1]}"
+        for i, (death_id, label) in enumerate(zip(dataset.death_ids, dataset.y.tolist()))))
 
 
 def write_dataset(dataset: Dataset, path) -> None:

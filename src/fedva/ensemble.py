@@ -91,6 +91,7 @@ from .errors import (
 )
 from .lcm import BaseModelSummary, GibbsConfig, cond_loglik_matrix
 from .utils import (
+    TINY,
     derive_rng,
     gumbel_argmax,
     inverse_cdf,
@@ -103,7 +104,6 @@ from .utils import (
 
 VARIANTS = ("plain", "partial", "domain", "mix")
 LOCAL_VARIANTS = ("domain", "mix")  # the variants that add a target-local model
-_TINY = np.finfo(np.float64).tiny
 
 
 def distinct_ids(ids, M: int) -> tuple[str, ...]:
@@ -299,7 +299,7 @@ def _draw_cells(rng, phi_exp, w, cum, log_w) -> np.ndarray:
     over the C cause masses (one batched matrix product), and the domain the
     inverse CDF over cause c's M weights at the leftover point u - cum[c],
     the mass of the causes below c. A death whose weights sum to at most
-    _TINY lost its relative precision to underflow; it is redrawn by a Gumbel
+    TINY lost its relative precision to underflow; it is redrawn by a Gumbel
     argmax over log_w(rows), the (rows, C*M) log-weights of those deaths,
     which is called only when a death needs the redraw.
     """
@@ -320,7 +320,7 @@ def _draw_cells(rng, phi_exp, w, cum, log_w) -> np.ndarray:
         dom *= w.T.take(cell, axis=1)
         cell *= M
         cell += inverse_cdf(running_sums(dom), u)
-    low = (total <= _TINY).nonzero()[0]
+    low = (total <= TINY).nonzero()[0]
     if low.size:
         cell[low] = gumbel_argmax(rng, log_w(low), axis=1)
     return cell

@@ -148,18 +148,22 @@ class BaseModelSummary:
             raise InvalidSummary("n_by_cause must be nonnegative")
         if not np.any(self.present):
             raise InvalidSummary("summary has no present cause")
-        for c in range(C):
-            if self.present[c]:
-                if self.n_by_cause[c] < 1:
-                    raise InvalidSummary(f"cause {c} flagged present with zero training deaths")
-                nu_c = self.nu_bar[c]
-                if not np.all(np.isfinite(nu_c)) or np.any(nu_c < 0):
-                    raise InvalidSummary(f"nu_bar[{c}] is not a valid weight vector")
-                if abs(float(nu_c.sum()) - 1.0) > 1e-6:
-                    raise InvalidSummary(f"nu_bar[{c}] does not sum to 1 within 1e-6")
-                th_c = self.theta_bar[c]
-                if not np.all(np.isfinite(th_c)) or np.any(th_c <= 0) or np.any(th_c >= 1):
-                    raise InvalidSummary(f"theta_bar[{c}] has entries outside (0,1)")
+        c = np.flatnonzero(self.present)
+        nu, th = self.nu_bar[c], self.theta_bar[c]
+        # a sum that meets inf - inf or overflows would warn; its row fails check 2 or 3
+        with np.errstate(invalid="ignore", over="ignore"):
+            failed = np.array([self.n_by_cause[c] < 1,
+                               ~np.all(np.isfinite(nu) & (nu >= 0), axis=1),
+                               np.abs(nu.sum(axis=1) - 1.0) > 1e-6,
+                               ~np.all((th > 0) & (th < 1), axis=(1, 2))])  # NaN fails both
+        if failed.any():  # name the first failing cause by the first check it fails
+            j = failed.any(axis=0).argmax()
+            raise InvalidSummary((
+                "cause {} flagged present with zero training deaths",
+                "nu_bar[{}] is not a valid weight vector",
+                "nu_bar[{}] does not sum to 1 within 1e-6",
+                "theta_bar[{}] has entries outside (0,1)",
+            )[failed[:, j].argmax()].format(c[j]))
 
 
 def _canonical_order(dataset: Dataset) -> np.ndarray:

@@ -53,7 +53,6 @@ rule on their target.
 from __future__ import annotations
 
 import csv
-import io
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -61,7 +60,7 @@ from functools import partial
 import numpy as np
 
 from .calibration import build_predictions, fit_calibration
-from .data import cause_counts, split_labels
+from .data import cause_counts, csv_line, csv_text, split_labels
 from .ensemble import (LOCAL_VARIANTS, adjust_csmf, build_phi, distinct_ids, fit_single_model,
                        local_rows, run_variant)
 # unused here; perfbench/test_perfbench.py checks that its tracer patches this binding
@@ -115,15 +114,10 @@ class ExperimentReport:
         def fmt(v):
             return "" if v is None else repr(float(v))
 
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(
-            (r.target_domain, r.method, r.seed, r.scenario, fmt(r.csmf_acc), fmt(r.top_acc),
-             fmt(r.balanced_acc), f"{r.runtime_s:.3f}")
-            for r in self.rows
-        )
-        return out.getvalue()
+        return csv_text(RESULT_COLUMNS, (
+            csv_line([r.target_domain, r.method, str(r.seed), r.scenario, fmt(r.csmf_acc),
+                      fmt(r.top_acc), fmt(r.balanced_acc), f"{r.runtime_s:.3f}"])
+            for r in self.rows))
 
     @classmethod
     def from_csv(cls, path) -> "ExperimentReport":

@@ -1,37 +1,17 @@
 """Report rendering: posterior tables, weight matrices, per-death CSVs.
 
-All float cells use shortest round-trip decimal formatting so identical
-runs emit identical bytes. Name cells (causes, death ids, domain ids) are
-quoted as the csv module's default dialect quotes them, so any id the
-loaders accept reads back as one cell; plain ids are written as they are.
+The CSV tables follow data.py's one CSV rule, as datasets and
+`lodo_results.csv` do: floats by `repr`, so identical runs emit identical
+bytes, and a name cell (cause, death or domain id) quoted when it holds a
+comma, a quote, a CR or an LF, so any id the loaders accept reads back.
 """
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
 from .calibration import CalibrationResult, gamma_prior_mean
-from .data import CauseList
+from .data import CauseList, csv_line, csv_name, csv_text
 from .ensemble import Classification, GlobalPosterior
-
-
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
-
-
-def _name(cell: str) -> str:
-    """A name cell as csv.writer's default (excel) dialect writes it: quoted,
-    with inner quotes doubled, only if it holds a comma, a quote or a line break."""
-    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES(cell) else cell
-
-
-def _header(*names: str) -> str:
-    return ",".join(map(_name, names))
-
-
-def _rows(names, table: np.ndarray) -> list[str]:
-    """One CSV line per name: the name, then its row of `table` as repr floats."""
-    return [",".join([_name(name), *map(repr, row)]) for name, row in zip(names, table.tolist())]
 
 
 def pi_summary(pi_draws: np.ndarray) -> np.ndarray:
@@ -41,29 +21,28 @@ def pi_summary(pi_draws: np.ndarray) -> np.ndarray:
 
 def pi_table_csv(pi_draws: np.ndarray, cause_list: CauseList) -> str:
     """Per-cause posterior mean with a central 95% interval."""
-    lines = ["cause,mean,q2.5,q97.5", *_rows(cause_list.causes, pi_summary(pi_draws).T)]
-    return "\n".join(lines) + "\n"
+    rows = zip(cause_list.causes, pi_summary(pi_draws).T.tolist())
+    return csv_text(["cause", "mean", "q2.5", "q97.5"], (csv_line([c], row) for c, row in rows))
 
 
 def lambda_matrix_csv(post: GlobalPosterior, cause_list: CauseList) -> str:
     """Posterior-mean domain weight per (cause, domain)."""
-    lines = [_header("cause", *post.domain_ids), *_rows(cause_list.causes, post.lambda_mean())]
-    return "\n".join(lines) + "\n"
+    rows = zip(cause_list.causes, post.lambda_mean().tolist())
+    return csv_text(["cause", *post.domain_ids], (csv_line([c], row) for c, row in rows))
 
 
 def classification_csv(cls: Classification, cause_list: CauseList) -> str:
-    header = _header("death_id", *cause_list.causes, "top_cause")
-    causes = [_name(cause) for cause in cause_list.causes]
+    causes = [csv_name(cause) for cause in cause_list.causes]
     tops = [causes[c] for c in cls.top.tolist()]
-    lines = [header, *(",".join([_name(death_id), *map(repr, row), top])
-                       for death_id, row, top in zip(cls.death_ids, cls.probs.tolist(), tops))]
-    return "\n".join(lines) + "\n"
+    return csv_text(["death_id", *cause_list.causes, "top_cause"],
+                    (",".join([csv_name(death_id), *map(repr, row), top])
+                     for death_id, row, top in zip(cls.death_ids, cls.probs.tolist(), tops)))
 
 
 def csmf_csv(csmf: np.ndarray, cause_list: CauseList) -> str:
     """The CSMF point estimate: a header of causes over one csmf_estimate row."""
-    lines = [_header("cause", *cause_list.causes), *_rows(["csmf_estimate"], np.atleast_2d(csmf))]
-    return "\n".join(lines) + "\n"
+    return csv_text(["cause", *cause_list.causes],
+                    [csv_line(["csmf_estimate"], np.asarray(csmf).tolist())])
 
 
 def posterior_text(post: GlobalPosterior, cause_list: CauseList) -> str:

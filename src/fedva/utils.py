@@ -20,6 +20,7 @@ import tempfile
 import numpy as np
 
 __all__ = [
+    "TINY",
     "sha256_hex",
     "canonical_json",
     "fingerprint_ids",
@@ -41,6 +42,9 @@ __all__ = [
     "atomic_write_text",
     "parallel_map",
 ]
+
+
+TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 def sha256_hex(data: bytes) -> str:
@@ -130,13 +134,13 @@ def log_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> tuple[np.ndarr
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.min() >= 0.1:
-        g = np.maximum(rng.standard_gamma(alpha), np.finfo(np.float64).tiny)
+        g = np.maximum(rng.standard_gamma(alpha), TINY)
         x = g / g.sum(axis=-1, keepdims=True)
         return x, np.log(x)
     small = alpha < 0.1
     boosted = np.where(small, alpha + 1.0, alpha)
     g = rng.standard_gamma(boosted)
-    log_g = np.log(np.maximum(g, np.finfo(np.float64).tiny))
+    log_g = np.log(np.maximum(g, TINY))
     u = 1.0 - rng.random(size=alpha.shape)  # strictly in (0, 1]
     log_g = np.where(small, log_g + np.log(u) / np.maximum(alpha, 1e-300), log_g)
     log_g = np.where(alpha > 0, log_g, -np.inf)

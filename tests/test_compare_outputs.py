@@ -47,10 +47,11 @@ def test_two_copies_of_the_tree_are_identical_everywhere(tmp_path):
     assert commands == {"inputs", "train", "ensemble-plain", "ensemble-partial",
                         "ensemble-domain", "ensemble-mix", "ensemble-partial-ln",
                         "classify-partial", "calibrate",
-                        "lodo-random_sample", "lodo-mild_shift", "lodo-severe_shift"}
+                        "lodo-random_sample", "lodo-mild_shift", "lodo-severe_shift",
+                        "lodo-quoted-ids"}
     assert {r for _, _, r in rows} == {"identical"}
     assert sum(c == "inputs" for c, _, _ in rows) == 3
-    assert "46 output files: 46 identical, 0 moved" in proc.stdout
+    assert "49 output files: 49 identical, 0 moved" in proc.stdout
 
 
 def test_a_one_ulp_change_is_reported(tmp_path):

@@ -156,6 +156,19 @@ def test_round_trip_is_cell_exact(tmp_path, cl3, sd4):
     assert out.read_text() == CSV_OK
 
 
+def test_names_that_need_quotes_round_trip(tmp_path):
+    """Causes, symptoms and death ids that hold a comma, a quote, a CR or an LF
+    are quoted by write_dataset, so load_dataset reads the same dataset back."""
+    cl = CauseList(("road, injury", 'say "hi"', "cr\rcause", "lf\ncause"))
+    sd = SymptomDictionary(("s,1", 's"2', "s\r3", "s\n4"))
+    x = np.arange(20).reshape(5, 4) % 3
+    ds = Dataset("dom", ("d,0", 'd"1', "d\n2", "d3", "d4"), x, [0, 1, 2, 3, UNLABELED], cl, sd)
+    write_dataset(ds, tmp_path / "d.csv")
+    back = load_dataset(tmp_path / "d.csv", cl, sd, domain_id="dom")
+    assert back.death_ids == ds.death_ids
+    assert np.array_equal(back.x, ds.x) and np.array_equal(back.y, ds.y)
+
+
 def test_dataset_arrays_are_read_only(labeled_ds):
     with pytest.raises(ValueError):
         labeled_ds.x[0, 0] = 1

@@ -1007,7 +1007,7 @@ def test_cell_draw_builds_log_weights_only_for_underflowed_rows():
     _draw_cells(derive_rng("lazy"), phi_exp, np.full((3, 2), 1 / 6), np.zeros((4, 5)), log_w)
     assert asked == [[1, 3]]
 
-    # Weights summing to exactly _TINY take the fallback: moving the point
+    # Weights summing to exactly TINY take the fallback: moving the point
     # below such a total by a multiply can leave it at the total itself.
     tiny = np.finfo(np.float64).tiny
     asked.clear()

@@ -262,7 +262,7 @@ def test_known_methods_are_stable():
     )
 
 
-@pytest.mark.parametrize("domain", ["dom0", "a,b", 'say "hi"'])
+@pytest.mark.parametrize("domain", ["dom0", "a,b", 'say "hi"', "site\rA", "site\nB"])
 def test_results_csv_reads_back_what_it_wrote(tmp_path, domain):
     rows = (MethodResult(domain, "bfl-plain", 0, "random_sample", 0.75, 0.5, 0.25, 1.5),
             MethodResult("dom1", "calib-50", 3, "random_sample", 0.125, None, None, 0.25))
@@ -272,7 +272,8 @@ def test_results_csv_reads_back_what_it_wrote(tmp_path, domain):
     assert path.read_text().endswith("\ndom1,calib-50,3,random_sample,0.125,,,0.250\n")
     assert ExperimentReport.from_csv(path) == rep
     assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "lodo_summary.txt").read_text() == rep.summary_text()
+    # read as bytes: a text read would turn the id's CR into an LF
+    assert (tmp_path / "out" / "lodo_summary.txt").read_bytes().decode() == rep.summary_text()
     assert domain in rep.summary_text()
 
 

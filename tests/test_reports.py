@@ -42,10 +42,11 @@ def _per_cell_lambda_matrix(lam, domain_ids, cause_list):
 
 
 def _csv_name(name: str) -> str:
-    """A name cell as csv.writer quotes it."""
+    """A name cell as csv.writer quotes it with CRLF line ends: quoted when it
+    holds a comma, a quote, a CR or an LF."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([name, ""])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow([name, ""])
+    return buf.getvalue()[:-3]
 
 
 def _per_cell_classification(cls, cause_list):

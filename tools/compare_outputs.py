@@ -11,7 +11,10 @@ then runs one fixed list of commands on them with its own `src/`:
   variants, `ensemble --variant partial` under the logistic-normal lambda
   prior (240 sweeps, burn-in 120: two step adaptations, and burn-in ends
   mid-window), `classify --variant partial` and `calibrate`;
-- lodo-small's inputs: `lodo` under each of the three scenarios.
+- lodo-small's inputs: `lodo` under each of the three scenarios, and
+  `lodo-quoted-ids`, a `lodo` over three of the sites under ids that hold a
+  comma, a quote and a space, so the quoted name cells of
+  `lodo_results.csv` and `lodo_summary.txt` are compared too.
 
 Each command reads the workload's `run.yaml` with its own patch merged in,
 one block deep.
@@ -42,6 +45,9 @@ WORKLOADS = ("site-train", "center-ensemble", "lodo-small")
 SCENARIOS = ("random_sample", "mild_shift", "severe_shift")
 LOGISTIC_NORMAL = {"ensemble": {"lambda_prior": {"kind": "logistic_normal"},
                                 "iterations": 240, "burn_in": 120}}
+QUOTED_IDS = {"paths": {"datasets": {"north, site 1": "sim/domain_1.csv",
+                                     'site "2"': "sim/domain_2.csv",
+                                     "site 3": "sim/domain_3.csv"}}}
 
 
 def commands(workload: str) -> list:
@@ -55,7 +61,8 @@ def commands(workload: str) -> list:
                         LOGISTIC_NORMAL),
                        ("classify-partial", ["classify", "--variant", "partial"], {}),
                        ("calibrate", ["calibrate"], {})]
-    return [(f"lodo-{s}", ["lodo"], {"scenario": {"kind": s}}) for s in SCENARIOS]
+    return ([(f"lodo-{s}", ["lodo"], {"scenario": {"kind": s}}) for s in SCENARIOS]
+            + [("lodo-quoted-ids", ["lodo"], QUOTED_IDS)])
 
 
 # Runs in a tree of its own: builds one workload's inputs in the working
